@@ -23,11 +23,12 @@ import numpy as np
 from . import hvmodels
 from .behavior import Behavior, bound_values, compute_IJ, mix_behaviors, alphabets
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
-from .evaluator import evaluate_chain
+from .evaluator import chain_IJ, evaluate_chain
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ,
                        party_strategy_table, sample_random_model, strategy_counts,
                        strategy_IJ, trial_rng)
-from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
+from .network import (KIND_P14, KIND_P22, SourceState, check_kind, standard_scenario,
+                      werner)
 
 LP_DEFAULT_TOL = 1e-8
 BISECTION_MAX_ITER = 60
@@ -364,9 +365,9 @@ class ThresholdResult:
         }
 
 
-def _bound_at(kind, n, alphas, bound):
-    b = evaluate_chain(standard_scenario(n, kind, alphas))
-    report = bound_values(*compute_IJ(b))
+def _bound_at(scenario, alphas, bound):
+    sources = [SourceState(werner(a), alpha=a) for a in alphas]
+    report = bound_values(*chain_IJ(scenario, sources))
     return report.nlocal_value if bound == "nlocal" else report.local_value
 
 
@@ -378,6 +379,10 @@ def visibility_threshold(kind: str, n: int, profile=None,
     a profile, source 1's visibility is scaled by s while the rest stay
     fixed; the profile must violate the bound at s = 1, otherwise there is
     no crossing in [0, 1] and NoCrossingError is raised.
+
+    The settings are built and validated once; each bisection step builds
+    only the n sources and evaluates I and J with chain_IJ, so no table is
+    made and any chain length is accepted.
     """
     check_kind(kind)
     if bound not in ("nlocal", "local"):
@@ -395,8 +400,9 @@ def visibility_threshold(kind: str, n: int, profile=None,
         def alphas_at(s):
             return [profile[0] * s] + profile[1:]
 
+    scenario = standard_scenario(n, kind)
     lo, hi = 0.0, 1.0
-    value_hi = _bound_at(kind, n, alphas_at(hi), bound)
+    value_hi = _bound_at(scenario, alphas_at(hi), bound)
     if value_hi <= 1.0:
         raise NoCrossingError(
             f"configuration does not violate at full visibility (value {value_hi:.6f})"
@@ -404,7 +410,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
     iterations = 0
     while iterations < BISECTION_MAX_ITER and hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2.0
-        if _bound_at(kind, n, alphas_at(mid), bound) > 1.0:
+        if _bound_at(scenario, alphas_at(mid), bound) > 1.0:
             hi = mid
         else:
             lo = mid
@@ -415,7 +421,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
         kind=kind, n=n, bound=bound,
         scale=scale, alphas=alphas,
         product=float(np.prod(alphas)),
-        value_at_threshold=_bound_at(kind, n, alphas, bound),
+        value_at_threshold=_bound_at(scenario, alphas, bound),
         iterations=iterations, bracket_width=hi - lo,
     )
 

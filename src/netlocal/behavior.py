@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -118,28 +120,44 @@ def _outcome_digits(kind: str, n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(d) for d in np.unravel_index(np.arange(num_out), outs))
 
 
-def _sign_vector(kind: str, n: int, selectors) -> np.ndarray:
-    """(-1)**(sum of relevant outcome bits) per packed outcome index.
+# sign of an outcome bit, and of bit 0 (high) or bit 1 (low) of a p14
+# intermediate outcome string 2*b0 + b1
+_BIT_SIGNS = np.array([1.0, -1.0])
+_STRING_BIT_SIGNS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
 
-    For p22 every party contributes its output bit.  For p14 the ends
-    contribute their bits and intermediate i contributes bit selectors[i-1]
-    of its two-bit outcome string (bit 0 is the high bit of 2*b0 + b1).
+
+def ij_factors(kind: str, n: int):
+    """Per-party factors of the I and J functionals.
+
+    Returns ((weights_I, signs_I), (weights_J, signs_J)).  weights[p] weighs
+    party p's inputs and signs[p] signs its outcomes, so that
+
+        I = sum_x prod_p weights_I[p][x_p] * sum_a prod_p signs_I[p][a_p] * P(a|x)
+
+    and likewise for J.  The end parties average their two inputs for I and
+    alternate them for J; an intermediate party reads input 0 for I and
+    input 1 for J (p22), or bit 0 for I and bit 1 for J of its string (p14).
     """
-    digits = _outcome_digits(kind, n)
-    if kind == KIND_P22:
-        parity = np.zeros(digits[0].shape, dtype=np.int64)
-        for d in digits:
-            parity ^= d
-    else:
-        selectors = tuple(int(s) for s in selectors)
-        if len(selectors) != n - 1:
-            raise DimensionError(f"need {n - 1} bit selectors, got {len(selectors)}")
-        parity = digits[0] ^ digits[-1]
-        for sel, d in zip(selectors, digits[1:-1]):
-            if sel not in (0, 1):
-                raise RangeError(f"bit selectors must be 0 or 1, got {sel}")
-            parity ^= (d >> 1) if sel == 0 else (d & 1)
-    return 1.0 - 2.0 * (parity & 1)
+    ins, _ = alphabets(kind, n)
+    factors = []
+    for which, end_weights in ((0, np.array([0.5, 0.5])), (1, np.array([0.5, -0.5]))):
+        if kind == KIND_P22:
+            mid_weights, mid_signs = np.eye(2)[which], _BIT_SIGNS
+        else:
+            mid_weights, mid_signs = np.ones(1), _STRING_BIT_SIGNS[which]
+        weights = [end_weights] + [mid_weights] * (len(ins) - 2) + [end_weights]
+        signs = [_BIT_SIGNS] + [mid_signs] * (len(ins) - 2) + [_BIT_SIGNS]
+        factors.append((weights, signs))
+    return tuple(factors)
+
+
+def _row_correlator(row: np.ndarray, signs) -> float:
+    """sum_a prod_p signs[p][a_p] * row[a], contracted one party at a time
+    from the last, so no temporary is larger than the row."""
+    v = row
+    for s in reversed(signs):
+        v = v.reshape(-1, s.size) @ s
+    return float(v[0])
 
 
 def correlator_p22(b: Behavior, xs) -> float:
@@ -147,33 +165,41 @@ def correlator_p22(b: Behavior, xs) -> float:
     if b.kind != KIND_P22:
         raise KindError(f"correlator_p22 needs a p22 behavior, got {b.kind}")
     row = b.table[b.input_index(xs)]
-    return float(row @ _sign_vector(KIND_P22, b.n, None))
+    return _row_correlator(row, [_BIT_SIGNS] * (b.n + 1))
+
 
 def correlator_p14(b: Behavior, x1: int, xlast: int, selectors) -> float:
-    """End-to-end correlator with one outcome bit selected per intermediate."""
+    """End-to-end correlator with one outcome bit selected per intermediate.
+
+    Intermediate i contributes bit selectors[i-1] of its outcome string
+    (bit 0 is the high bit of 2*b0 + b1).
+    """
     if b.kind != KIND_P14:
         raise KindError(f"correlator_p14 needs a p14 behavior, got {b.kind}")
+    selectors = tuple(int(s) for s in selectors)
+    if len(selectors) != b.n - 1:
+        raise DimensionError(f"need {b.n - 1} bit selectors, got {len(selectors)}")
+    if any(sel not in (0, 1) for sel in selectors):
+        raise RangeError(f"bit selectors must be 0 or 1, got {selectors}")
     xs = (x1,) + (0,) * (b.n - 1) + (xlast,)
     row = b.table[b.input_index(xs)]
-    return float(row @ _sign_vector(KIND_P14, b.n, tuple(selectors)))
+    signs = [_BIT_SIGNS] + [_STRING_BIT_SIGNS[sel] for sel in selectors] + [_BIT_SIGNS]
+    return _row_correlator(row, signs)
 
 
 def compute_IJ(b: Behavior) -> tuple[float, float]:
-    """Signed values of the two correlator averages for a behavior."""
-    n = b.n
-    total_i = 0.0
-    total_j = 0.0
-    for x1 in (0, 1):
-        for xlast in (0, 1):
-            if b.kind == KIND_P22:
-                ci = correlator_p22(b, (x1,) + (0,) * (n - 1) + (xlast,))
-                cj = correlator_p22(b, (x1,) + (1,) * (n - 1) + (xlast,))
-            else:
-                ci = correlator_p14(b, x1, xlast, (0,) * (n - 1))
-                cj = correlator_p14(b, x1, xlast, (1,) * (n - 1))
-            total_i += ci
-            total_j += (-1) ** (x1 + xlast) * cj
-    return total_i / 4.0, total_j / 4.0
+    """Signed values of the two correlator averages for a behavior.
+
+    Reads only the four table rows each functional weighs.
+    """
+    values = []
+    for weights, signs in ij_factors(b.kind, b.n):
+        total = 0.0
+        for xs in product(*(np.flatnonzero(w) for w in weights)):
+            coeff = math.prod(float(w[x]) for w, x in zip(weights, xs))
+            total += coeff * _row_correlator(b.table[b.input_index(xs)], signs)
+        values.append(total)
+    return values[0], values[1]
 
 
 @dataclass
@@ -276,17 +302,33 @@ def save_behavior_csv(b: Behavior, path) -> None:
 
 
 def load_behavior_csv(path, kind: str, n: int) -> Behavior:
+    """Read the save_behavior_csv format; every (inputs, outcomes) row at
+    most once, with exactly 2*(n+1) + 1 columns."""
     ins, outs = alphabets(kind, n)
     shape = (int(np.prod(ins)), int(np.prod(outs)))
     table = np.zeros(shape)
+    seen = np.zeros(shape, dtype=bool)
     num_parties = n + 1
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            xs = tuple(int(v) for v in row[:num_parties])
-            outs_t = tuple(int(v) for v in row[num_parties:2 * num_parties])
-            xi = int(np.ravel_multi_index(xs, ins))
-            oi = int(np.ravel_multi_index(outs_t, outs))
-            table[xi, oi] = float(row[-1])
+            line = reader.line_num
+            if len(row) != 2 * num_parties + 1:
+                raise DimensionError(
+                    f"{path}, line {line}: expected {2 * num_parties + 1} columns, "
+                    f"got {len(row)}")
+            try:
+                xs = tuple(int(v) for v in row[:num_parties])
+                outs_t = tuple(int(v) for v in row[num_parties:2 * num_parties])
+                xi = int(np.ravel_multi_index(xs, ins))
+                oi = int(np.ravel_multi_index(outs_t, outs))
+                value = float(row[-1])
+            except ValueError as exc:
+                raise DimensionError(f"{path}, line {line}: {exc}") from None
+            if seen[xi, oi]:
+                raise DimensionError(
+                    f"{path}, line {line}: duplicate row for inputs {xs}, outcomes {outs_t}")
+            seen[xi, oi] = True
+            table[xi, oi] = value
     return Behavior(kind, n, table)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -78,13 +79,31 @@ def _any_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
-def _unit_float(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        v = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+
+
+def _unit_float(text: str) -> float:
+    v = _number(text)
     if not 0.0 <= v <= 1.0:
         raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {v}")
+    return v
+
+
+def _positive_float(text: str) -> float:
+    v = _number(text)
+    if not 0.0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {v}")
+    return v
+
+
+def _grid_step(text: str) -> float:
+    v = _number(text)
+    if not 0.0 < v <= 0.5:
+        raise argparse.ArgumentTypeError(f"expected a grid step in (0, 0.5], got {v}")
     return v
 
 
@@ -314,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--behavior", default=None,
                    help="behavior file to test instead (.json self-describing; "
                         ".csv uses --kind/--n)")
-    p.add_argument("--tol", type=float, default=LP_DEFAULT_TOL,
+    p.add_argument("--tol", type=_positive_float, default=LP_DEFAULT_TOL,
                    help="feasibility residual tolerance")
     p.set_defaults(func=cmd_lp)
 
@@ -328,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure4", help="plot-ready (I, J) plane data")
     common(p)
-    p.add_argument("--grid-step", type=float, default=0.05,
+    p.add_argument("--grid-step", type=_grid_step, default=0.05,
                    help="spacing of the r and boundary grids")
     p.add_argument("--out", default=None, help="also write the output here")
     p.add_argument("--format", choices=("json", "csv"), default="json",

@@ -4,6 +4,8 @@ Two independent evaluation routes are provided.  evaluate_naive builds the
 global 2^(2n)-dimensional state and measurement operators and is kept as a
 small-n oracle.  evaluate_chain contracts the chain source by source with a
 transfer-operator sweep, is linear in n, and is the production path.
+chain_IJ contracts I and J alone along the same chain, in O(n) time and
+constant memory, without building the 4^n-cell table.
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .behavior import Behavior, _outcome_digits, alphabets
-from .errors import KindError, RangeError, SizeGuardError
-from .network import KIND_P14, KIND_P22, NetworkScenario, measurement_elements
+from .behavior import NORM_ATOL, Behavior, _outcome_digits, alphabets, ij_factors
+from .errors import KindError, RangeError, ScenarioError, SizeGuardError
+from .network import (ID2, ID4, KIND_P14, KIND_P22, NetworkScenario,
+                      measurement_elements)
 
 NAIVE_DIM_GUARD = 4096
 _REAL_EPS = 1e-14
@@ -130,6 +133,43 @@ def evaluate_chain(scenario: NetworkScenario) -> Behavior:
     if not all_real:
         table = table.real
     return Behavior(scenario.kind, n, np.ascontiguousarray(table))
+
+
+def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
+    """I and J of a scenario by one bond sweep, without the table.
+
+    I and J factorise over the parties (behavior.ij_factors), so each party
+    contributes one operator, sum_x weights[x] sum_a signs[a] E[x][a], and
+    the sweep carries a single 2x2 bond operator per functional from left to
+    right.  The all-identity functional rides along; its value, the product
+    of the source traces, must be 1 within NORM_ATOL, the check a Behavior
+    makes on its row sums.
+
+    Args:
+        scenario: supplies the settings, and the sources unless overridden.
+        sources: n SourceState objects to use in place of scenario.sources.
+    """
+    n = scenario.n
+    sources = scenario.sources if sources is None else list(sources)
+    if len(sources) != n:
+        raise ScenarioError(f"expected {n} sources, got {len(sources)}")
+    factors = ij_factors(scenario.kind, n)
+    ops = []  # ops[p]: (3, d, d) operators of party p for I, J and the norm
+    for p in range(n + 1):
+        elems = np.asarray(measurement_elements(scenario, p))
+        ident = ID2 if p in (0, n) else ID4
+        ops.append(np.stack(
+            [np.einsum("x,a,xaij->ij", w[p], s[p], elems) for w, s in factors] + [ident]))
+
+    # bond[k] is the operator left on the right qubit of the latest source
+    bond = np.einsum("kqa,atqs->kts", ops[0], sources[0].rho.reshape(2, 2, 2, 2))
+    for p in range(1, n):
+        bond = np.einsum("kwrab,kaw,btrs->kts", ops[p].reshape(3, 2, 2, 2, 2), bond,
+                         sources[p].rho.reshape(2, 2, 2, 2))
+    I, J, norm = np.einsum("kst,kts->k", ops[n], bond).real
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise RangeError(f"sources must have unit trace, product of traces {norm}")
+    return float(I), float(J)
 
 
 def closed_form_p14(n: int) -> Behavior:

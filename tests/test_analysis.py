@@ -1,11 +1,13 @@
 """LP membership, exact decomposition, thresholds, boundary data, MC sweeps."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import netlocal.analysis as analysis
 from netlocal.analysis import (
     SINGLE_SOURCE_REFERENCE,
     chain_pr_behavior,
@@ -135,6 +137,34 @@ def test_threshold_validation():
         visibility_threshold(KIND_P22, 3, profile=[0.9, 0.9])
     with pytest.raises(RangeError):
         visibility_threshold(KIND_P22, 2, profile=[0.9, 1.1])
+
+
+def test_threshold_beyond_any_table():
+    # 4**40 cells: only the chain contraction can reach this size
+    t0 = time.perf_counter()
+    for kind in (KIND_P22, KIND_P14):
+        res = visibility_threshold(kind, 40)
+        assert abs(res.product - 0.5) < 1e-6
+        assert abs(res.value_at_threshold - 1.0) < 1e-6
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_threshold_matches_table_route(monkeypatch):
+    def table_IJ(scenario, sources):
+        alphas = [s.alpha for s in sources]
+        return compute_IJ(evaluate_chain(standard_scenario(scenario.n, scenario.kind,
+                                                           alphas)))
+
+    configs = [(kind, n, profile)
+               for kind in (KIND_P22, KIND_P14) for n in range(2, 6)
+               for profile in (None, [0.9] * (n - 1) + [0.8])]
+    contracted = [visibility_threshold(kind, n, profile=profile)
+                  for kind, n, profile in configs]
+    monkeypatch.setattr(analysis, "chain_IJ", table_IJ)
+    for (kind, n, profile), res in zip(configs, contracted):
+        ref = visibility_threshold(kind, n, profile=profile)
+        assert res.iterations == ref.iterations
+        assert abs(res.scale - ref.scale) < 1e-9
 
 
 def test_figure4_report_contents():

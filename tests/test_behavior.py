@@ -159,6 +159,31 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert header == "x1,x2,x3,a1,a2,a3,p"
 
 
+def _csv_lines(tmp_path):
+    path = tmp_path / "behavior.csv"
+    save_behavior_csv(closed_form_p22_end_parity(2), path)
+    return path, path.read_text().splitlines()
+
+
+def test_csv_rejects_duplicate_rows(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    path.write_text("\n".join(lines + [lines[5]]) + "\n")
+    with pytest.raises(DimensionError, match=f"line {len(lines) + 1}: duplicate"):
+        load_behavior_csv(path, KIND_P22, 2)
+
+
+def test_csv_rejects_wrong_column_count(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    lines[3] += ",0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DimensionError, match="line 4: expected 7 columns, got 8"):
+        load_behavior_csv(path, KIND_P22, 2)
+    lines[3] = "0,0,0,0,2,0,0.5"  # outcome digit out of range
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DimensionError, match="line 4"):
+        load_behavior_csv(path, KIND_P22, 2)
+
+
 def test_behavior_json_schema_check():
     doc = behavior_to_json(uniform_behavior(KIND_P22, 2))
     assert doc["schema_version"] == 1

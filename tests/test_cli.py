@@ -53,6 +53,10 @@ def test_usage_errors_exit_2(capsys):
         ["simulate", "--n", "2", "--format", "csv"],  # csv needs --out
         ["tightness", "--r", "1.5"],
         ["montecarlo", "--trials", "0"],
+        ["lp", "--tol", "-1"],
+        ["lp", "--tol", "0"],
+        ["figure4", "--grid-step", "0"],
+        ["figure4", "--grid-step", "0.7"],
         ["nosuchcommand"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -69,6 +73,15 @@ def test_guard_errors_exit_3(capsys):
     # missing behavior file
     assert main(["lp", "--behavior", "/nonexistent/behavior.json"]) == 3
     capsys.readouterr()
+
+
+def test_malformed_behavior_csv_exits_3(capsys, tmp_path):
+    path = tmp_path / "b.csv"
+    _run_json(capsys, ["simulate", "--n", "2", "--format", "csv", "--out", str(path)])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    assert main(["lp", "--behavior", str(path), "--n", "2"]) == 3
+    assert "duplicate row" in capsys.readouterr().err
 
 
 def test_behavior_file_round_trip_json(capsys, tmp_path):

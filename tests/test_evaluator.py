@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from netlocal.behavior import compute_IJ
-from netlocal.errors import KindError, RangeError, SizeGuardError
+from netlocal.errors import KindError, RangeError, ScenarioError, SizeGuardError
 from netlocal.evaluator import (
+    chain_IJ,
     closed_form_p14,
     closed_form_p22,
     closed_form_p22_end_parity,
@@ -20,7 +21,9 @@ from netlocal.network import (
     KIND_P14,
     KIND_P22,
     NetworkScenario,
+    SourceState,
     standard_scenario,
+    werner,
 )
 
 
@@ -151,3 +154,50 @@ def test_reduction_preserves_correlators():
         assert np.allclose(compute_IJ(b22), compute_IJ(b14), atol=1e-12)
     with pytest.raises(KindError):
         reduce_p14_to_p22(evaluate_chain(standard_scenario(2, KIND_P22)))
+
+
+def test_chain_IJ_matches_table_route_and_closed_form():
+    rng = np.random.default_rng(2024)
+    for kind in (KIND_P22, KIND_P14):
+        for n in range(2, 8):
+            alphas = rng.uniform(0.2, 1.0, size=n)
+            sc = standard_scenario(n, kind, alphas)
+            I, J = chain_IJ(sc)
+            want_I, want_J = compute_IJ(evaluate_chain(sc))
+            assert abs(I - want_I) < 1e-12 and abs(J - want_J) < 1e-12
+            half_product = float(np.prod(alphas)) / 2.0
+            assert abs(abs(I) - half_product) < 1e-12
+            assert abs(abs(J) - half_product) < 1e-12
+
+
+def test_chain_IJ_matches_table_route_on_rotated_settings():
+    rng = np.random.default_rng(11)
+    for kind in (KIND_P22, KIND_P14):
+        sc = standard_scenario(3, kind, rng.uniform(0.5, 1.0, size=3))
+        u_ends = [_haar_unitary(rng, 2) for _ in range(2)]
+        u_mids = [_haar_unitary(rng, 4) for _ in range(2)]
+        rotated = NetworkScenario(
+            n=3, kind=kind, sources=sc.sources,
+            end_settings=[[u @ o @ u.conj().T for o in obs]
+                          for u, obs in zip(u_ends, sc.end_settings)],
+            intermediate_settings=[[u @ o @ u.conj().T for o in ops]
+                                   for u, ops in zip(u_mids, sc.intermediate_settings)],
+        )
+        assert np.allclose(chain_IJ(rotated), compute_IJ(evaluate_chain(rotated)),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_chain_IJ_sources_override_and_trace_check():
+    sc = standard_scenario(3, KIND_P14)
+    sources = [SourceState(werner(a), alpha=a) for a in (0.9, 0.8, 0.7)]
+    assert np.allclose(chain_IJ(sc, sources),
+                       compute_IJ(evaluate_chain(standard_scenario(3, KIND_P14,
+                                                                   (0.9, 0.8, 0.7)))),
+                       atol=1e-12)
+    # a trace 5e-10 above 1 passes the source's own 1e-9 check but not the
+    # 1e-10 normalisation every behavior must meet
+    sources[1] = SourceState(werner(0.8) * (1.0 + 5e-10))
+    with pytest.raises(RangeError):
+        chain_IJ(sc, sources)
+    with pytest.raises(ScenarioError):
+        chain_IJ(sc, sources[:2])
