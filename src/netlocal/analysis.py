@@ -23,7 +23,7 @@ import numpy as np
 from . import hvmodels
 from .behavior import Behavior, bound_values, compute_IJ, mix_behaviors, alphabets
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
-from .evaluator import chain_IJ, evaluate_chain
+from .evaluator import chain_IJ
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ,
                        party_strategy_table, sample_random_model, strategy_counts,
                        strategy_IJ, trial_rng)
@@ -432,17 +432,18 @@ def visibility_threshold(kind: str, n: int, profile=None,
 def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) -> dict:
     """Plot-ready data for the (I, J) plane: boundaries, curve, special points.
 
-    Returns a dict with the simulated quantum point, the two extremal points
-    of the analytic decomposition, the tightness-model curve (I, J) =
-    (r**2, (1-r)**2) evaluated from actual models, and the two boundary loci
-    |I| + |J| = 1 and sqrt|I| + sqrt|J| = 1 sampled in the first quadrant.
+    Returns a dict with the quantum point of the standard chain (I and J from
+    chain_IJ, no table), the two extremal points of the analytic
+    decomposition, the tightness-model curve (I, J) = (r**2, (1-r)**2)
+    evaluated from actual models, and the two boundary loci |I| + |J| = 1 and
+    sqrt|I| + sqrt|J| = 1 sampled in the first quadrant.  The exact
+    decomposition runs first, so n > 5 is refused before anything else.
     """
     check_kind(kind)
     if not 0.0 < grid_step <= 0.5:
         raise RangeError(f"grid step must lie in (0, 0.5], got {grid_step}")
-    quantum = evaluate_chain(standard_scenario(n, kind))
-    qI, qJ = compute_IJ(quantum)
-    qrep = bound_values(qI, qJ)
+    decomposition = decomposition_check(kind, n)
+    qrep = bound_values(*chain_IJ(standard_scenario(n, kind)))
 
     rs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     make = (hvmodels.tightness_model_p22 if kind == KIND_P22
@@ -457,7 +458,6 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
                        for t in ts]
     local_boundary = [{"t": float(t), "I": float(t), "J": float(1 - t)} for t in ts]
 
-    decomposition = decomposition_check(kind, n)
     return {
         "kind": kind,
         "n": n,

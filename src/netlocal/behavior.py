@@ -124,6 +124,11 @@ def _outcome_digits(kind: str, n: int) -> tuple[np.ndarray, ...]:
 # intermediate outcome string 2*b0 + b1
 _BIT_SIGNS = np.array([1.0, -1.0])
 _STRING_BIT_SIGNS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
+# input weights of an end party for I and J, of a p22 intermediate reading
+# input 0 or 1, and of a p14 intermediate's single input
+_END_WEIGHTS = (np.array([0.5, 0.5]), np.array([0.5, -0.5]))
+_INPUT_WEIGHTS = np.eye(2)
+_SINGLE_INPUT = np.ones(1)
 
 
 def ij_factors(kind: str, n: int):
@@ -137,14 +142,18 @@ def ij_factors(kind: str, n: int):
     and likewise for J.  The end parties average their two inputs for I and
     alternate them for J; an intermediate party reads input 0 for I and
     input 1 for J (p22), or bit 0 for I and bit 1 for J of its string (p14).
+    This is the one statement of that rule: compute_IJ, evaluator.chain_IJ,
+    hvmodels.model_IJ and hvmodels.strategy_IJ all contract with these
+    factors.  The returned arrays are shared; do not modify them.
     """
     ins, _ = alphabets(kind, n)
     factors = []
-    for which, end_weights in ((0, np.array([0.5, 0.5])), (1, np.array([0.5, -0.5]))):
+    for which in (0, 1):
         if kind == KIND_P22:
-            mid_weights, mid_signs = np.eye(2)[which], _BIT_SIGNS
+            mid_weights, mid_signs = _INPUT_WEIGHTS[which], _BIT_SIGNS
         else:
-            mid_weights, mid_signs = np.ones(1), _STRING_BIT_SIGNS[which]
+            mid_weights, mid_signs = _SINGLE_INPUT, _STRING_BIT_SIGNS[which]
+        end_weights = _END_WEIGHTS[which]
         weights = [end_weights] + [mid_weights] * (len(ins) - 2) + [end_weights]
         signs = [_BIT_SIGNS] + [mid_signs] * (len(ins) - 2) + [_BIT_SIGNS]
         factors.append((weights, signs))

@@ -30,6 +30,7 @@ from .analysis import (
 )
 from .behavior import (
     behavior_to_json,
+    bound_values,
     correlator_report,
     load_behavior_csv,
     load_behavior_json,
@@ -39,7 +40,7 @@ from .behavior import (
 from .errors import NetlocalError
 from .evaluator import evaluate_chain
 from .hvmodels import (
-    behavior_of_model,
+    model_IJ,
     model_to_json,
     tightness_model_p14,
     tightness_model_p22,
@@ -173,7 +174,7 @@ def cmd_simulate(args) -> dict:
 def cmd_tightness(args) -> dict:
     make = tightness_model_p22 if args.kind == KIND_P22 else tightness_model_p14
     model = make(args.n, args.r)
-    report = correlator_report(behavior_of_model(model))
+    report = bound_values(*model_IJ(model))
     if args.model_out is not None:
         with open(args.model_out, "w", encoding="utf-8") as fh:
             json.dump(model_to_json(model), fh, indent=2)

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import Behavior, alphabets
+from .behavior import Behavior, alphabets, ij_factors
 from .errors import DimensionError, RangeError, ScenarioError, SizeGuardError
 from .network import KIND_P14, KIND_P22, check_kind
 
@@ -116,51 +116,29 @@ def behavior_of_model(model: NLocalModel) -> Behavior:
     return Behavior(model.kind, n, table)
 
 
-def _sign_tables(model: NLocalModel):
-    """Per-party expected-sign tables used by the correlator fast path.
-
-    Returns (e_left[x, k], mids[p][sel, k, l], e_right[x, k]) where sel picks
-    the intermediate input (p22) or the announced bit (p14).
-    """
-    signs2 = np.array([1.0, -1.0])
-    e_left = np.einsum("xka,a->xk", model.responses[0], signs2)
-    e_right = np.einsum("xka,a->xk", model.responses[model.n], signs2)
-    mids = []
-    for p in range(1, model.n):
-        r = model.responses[p]
-        if model.kind == KIND_P22:
-            m = np.einsum("xkla,a->xkl", r, signs2)
-        else:
-            bit0 = np.array([1.0, 1.0, -1.0, -1.0])
-            bit1 = np.array([1.0, -1.0, 1.0, -1.0])
-            m = np.stack([np.einsum("kla,a->kl", r[0], bit0),
-                          np.einsum("kla,a->kl", r[0], bit1)])
-        mids.append(m)
-    return e_left, mids, e_right
+def _ij_party_factors(kind: str, n: int, tables) -> list[list[np.ndarray]]:
+    """Per-party factors of I and J: for each functional, every party's table
+    (input axis first, outcome axis last) contracted with that party's
+    weights and signs from behavior.ij_factors."""
+    return [[np.einsum("x...a,x,a->...", t, w[p], s[p]) for p, t in enumerate(tables)]
+            for w, s in ij_factors(kind, n)]
 
 
 def model_IJ(model: NLocalModel) -> tuple[float, float]:
     """Signed (I, J) of the model, identical to the finite-sum table values.
 
-    Exploits linearity: I equals a single hidden-variable chain with each end
-    response replaced by its input-averaged sign and every intermediate at
-    setting (or announced bit) 0; J likewise at 1 with the alternating end
-    average.  Equality with compute_IJ(behavior_of_model(model)) is exact up
-    to float roundoff.
+    I and J are linear and factorise over the parties, so each response table
+    reduces to one factor per functional (a vector over its hidden value at
+    the ends, a matrix over its two hidden values in between), and the hidden
+    variables are summed by one sweep along the chain.  Equality with
+    compute_IJ(behavior_of_model(model)) is exact up to float roundoff.
     """
-    e_left, mids, e_right = _sign_tables(model)
     out = []
-    for sel in (0, 1):
-        if sel == 0:
-            u = 0.5 * (e_left[0] + e_left[1])
-            w = 0.5 * (e_right[0] + e_right[1])
-        else:
-            u = 0.5 * (e_left[0] - e_left[1])
-            w = 0.5 * (e_right[0] - e_right[1])
-        v = model.source_dists[0] * u
+    for factors in _ij_party_factors(model.kind, model.n, model.responses):
+        v = model.source_dists[0] * factors[0]
         for p in range(1, model.n):
-            v = v @ (mids[p - 1][sel] * model.source_dists[p][None, :])
-        out.append(float(v @ w))
+            v = v @ (factors[p] * model.source_dists[p][None, :])
+        out.append(float(v @ factors[-1]))
     return out[0], out[1]
 
 
@@ -446,35 +424,18 @@ def correlated_sources_example(n: int = 3) -> StrategyWeights:
 def strategy_IJ(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(I, J) of every deterministic strategy tuple, flattened in tuple order.
 
-    A tuple's correlator factorizes over parties, so I is an outer product of
-    per-party factors: input-averaged end signs times each intermediate's
-    sign at setting (or announced bit) 0; J uses the alternating average and
-    setting 1.
+    A tuple's correlator factorises over the parties, so each functional is
+    the outer product of one factor per party: its strategy table contracted
+    with the party's weights and signs from behavior.ij_factors.
     """
-    check_kind(kind)
-    ins, outs = alphabets(kind, n)
-    factors_i, factors_j = [], []
-    for p in range(n + 1):
-        t = party_strategy_table(kind, n, p)
-        if p == 0 or p == n:
-            sign = np.array([1.0, -1.0])
-            e0 = t[:, 0, :] @ sign
-            e1 = t[:, 1, :] @ sign
-            factors_i.append(0.5 * (e0 + e1))
-            factors_j.append(0.5 * (e0 - e1))
-        elif kind == KIND_P22:
-            sign = np.array([1.0, -1.0])
-            factors_i.append(t[:, 0, :] @ sign)
-            factors_j.append(t[:, 1, :] @ sign)
-        else:
-            factors_i.append(t[:, 0, :] @ np.array([1.0, 1.0, -1.0, -1.0]))
-            factors_j.append(t[:, 0, :] @ np.array([1.0, -1.0, 1.0, -1.0]))
-    vi = factors_i[0]
-    vj = factors_j[0]
-    for p in range(1, n + 1):
-        vi = np.multiply.outer(vi, factors_i[p])
-        vj = np.multiply.outer(vj, factors_j[p])
-    return vi.reshape(-1), vj.reshape(-1)
+    tables = [np.moveaxis(party_strategy_table(kind, n, p), 1, 0) for p in range(n + 1)]
+    out = []
+    for factors in _ij_party_factors(kind, n, tables):
+        v = factors[0]
+        for f in factors[1:]:
+            v = np.multiply.outer(v, f)
+        out.append(v.reshape(-1))
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Dense complex linear algebra helpers used throughout netlocal.
+"""Validators for the operators that describe sources and measurements.
 
-Operators and states are plain numpy arrays with dtype complex128 (row-major;
-each entry is a pair of 64-bit floats).  This module adds the small set of
-quantum-specific operations numpy does not ship directly: n-ary tensor
-products, partial traces over arbitrary tensor factors, and cheap validators
-for Hermiticity, unit vectors and density operators.
+Operators are plain numpy arrays with dtype complex128 (row-major; each entry
+is a pair of 64-bit floats).  network uses these to coerce a square matrix
+and to check Hermiticity and density operators (Hermitian, unit trace,
+positive semidefinite) within a tolerance.
 """
 
 from __future__ import annotations
@@ -24,74 +23,9 @@ def as_operator(m) -> np.ndarray:
     return arr
 
 
-def as_ket(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    if arr.size == 0:
-        raise DimensionError("empty vector")
-    return arr
-
-
-def dagger(m) -> np.ndarray:
-    return np.conj(np.asarray(m, dtype=complex)).T
-
-
-def kron(*ops) -> np.ndarray:
-    """Tensor product of one or more operators, left factor most significant."""
-    if not ops:
-        raise DimensionError("kron needs at least one operand")
-    out = as_operator(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_operator(op))
-    return out
-
-
-def projector(ket) -> np.ndarray:
-    """Rank-one projector |v><v| for a unit vector v."""
-    v = as_ket(ket)
-    if not is_unit_vector(v):
-        raise DimensionError("projector requires a unit vector")
-    return np.outer(v, v.conj())
-
-
-def partial_trace(m, dims, trace_out) -> np.ndarray:
-    """Trace out the tensor factors listed in trace_out.
-
-    Args:
-        m: operator on a tensor product of factors with dimensions dims.
-        dims: sequence of factor dimensions, left factor first.
-        trace_out: iterable of factor positions to trace over.
-
-    Returns:
-        Operator on the remaining factors, in their original order.
-    """
-    m = as_operator(m)
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if m.shape[0] != total:
-        raise DimensionError(f"matrix of size {m.shape[0]} does not match dims {dims}")
-    drop = sorted(set(int(i) for i in trace_out))
-    if drop and (drop[0] < 0 or drop[-1] >= len(dims)):
-        raise DimensionError(f"trace_out positions {drop} out of range for {len(dims)} factors")
-
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    # trace the highest positions first so lower axis indices stay valid
-    for pos in reversed(drop):
-        t = np.trace(t, axis1=pos, axis2=pos + k)
-        k -= 1
-    keep = [d for i, d in enumerate(dims) if i not in drop]
-    size = int(np.prod(keep)) if keep else 1
-    return t.reshape(size, size)
-
-
 def is_hermitian(m, atol: float = ATOL) -> bool:
     m = as_operator(m)
     return bool(np.allclose(m, m.conj().T, atol=atol, rtol=0.0))
-
-
-def is_unit_vector(v, atol: float = ATOL) -> bool:
-    v = as_ket(v)
-    return bool(abs(np.linalg.norm(v) - 1.0) <= atol)
 
 
 def is_density_operator(m, atol: float = ATOL) -> bool:

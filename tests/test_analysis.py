@@ -191,6 +191,42 @@ def test_mc_nlocal_sweep_is_deterministic_across_workers():
     assert one["max_nlocal_value"] <= 1.0 + 1e-9
 
 
+# (kind, n, K, seed, max_nlocal_value, argmax_trial) over 200 trials, and
+# (kind, n, seed, max_local_value, argmax_trial) over 200 trials, computed
+# with the per-kind sign tables that preceded behavior.ij_factors.
+FROZEN_NLOCAL_SWEEPS = [
+    ("p22", 2, 1, 11, 0.8650116814432296, 126),
+    ("p22", 3, 3, 12, 0.5230973769702936, 195),
+    ("p22", 4, 2, 13, 0.41067298255342904, 126),
+    ("p14", 2, 4, 14, 0.5174292541733899, 7),
+    ("p14", 3, 2, 15, 0.49396270511103846, 192),
+    ("p14", 4, 3, 16, 0.22515090675899016, 118),
+]
+FROZEN_MIXTURE_SWEEPS = [
+    ("p22", 2, 22, 0.25883803981844977, 160),
+    ("p22", 3, 23, 0.11351967946546378, 99),
+    ("p22", 4, 24, 0.0658591617261825, 59),
+    ("p14", 2, 32, 0.26536049027992303, 49),
+    ("p14", 3, 33, 0.14160371923762421, 135),
+    ("p14", 4, 34, 0.06754895978754508, 37),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind,n,k,seed,value,trial", FROZEN_NLOCAL_SWEEPS)
+def test_mc_nlocal_sweep_frozen_values(kind, n, k, seed, value, trial, workers):
+    res = mc_nlocal_sweep(kind, n, k, 200, seed, workers=workers)
+    assert abs(res["max_nlocal_value"] - value) <= 1e-15
+    assert res["argmax_trial"] == trial
+
+
+@pytest.mark.parametrize("kind,n,seed,value,trial", FROZEN_MIXTURE_SWEEPS)
+def test_mc_local_mixture_sweep_frozen_values(kind, n, seed, value, trial):
+    res = mc_local_mixture_sweep(kind, n, 200, seed)
+    assert abs(res["max_local_value"] - value) <= 1e-15
+    assert res["argmax_trial"] == trial
+
+
 def test_mc_local_mixture_sweep_respects_bound():
     res = mc_local_mixture_sweep(KIND_P14, 2, 500, seed=1)
     assert res["bound_satisfied"]

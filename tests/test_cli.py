@@ -142,6 +142,20 @@ def test_tightness_model_file(capsys, tmp_path):
     assert abs(I - 0.09) < 1e-12 and abs(J - 0.49) < 1e-12
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
+@pytest.mark.parametrize("kind", ["p22", "p14"])
+def test_tightness_without_a_table(capsys, monkeypatch, kind):
+    import netlocal.hvmodels
+    monkeypatch.setattr(netlocal.hvmodels, "behavior_of_model", _refuse)
+    doc = _run_json(capsys, ["tightness", "--n", "40", "--kind", kind,
+                             "--r", "0.3"])
+    assert abs(doc["report"]["I"] - 0.09) < 1e-12
+    assert abs(doc["report"]["J"] - 0.49) < 1e-12
+
+
 def test_montecarlo_determinism(capsys):
     argv = ["montecarlo", "--n", "3", "--trials", "300", "--seed", "7"]
     first = _run_json(capsys, argv)
@@ -193,6 +207,16 @@ def test_figure4_json_and_csv(capsys, tmp_path):
     code, _ = _run(capsys, ["figure4", "--format", "csv", "--out", str(path)])
     assert code == 0
     assert path.read_text().startswith("series,param,I,J")
+
+
+def test_figure4_refuses_long_chains_first(capsys, monkeypatch):
+    import netlocal.analysis
+    import netlocal.evaluator
+    for module in (netlocal.analysis, netlocal.evaluator):
+        monkeypatch.setattr(module, "chain_IJ", _refuse)
+        monkeypatch.setattr(module, "evaluate_chain", _refuse, raising=False)
+    code, out = _run(capsys, ["figure4", "--n", "12"])
+    assert code == 3 and out == ""
 
 
 def test_decomposition_payload(capsys):

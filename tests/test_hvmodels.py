@@ -68,9 +68,9 @@ def test_tightness_models_hit_the_boundary():
 
 
 def test_model_IJ_matches_behavior_path():
-    for kind in (KIND_P22, KIND_P14):
+    for kind, n, k in itertools.product((KIND_P22, KIND_P14), (2, 3, 4), (1, 2, 3)):
         for trial in range(3):
-            model = sample_random_model(kind, 3, 3, trial_rng(5, trial))
+            model = sample_random_model(kind, n, k, trial_rng(5, trial))
             fast = model_IJ(model)
             slow = compute_IJ(behavior_of_model(model))
             assert np.allclose(fast, slow, atol=1e-12)
@@ -125,16 +125,16 @@ def test_correlated_sources_break_factorization():
 
 def test_strategy_IJ_agrees_with_point_mass_weights():
     from netlocal.hvmodels import StrategyWeights, strategy_counts
-    kind, n = KIND_P22, 2
-    vi, vj = strategy_IJ(kind, n)
-    counts = strategy_counts(kind, n)
-    rng = np.random.default_rng(2)
-    for flat in rng.choice(vi.size, size=4, replace=False):
-        w = np.zeros(counts)
-        w[np.unravel_index(flat, counts)] = 1.0
-        I, J = compute_IJ(behavior_from_weights(StrategyWeights(kind, n, w)))
-        assert abs(I - vi[flat]) < 1e-12
-        assert abs(J - vj[flat]) < 1e-12
+    for kind, n in itertools.product((KIND_P22, KIND_P14), (2, 3)):
+        vi, vj = strategy_IJ(kind, n)
+        counts = strategy_counts(kind, n)
+        rng = np.random.default_rng(2)
+        for flat in rng.choice(vi.size, size=4, replace=False):
+            w = np.zeros(counts)
+            w[np.unravel_index(flat, counts)] = 1.0
+            I, J = compute_IJ(behavior_from_weights(StrategyWeights(kind, n, w)))
+            assert abs(I - vi[flat]) < 1e-12
+            assert abs(J - vj[flat]) < 1e-12
 
 
 def test_model_json_round_trip():

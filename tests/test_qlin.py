@@ -1,4 +1,4 @@
-"""Linear-algebra helpers: shapes, adjoints, partial traces, validity checks."""
+"""Linear-algebra validators: square operators, Hermiticity, density operators."""
 
 import numpy as np
 import pytest
@@ -15,70 +15,9 @@ def test_as_operator_rejects_nonsquare():
         qlin.as_operator(np.zeros(4))
 
 
-def test_as_ket_flattens_and_rejects_empty():
-    assert qlin.as_ket([[1.0, 0.0], [0.0, 0.0]]).shape == (4,)
-    with pytest.raises(DimensionError):
-        qlin.as_ket(np.array([]))
-
-
-def test_dagger_is_conjugate_transpose():
-    m = np.array([[1.0, 2.0 + 1.0j], [0.0, -1.0j]])
-    assert np.array_equal(qlin.dagger(m), m.conj().T)
-
-
-def test_kron_matches_numpy_and_associates():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([[1.0, 0.0], [0.0, -1.0]])
-    c = np.eye(2)
-    assert np.allclose(qlin.kron(a, b), np.kron(a, b))
-    assert np.allclose(qlin.kron(a, b, c), np.kron(np.kron(a, b), c))
-
-
-def test_projector_of_basis_ket():
-    e0 = np.array([1.0, 0.0])
-    p = qlin.projector(e0)
-    assert np.allclose(p, np.diag([1.0, 0.0]))
-    assert np.allclose(p @ p, p)
-
-
-def test_projector_requires_unit_norm():
-    with pytest.raises(DimensionError):
-        qlin.projector(np.array([1.0, 1.0]))
-
-
-def test_partial_trace_of_product_state():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho_a = a @ a.conj().T
-    rho_a /= np.trace(rho_a)
-    rho_b = b @ b.conj().T
-    rho_b /= np.trace(rho_b)
-    joint = np.kron(rho_a, rho_b)
-    assert np.allclose(qlin.partial_trace(joint, (2, 3), (1,)), rho_a)
-    assert np.allclose(qlin.partial_trace(joint, (2, 3), (0,)), rho_b)
-
-
-def test_partial_trace_of_singlet_is_maximally_mixed():
-    rho = singlet()
-    for side in ((0,), (1,)):
-        assert np.allclose(qlin.partial_trace(rho, (2, 2), side), np.eye(2) / 2)
-
-
-def test_partial_trace_preserves_trace_and_validates():
-    rho = singlet()
-    assert np.isclose(np.trace(qlin.partial_trace(rho, (2, 2), (0,))), 1.0)
-    with pytest.raises(DimensionError):
-        qlin.partial_trace(rho, (2, 3), (0,))  # dims do not multiply to 4
-    with pytest.raises(DimensionError):
-        qlin.partial_trace(rho, (2, 2), (2,))  # no such subsystem
-
-
 def test_hermitian_and_unit_vector_predicates():
     assert qlin.is_hermitian(np.array([[0.0, 1.0j], [-1.0j, 2.0]]))
     assert not qlin.is_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    assert qlin.is_unit_vector(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert not qlin.is_unit_vector(np.array([1.0, 1.0]))
 
 
 def test_density_operator_predicate():
