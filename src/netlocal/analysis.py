@@ -2,8 +2,10 @@
 
 The local-polytope membership test runs a dense two-phase feasibility
 simplex written here (no external solver): phase one minimizes the L1
-constraint violation with paired artificial columns; a behavior is a member
-exactly when some strategy mixture reproduces its table within tolerance.
+constraint violation with paired artificial columns, over table rows chosen
+exactly, party by party, and stops once that violation is negligible; a
+behavior is a member exactly when some strategy mixture reproduces its full
+table within tolerance.
 
 Also here: the exact-rational decomposition identity of the analytic quantum
 point, visibility-threshold bisection on Werner-type sources, plot-ready
@@ -14,8 +16,10 @@ random models and local mixtures.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -31,6 +35,7 @@ from .network import (KIND_P14, KIND_P22, SourceState, check_kind, standard_scen
                       werner)
 
 LP_DEFAULT_TOL = 1e-8
+LP_CELL_GUARD = 16 ** 5  # D at n = 4 (8 MB); n = 5 needs 134 MB
 BISECTION_MAX_ITER = 60
 BISECTION_WIDTH = 1e-7
 SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
@@ -42,42 +47,16 @@ SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
 _PIVOT_EPS = 1e-10
 
 
-def _independent_rows(A, b, tol=1e-9):
-    """Indices of a maximal linearly independent row set of [A | b].
-
-    Gaussian elimination with partial pivoting over the columns of A.  Every
-    dropped row is an exact linear combination of the kept ones (including
-    its b entry), so any q solving the kept equalities solves the dropped
-    ones too; an inconsistent system instead leaves a dropped row with a
-    nonzero b part, which the caller's full-system residual check exposes.
-    """
-    M = np.hstack([np.asarray(A, float), np.asarray(b, float)[:, None]])
-    m = M.shape[0]
-    unused = np.ones(m, dtype=bool)
-    kept = []
-    for col in range(M.shape[1] - 1):
-        rows = np.nonzero(unused)[0]
-        if rows.size == 0:
-            break
-        i = rows[np.argmax(np.abs(M[rows, col]))]
-        if abs(M[i, col]) <= tol:
-            continue
-        unused[i] = False
-        kept.append(int(i))
-        factor = M[:, col] / M[i, col]
-        factor[i] = 0.0
-        M -= np.outer(factor, M[i])
-    return sorted(kept)
-
-
-def _phase1_simplex(A, b, max_iter=None):
+def _phase1_simplex(A, b, stop):
     """Minimize the L1 violation of A q = b over q >= 0.
 
     Columns are [q, s+, s-] with A q + s+ - s- = b; the starting basis is s+
     after flipping rows to make b nonnegative.  Entering column: most
     negative reduced cost.  Leaving row: lexicographic ratio test, which
     keeps the walk finite on the heavily degenerate facet instances these
-    polytopes produce.
+    polytopes produce.  The walk returns as soon as the violation is at
+    most `stop`; without that test a zero violation is followed by
+    degenerate pivots until every reduced cost is nonnegative.
 
     Returns (q, objective, iterations).
     """
@@ -96,15 +75,12 @@ def _phase1_simplex(A, b, max_iter=None):
     T[:m, ncols] = b
     basis = np.arange(nv, nv + m)
     # reduced costs for min sum(s+ + s-) with the s+ block basic
-    cost = np.zeros(ncols + 1)
-    cost[nv:ncols] = 1.0
-    T[m] = cost - T[:m].sum(axis=0)
-    T[m, ncols] = -b.sum()
+    T[m] = -T[:m].sum(axis=0)
+    T[m, nv:ncols] += 1.0
 
-    if max_iter is None:
-        max_iter = 2000 * (m + nv)
+    max_iter = 2000 * (m + nv)
     it = 0
-    while it < max_iter:
+    while it < max_iter and -T[m, ncols] > stop:
         red = T[m, :ncols]
         j = int(np.argmin(red))
         if red[j] >= -_PIVOT_EPS:
@@ -152,49 +128,66 @@ class LPResult:
     weights: np.ndarray | None = None
 
     def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "max_residual": self.max_residual,
-            "phase1_objective": self.phase1_objective,
-            "iterations": self.iterations,
-            "tol": self.tol,
-            "weights": None if self.weights is None else self.weights.tolist(),
-        }
+        doc = dict(vars(self))
+        doc["weights"] = None if self.weights is None else self.weights.tolist()
+        return doc
+
+
+def check_lp_size(kind: str, n: int) -> None:
+    """Refuse, before anything is allocated, an LP whose strategy matrix D
+    would exceed LP_CELL_GUARD cells; D has 16**(n+1) cells for both kinds."""
+    ins, outs = alphabets(kind, n)
+    cells = math.prod(strategy_counts(kind, n)) * math.prod(ins) * math.prod(outs)
+    if cells > LP_CELL_GUARD:
+        raise SizeGuardError(f"LP strategy matrix needs {cells} cells, over "
+                             f"{LP_CELL_GUARD} (n <= 4)")
 
 
 def strategy_behavior_matrix(kind: str, n: int) -> np.ndarray:
-    """D[s, x, a]: behavior table of every deterministic strategy tuple."""
-    counts = strategy_counts(kind, n)
-    if int(np.prod(counts)) > hvmodels.STRATEGY_SPACE_GUARD:
-        raise SizeGuardError(f"strategy space {np.prod(counts)} exceeds guard")
-    D = party_strategy_table(kind, n, 0)
-    for p in range(1, n + 1):
-        t = party_strategy_table(kind, n, p)
-        D = np.einsum("SXA,sxa->SsXxAa", D, t)
-        D = D.reshape(D.shape[0] * D.shape[1], D.shape[2] * D.shape[3],
-                      D.shape[4] * D.shape[5])
-    return D
+    """D[s, x, a]: behavior table of every deterministic strategy tuple.
+
+    D is the Kronecker product of the party tables, so strategy tuples,
+    inputs and outputs all run in row-major party order, as in the table.
+    """
+    check_lp_size(kind, n)
+    return reduce(np.kron, [party_strategy_table(kind, n, p) for p in range(n + 1)])
+
+
+def _kept_rows(kind: str, n: int) -> np.ndarray:
+    """Flat table cells that span every no-signalling behavior.
+
+    Each party keeps all outcomes at input 0 and all but the last outcome
+    at its other inputs (Collins & Gisin, J. Phys. A 37, 1775 (2004)); the
+    kept cells are the product of these selections, in table order:
+    3**(n+1) rows for p22 and 9 * 4**(n-1) for p14.  On the no-signalling
+    hull, which holds every strategy column, a dropped cell is a +-1 sum
+    of at most 3**(n+1) kept cells.
+    """
+    masks = []
+    for num_in, num_out in zip(*alphabets(kind, n)):
+        mask = np.ones((num_in, num_out), dtype=bool)
+        mask[1:, -1] = False
+        masks.append(mask)
+    return np.flatnonzero(reduce(np.kron, masks))
 
 
 def lp_local_membership(b: Behavior, tol: float = LP_DEFAULT_TOL) -> LPResult:
     """Decide whether a behavior is a mixture of deterministic strategies.
 
-    Rows of the equality system that are linearly dependent (most are: the
-    strategy polytope's affine hull has far lower dimension than the table)
-    are eliminated before the solve; the reported residual is still the max
-    over the full table.  Feasible means that residual is <= tol, in which
-    case the witness weights are returned.  Infeasibility is certified by a
-    strictly positive L1 optimum or by a dropped inconsistent row showing up
-    in the residual.
+    The simplex sees only the rows _kept_rows selects; the reported residual
+    is still the max over the full table.  Feasible means that residual is
+    <= tol, in which case the witness weights are returned.  Infeasibility
+    is certified by a strictly positive L1 optimum, or, for a signalling
+    behavior, by a dropped row showing up in the residual.
     """
     if tol <= 0:
         raise RangeError(f"tol must be positive, got {tol}")
     D = strategy_behavior_matrix(b.kind, b.n)
-    num_s = D.shape[0]
-    A = D.reshape(num_s, -1).T
+    A = D.reshape(D.shape[0], -1).T
     rhs = b.table.reshape(-1)
-    keep = _independent_rows(A, rhs)
-    q, objective, iterations = _phase1_simplex(A[keep], rhs[keep])
+    keep = _kept_rows(b.kind, b.n)
+    # a dropped cell's residual sums at most 3**(n+1) <= 243 (n <= 4) kept ones
+    q, objective, iterations = _phase1_simplex(A[keep], rhs[keep], tol / 1000)
     residual = float(np.abs(A @ q - rhs).max())
     feasible = residual <= tol
     return LPResult(
@@ -215,17 +208,11 @@ def chain_pr_behavior(kind: str, n: int) -> Behavior:
     (the intermediates average out), yet no local model reproduces the
     end-pair marginal, so the membership LP must report infeasible.
     """
-    check_kind(kind)
     ins, outs = alphabets(kind, n)
-    num_in, num_out = int(np.prod(ins)), int(np.prod(outs))
-    mid_cells = int(np.prod(outs[1:-1]))
-    table = np.zeros((num_in, num_out))
-    digits = np.unravel_index(np.arange(num_out), outs)
-    for xi in range(num_in):
-        xs = np.unravel_index(xi, ins)
-        ok = (digits[0] ^ digits[-1]) == (xs[0] & xs[-1])
-        table[xi] = ok / (2.0 * mid_cells)
-    return Behavior(kind, n, table)
+    xs = np.indices(ins).reshape(n + 1, -1)
+    av = np.indices(outs).reshape(n + 1, -1)
+    ok = (av[0] ^ av[-1])[None, :] == (xs[0] & xs[-1])[:, None]
+    return Behavior(kind, n, ok / (2.0 * math.prod(outs[1:-1])))
 
 
 # ---------------------------------------------------------------------------

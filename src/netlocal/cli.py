@@ -21,6 +21,7 @@ import sys
 from .analysis import (
     LP_DEFAULT_TOL,
     chain_pr_behavior,
+    check_lp_size,
     decomposition_check,
     figure4_report,
     lp_local_membership,
@@ -206,15 +207,16 @@ def cmd_montecarlo(args) -> dict:
 
 
 def cmd_lp(args) -> dict:
-    if args.behavior is not None:
-        if args.behavior.endswith(".csv"):
-            b = load_behavior_csv(args.behavior, args.kind, args.n)
+    if args.behavior is None:
+        check_lp_size(args.kind, args.n)
+        if args.source == "chain-pr":
+            b = chain_pr_behavior(args.kind, args.n)
         else:
-            b = load_behavior_json(args.behavior)
-    elif args.source == "chain-pr":
-        b = chain_pr_behavior(args.kind, args.n)
+            b = evaluate_chain(standard_scenario(args.n, args.kind))
+    elif args.behavior.endswith(".csv"):
+        b = load_behavior_csv(args.behavior, args.kind, args.n)
     else:
-        b = evaluate_chain(standard_scenario(args.n, args.kind))
+        b = load_behavior_json(args.behavior)
     res = lp_local_membership(b, tol=args.tol)
     doc = _payload("lp", {
         "n": b.n, "kind": b.kind, "source": args.source,

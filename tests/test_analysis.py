@@ -21,7 +21,8 @@ from netlocal.analysis import (
     strategy_behavior_matrix,
     visibility_threshold,
 )
-from netlocal.behavior import compute_IJ, mix_behaviors, uniform_behavior
+from netlocal.behavior import (Behavior, alphabets, compute_IJ, mix_behaviors,
+                               uniform_behavior)
 from netlocal.errors import (
     NoCrossingError,
     RangeError,
@@ -29,7 +30,8 @@ from netlocal.errors import (
     SizeGuardError,
 )
 from netlocal.evaluator import evaluate_chain
-from netlocal.hvmodels import behavior_of_model, sample_random_model, trial_rng
+from netlocal.hvmodels import (behavior_of_model, party_strategy_table,
+                               sample_random_model, trial_rng)
 from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
 
@@ -64,11 +66,61 @@ def test_lp_chain_pr_is_nonlocal():
 def test_lp_matches_scipy_verdicts():
     # walk the segment uniform -> chain-PR; feasibility flips along the way
     for kind in (KIND_P22, KIND_P14):
-        u = uniform_behavior(kind, 2)
-        pr = chain_pr_behavior(kind, 2)
-        for w in (0.0, 0.4, 0.8, 1.0):
-            b = mix_behaviors([1.0 - w, w], [u, pr])
-            assert lp_local_membership(b).feasible == _scipy_feasible(b)
+        for n in (2, 3):
+            u = uniform_behavior(kind, n)
+            pr = chain_pr_behavior(kind, n)
+            for w in (0.0, 0.4, 0.8, 1.0):
+                b = mix_behaviors([1.0 - w, w], [u, pr])
+                assert lp_local_membership(b).feasible == _scipy_feasible(b), (kind, n, w)
+
+
+def test_kept_rows_span_the_equality_system():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3):
+            keep = analysis._kept_rows(kind, n)
+            expected = 3 ** (n + 1) if kind == KIND_P22 else 9 * 4 ** (n - 1)
+            D = strategy_behavior_matrix(kind, n)
+            A = D.reshape(D.shape[0], -1).T
+            assert len(keep) == expected
+            assert np.linalg.matrix_rank(A[keep]) == expected
+            assert np.linalg.matrix_rank(A) == expected
+
+
+def test_lp_signalling_behavior_is_infeasible():
+    # party 1 outputs x_last; parties 0 and 2 output uniform bits
+    digits = np.indices((2, 2, 2)).reshape(3, -1)
+    copies = Behavior(KIND_P22, 2, 0.25 * (digits[2][:, None] == digits[1][None, :]))
+    # mass moved between two dropped cells of input (1, 0, 0): the kept
+    # rows still read the uniform behavior, so only the residual sees it
+    shifted = uniform_behavior(KIND_P22, 2).table.copy()
+    shifted[4, 4:6] += (0.1, -0.1)
+    hidden = Behavior(KIND_P22, 2, shifted)
+    for b in (copies, hidden):
+        res = lp_local_membership(b)
+        assert not res.feasible
+        assert res.max_residual > res.tol
+        assert res.weights is None
+    assert lp_local_membership(hidden).phase1_objective <= 1e-11
+
+
+def test_phase1_stops_at_zero_violation():
+    keep = analysis._kept_rows(KIND_P22, 2)
+    D = strategy_behavior_matrix(KIND_P22, 2)
+    A = D.reshape(D.shape[0], -1).T[keep]
+    q, objective, iterations = analysis._phase1_simplex(A, np.zeros(len(keep)), 1e-11)
+    assert iterations == 0
+    assert objective == 0.0 and not q.any()
+
+
+def test_lp_size_guard_refuses_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the guard must come before any table")
+
+    monkeypatch.setattr(analysis, "party_strategy_table", refuse)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (5, 8, 40):
+            with pytest.raises(SizeGuardError):
+                strategy_behavior_matrix(kind, n)
 
 
 def test_lp_feasible_for_random_local_models():
@@ -86,6 +138,25 @@ def test_lp_tol_validation():
 def test_chain_pr_has_zero_IJ():
     for kind in (KIND_P22, KIND_P14):
         assert compute_IJ(chain_pr_behavior(kind, 2)) == (0.0, 0.0)
+
+
+def test_lp_tables_match_their_definitions():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3):
+            ins, outs = alphabets(kind, n)
+            pr = chain_pr_behavior(kind, n).table
+            mid_cells = math.prod(outs[1:-1])
+            for xi, xs in enumerate(np.ndindex(*ins)):
+                for ai, av in enumerate(np.ndindex(*outs)):
+                    ok = (av[0] ^ av[-1]) == (xs[0] & xs[-1])
+                    assert pr[xi, ai] == ok / (2.0 * mid_cells)
+            # D[s, x, a] is the product of the party tables, row-major
+            tables = [party_strategy_table(kind, n, p) for p in range(n + 1)]
+            D = tables[0]
+            for t in tables[1:]:
+                D = np.einsum("SXA,sxa->SsXxAa", D, t).reshape(
+                    D.shape[0] * t.shape[0], D.shape[1] * t.shape[1], -1)
+            assert np.array_equal(strategy_behavior_matrix(kind, n), D)
 
 
 def test_decomposition_is_exact():

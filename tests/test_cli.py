@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -65,14 +66,36 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-def test_guard_errors_exit_3(capsys):
-    # decomposition size guard
-    assert main(["decomposition", "--n", "6"]) == 3
-    # threshold with a never-violating profile
-    assert main(["threshold", "--n", "2", "--alphas", "0.6,0.6"]) == 3
-    # missing behavior file
-    assert main(["lp", "--behavior", "/nonexistent/behavior.json"]) == 3
-    capsys.readouterr()
+def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
+    import netlocal.analysis
+    import netlocal.cli
+    n2_csv = tmp_path / "n2.csv"
+    _run_json(capsys, ["simulate", "--n", "2", "--format", "csv", "--out", str(n2_csv)])
+    future_json = tmp_path / "future.json"
+    future_json.write_text(json.dumps({"schema_version": 99, "kind": "p22", "n": 2,
+                                       "table": [0.0] * 64}))
+    # an LP past the size guard is refused before its behavior or any
+    # strategy table is built
+    monkeypatch.setattr(netlocal.analysis, "party_strategy_table", _refuse)
+    monkeypatch.setattr(netlocal.cli, "evaluate_chain", _refuse)
+    for argv in (
+        ["decomposition", "--n", "6"],                      # exact-rational size guard
+        ["figure4", "--n", "12"],                           # the same guard, run first
+        ["threshold", "--n", "2", "--alphas", "0.6,0.6"],   # never crosses the bound
+        ["lp", "--behavior", str(tmp_path / "missing.json")],
+        ["lp", "--behavior", str(n2_csv), "--n", "3"],      # wrong shape for n = 3
+        ["lp", "--behavior", str(future_json)],             # unsupported schema version
+        ["lp", "--n", "5"],                                 # LP size guard
+        ["lp", "--n", "5", "--kind", "p14"],
+        ["lp", "--n", "8", "--source", "chain-pr"],
+        ["lp", "--n", "40"],
+        ["lp", "--n", "40", "--source", "chain-pr"],
+    ):
+        start = time.perf_counter()
+        code, out = _run(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert code == 3 and out == "", argv
+        assert elapsed < 1.0, (argv, elapsed)
 
 
 def test_malformed_behavior_csv_exits_3(capsys, tmp_path):
