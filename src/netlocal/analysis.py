@@ -180,7 +180,7 @@ def lp_local_membership(b: Behavior, tol: float = LP_DEFAULT_TOL) -> LPResult:
     is certified by a strictly positive L1 optimum, or, for a signalling
     behavior, by a dropped row showing up in the residual.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise RangeError(f"tol must be positive, got {tol}")
     D = strategy_behavior_matrix(b.kind, b.n)
     A = D.reshape(D.shape[0], -1).T

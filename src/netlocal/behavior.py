@@ -22,18 +22,20 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
 
-from .errors import DimensionError, KindError, RangeError
+from .errors import DimensionError, KindError, RangeError, SizeGuardError
 from .network import KIND_P14, KIND_P22, check_kind
 
 BEHAVIOR_SCHEMA_VERSION = 1
 ENTRY_ATOL = 1e-12
 NORM_ATOL = 1e-10
 VIOLATION_ATOL = 1e-9
+# both kinds have 4**(n+1) cells; n = 13 is a 2 GiB table
+CHAIN_CELL_GUARD = 4 ** 14
 
 
 def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -66,11 +68,12 @@ class Behavior:
             )
         lo = float(self.table.min())
         hi = float(self.table.max())
-        if lo < -ENTRY_ATOL or hi > 1.0 + ENTRY_ATOL:
+        # written so that NaN fails: every comparison with NaN is False
+        if not (lo >= -ENTRY_ATOL and hi <= 1.0 + ENTRY_ATOL):
             raise RangeError(f"table entries outside [0, 1]: min={lo}, max={hi}")
         sums = self.table.sum(axis=1)
         worst = float(np.abs(sums - 1.0).max())
-        if worst > NORM_ATOL:
+        if not worst <= NORM_ATOL:
             raise RangeError(f"rows must sum to 1, worst deviation {worst}")
 
     @property
@@ -103,7 +106,7 @@ def mix_behaviors(weights, behaviors) -> Behavior:
     behaviors = list(behaviors)
     if len(weights) != len(behaviors) or not behaviors:
         raise DimensionError("need one weight per behavior")
-    if weights.min() < -ENTRY_ATOL or abs(weights.sum() - 1.0) > 1e-10:
+    if not (weights.min() >= -ENTRY_ATOL and abs(weights.sum() - 1.0) <= 1e-10):
         raise RangeError("mixture weights must be nonnegative and sum to 1")
     first = behaviors[0]
     for b in behaviors[1:]:
@@ -142,9 +145,11 @@ def ij_factors(kind: str, n: int):
     and likewise for J.  The end parties average their two inputs for I and
     alternate them for J; an intermediate party reads input 0 for I and
     input 1 for J (p22), or bit 0 for I and bit 1 for J of its string (p14).
-    This is the one statement of that rule: compute_IJ, evaluator.chain_IJ,
-    hvmodels.model_IJ and hvmodels.strategy_IJ all contract with these
-    factors.  The returned arrays are shared; do not modify them.
+    This is the one statement of that rule: compute_IJ reads table rows
+    with these factors, chain_IJ_of contracts them along a chain of party
+    tensors for evaluator.chain_IJ and hvmodels.model_IJ, and
+    hvmodels.strategy_IJ takes the outer product of their party_factors.
+    The returned arrays are shared; do not modify them.
     """
     ins, _ = alphabets(kind, n)
     factors = []
@@ -158,6 +163,48 @@ def ij_factors(kind: str, n: int):
         signs = [_BIT_SIGNS] + [mid_signs] * (len(ins) - 2) + [_BIT_SIGNS]
         factors.append((weights, signs))
     return tuple(factors)
+
+
+# ---------------------------------------------------------------------------
+# the chain kernel: a chain is a list of party tensors T[x, bonds..., a], input
+# axis first and outcome axis last, with one bond axis at an end and (left,
+# right) in between; each source is folded into the party on its left.
+
+def chain_table(parties) -> np.ndarray:
+    """P(a|x) of a chain in table order, refused beyond CHAIN_CELL_GUARD cells.
+
+    The running array holds the bond by (packed inputs, packed outcomes) so
+    far; the last intermediate is folded into the closing party, so the
+    final product is written directly in table order.
+    """
+    cells = math.prod(t.shape[0] * t.shape[-1] for t in parties)
+    if cells > CHAIN_CELL_GUARD:
+        raise SizeGuardError(f"chain table needs {cells} cells, over {CHAIN_CELL_GUARD} (n <= 13)")
+    first, *mids, last, closing = parties
+    arr = first.transpose(0, 2, 1)  # (X, A, bond)
+    for t in mids:
+        arr = np.tensordot(arr, t, axes=([2], [1])).transpose(0, 2, 1, 4, 3)  # (X, x, A, a, r)
+        arr = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2] * arr.shape[3], -1)
+    closing = np.tensordot(last, closing, axes=([2], [1]))  # (xi, l, ai, xe, ae)
+    table = np.tensordot(arr, closing, axes=([2], [1])).transpose(0, 2, 4, 1, 3, 5)
+    return table.reshape(math.prod(table.shape[:3]), -1)
+
+
+def party_factors(parties, weights, signs) -> list[np.ndarray]:
+    """Each party tensor contracted with its input weights and outcome signs:
+    a vector over the bond at the ends, a (left, right) matrix in between."""
+    return [np.einsum("x...a,x,a->...", t, w, s) for t, w, s in zip(parties, weights, signs)]
+
+
+def chain_contract(factors):
+    """The value of a chain functional from its per-party factors, in O(n):
+    sum_x prod_p weights[p][x_p] sum_a prod_p signs[p][a_p] P(a|x)."""
+    return reduce(np.matmul, factors)
+
+
+def chain_IJ_of(kind: str, n: int, parties) -> tuple:
+    """I and J of a chain of party tensors, without its table."""
+    return tuple(chain_contract(party_factors(parties, w, s)) for w, s in ij_factors(kind, n))
 
 
 def _row_correlator(row: np.ndarray, signs) -> float:
@@ -241,7 +288,7 @@ def bound_values(I: float, J: float) -> CorrelatorReport:
     Raises RangeError when |I| or |J| exceeds 1 beyond tolerance; correlator
     averages of a normalized behavior cannot.
     """
-    if abs(I) > 1.0 + VIOLATION_ATOL or abs(J) > 1.0 + VIOLATION_ATOL:
+    if not (abs(I) <= 1.0 + VIOLATION_ATOL and abs(J) <= 1.0 + VIOLATION_ATOL):
         raise RangeError(f"|I| and |J| must not exceed 1, got I={I}, J={J}")
     nlocal = np.sqrt(abs(I)) + np.sqrt(abs(J))
     local = abs(I) + abs(J)
@@ -273,14 +320,27 @@ def behavior_to_json(b: Behavior) -> dict:
 
 
 def behavior_from_json(doc: dict) -> Behavior:
+    """Inverse of behavior_to_json; a document that is not an object, lacks
+    a key, or has a non-integer n, a non-numeric table or a table of the
+    wrong length raises DimensionError."""
+    if not isinstance(doc, dict):
+        raise DimensionError(f"a behavior document is a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != BEHAVIOR_SCHEMA_VERSION:
         raise KindError(f"unsupported behavior schema version {version!r}")
-    kind, n = check_kind(doc["kind"]), int(doc["n"])
+    try:
+        kind, n = check_kind(doc["kind"]), int(doc["n"])
+        table = np.asarray(doc["table"], dtype=float)
+    except KeyError as exc:
+        raise DimensionError(f"behavior document has no {exc} key") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"malformed behavior document: {exc}") from None
+    # both kinds have 4**(n+1) cells; since 4**(n+1) > n, checking n against
+    # the table first keeps an absurd n from building its alphabets
+    if n >= table.size or table.size != 4 ** (n + 1):
+        raise DimensionError(f"table has {table.size} entries, not the 4**(n+1) of n={n}")
     ins, outs = alphabets(kind, n)
-    shape = (int(np.prod(ins)), int(np.prod(outs)))
-    table = np.asarray(doc["table"], dtype=float).reshape(shape)
-    return Behavior(kind, n, table)
+    return Behavior(kind, n, table.reshape(math.prod(ins), math.prod(outs)))
 
 
 def save_behavior_json(b: Behavior, path) -> None:
@@ -290,7 +350,14 @@ def save_behavior_json(b: Behavior, path) -> None:
 
 def load_behavior_json(path) -> Behavior:
     with open(path) as fh:
-        return behavior_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON, or undecodable bytes
+            raise DimensionError(f"{path}: not a JSON document: {exc}") from None
+    try:
+        return behavior_from_json(doc)
+    except DimensionError as exc:
+        raise DimensionError(f"{path}: {exc}") from None
 
 
 def save_behavior_csv(b: Behavior, path) -> None:
@@ -320,7 +387,8 @@ def load_behavior_csv(path, kind: str, n: int) -> Behavior:
     num_parties = n + 1
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise DimensionError(f"{path}: empty file, expected a header row")
         for row in reader:
             line = reader.line_num
             if len(row) != 2 * num_parties + 1:

@@ -1,11 +1,10 @@
 """Born-rule evaluation of chain scenarios and analytic reference tables.
 
 Two independent evaluation routes are provided.  evaluate_naive builds the
-global 2^(2n)-dimensional state and measurement operators and is kept as a
-small-n oracle.  evaluate_chain contracts the chain source by source with a
-transfer-operator sweep, is linear in n, and is the production path.
-chain_IJ contracts I and J alone along the same chain, in O(n) time and
-constant memory, without building the 4^n-cell table.
+global 2^(2n)-dimensional state and is kept as a small-n oracle.  The
+production route writes the scenario as one transfer tensor per party and
+hands it to the chain kernel in behavior: evaluate_chain builds the table,
+linear in n, and chain_IJ contracts I and J alone in O(n), with no table.
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -20,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .behavior import NORM_ATOL, Behavior, _outcome_digits, alphabets, ij_factors
+from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
+                       chain_IJ_of, chain_table)
 from .errors import KindError, RangeError, ScenarioError, SizeGuardError
-from .network import (ID2, ID4, KIND_P14, KIND_P22, NetworkScenario,
-                      measurement_elements)
+from .network import KIND_P14, KIND_P22, NetworkScenario, measurement_elements
 
 NAIVE_DIM_GUARD = 4096
 _REAL_EPS = 1e-14
@@ -60,116 +59,55 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
     return Behavior(scenario.kind, n, table)
 
 
-def _transfer_tensors(scenario: NetworkScenario):
-    """Per-party transfer blocks for the chain sweep.
-
-    Bond state is the 2x2 operator on the previous source's right qubit,
-    flattened row-major to a 4-vector.  Returns (left, mids, right) where
-    left[x][a] is the initial bond vector, mids[p][x][a] the 4x4 bond update
-    of intermediate party p, and right[x][a] the closing vector.
-    """
+def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarray]:
+    """The scenario as a chain of party tensors T[x, bonds..., a], with
+    sources (n SourceState objects) in place of scenario.sources if given.
+    A bond is the 2x2 operator left on the right qubit of the latest
+    source, flattened row-major."""
     n = scenario.n
-    elems = [measurement_elements(scenario, p) for p in range(n + 1)]
-    rho4 = [s.rho.reshape(2, 2, 2, 2) for s in scenario.sources]
-
-    left = np.stack([
-        np.stack([
-            np.einsum("qa,atqs->ts", elems[0][x][a], rho4[0]).reshape(4)
-            for a in range(len(elems[0][x]))
-        ]) for x in range(len(elems[0]))
-    ])
-    mids = []
+    sources = scenario.sources if sources is None else list(sources)
+    if len(sources) != n:
+        raise ScenarioError(f"expected {n} sources, got {len(sources)}")
+    elems = [np.asarray(measurement_elements(scenario, p)) for p in range(n + 1)]
+    rho4 = [s.rho.reshape(2, 2, 2, 2) for s in sources]
+    nx, na = elems[0].shape[:2]
+    parties = [np.einsum("xaqc,ctqs->xtsa", elems[0], rho4[0]).reshape(nx, 4, na)]
     for p in range(1, n):
-        blocks = np.stack([
-            np.stack([
-                np.einsum("wrab,btrs->awts",
-                          elems[p][x][a].reshape(2, 2, 2, 2), rho4[p]).reshape(4, 4)
-                for a in range(len(elems[p][x]))
-            ]) for x in range(len(elems[p]))
-        ])
-        mids.append(blocks)
-    right = np.stack([
-        np.stack([elems[n][x][a].T.reshape(4) for a in range(len(elems[n][x]))])
-        for x in range(len(elems[n]))
-    ])
-    return left, mids, right
+        nx, na = elems[p].shape[:2]
+        e = elems[p].reshape(nx, na, 2, 2, 2, 2)
+        parties.append(np.einsum("xawrcb,btrs->xcwtsa", e, rho4[p]).reshape(nx, 4, 4, na))
+    nx, na = elems[n].shape[:2]
+    parties.append(np.einsum("xaij->xjia", elems[n]).reshape(nx, 4, na))
+    return parties
 
 
 def evaluate_chain(scenario: NetworkScenario) -> Behavior:
-    """Transfer-operator Born rule, linear in chain length.
-
-    The running array holds bond vectors indexed by (packed inputs so far,
-    packed outcomes so far); each intermediate party multiplies in its bond
-    update, and the last intermediate is folded together with the closing
-    party so the final array is written directly in table order.
-    """
-    n = scenario.n
-    left, mids, right = _transfer_tensors(scenario)
-    all_real = (
-        np.abs(left.imag).max() < _REAL_EPS
-        and np.abs(right.imag).max() < _REAL_EPS
-        and all(np.abs(m.imag).max() < _REAL_EPS for m in mids)
-    )
-    if all_real:
-        left, right = left.real, right.real
-        mids = [m.real for m in mids]
-
-    arr = left  # (in1, out1, bond)
-    for blocks in mids[:-1]:
-        ni, no = blocks.shape[0], blocks.shape[1]
-        nx, na = arr.shape[0], arr.shape[1]
-        # (X, A, b) x (xi, ai, b, t) -> (X, A, xi, ai, t)
-        arr = np.tensordot(arr, blocks, axes=([2], [2]))
-        arr = arr.transpose(0, 2, 1, 3, 4).reshape(nx * ni, na * no, 4)
-
-    # fold the last intermediate with the closing end party
-    last = mids[-1]
-    ni, no = last.shape[0], last.shape[1]
-    ne, ae = right.shape[0], right.shape[1]
-    closing = np.tensordot(last, right, axes=([3], [2]))  # (xi, ai, b, xe, ae)
-    nx, na = arr.shape[0], arr.shape[1]
-    table = np.tensordot(arr, closing, axes=([2], [2]))  # (X, A, xi, ai, xe, ae)
-    table = table.transpose(0, 2, 4, 1, 3, 5).reshape(nx * ni * ne, na * no * ae)
-    if not all_real:
-        table = table.real
-    return Behavior(scenario.kind, n, np.ascontiguousarray(table))
+    """Transfer-operator Born rule, linear in n: behavior.chain_table over
+    the scenario's party tensors, in real arithmetic when they are real."""
+    parties = _transfer_tensors(scenario)
+    if all(np.abs(t.imag).max() < _REAL_EPS for t in parties):
+        table = chain_table([t.real for t in parties])
+    else:
+        table = np.ascontiguousarray(chain_table(parties).real)
+    return Behavior(scenario.kind, scenario.n, table)
 
 
 def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
-    """I and J of a scenario by one bond sweep, without the table.
+    """I and J of a scenario by the functional chain kernel, without the table.
 
-    I and J factorise over the parties (behavior.ij_factors), so each party
-    contributes one operator, sum_x weights[x] sum_a signs[a] E[x][a], and
-    the sweep carries a single 2x2 bond operator per functional from left to
-    right.  The all-identity functional rides along; its value, the product
-    of the source traces, must be 1 within NORM_ATOL, the check a Behavior
-    makes on its row sums.
+    The norm functional (input 0, outcomes summed) is the product of the
+    source traces; it must be 1 within NORM_ATOL, as a Behavior's row sums.
 
     Args:
         scenario: supplies the settings, and the sources unless overridden.
         sources: n SourceState objects to use in place of scenario.sources.
     """
-    n = scenario.n
-    sources = scenario.sources if sources is None else list(sources)
-    if len(sources) != n:
-        raise ScenarioError(f"expected {n} sources, got {len(sources)}")
-    factors = ij_factors(scenario.kind, n)
-    ops = []  # ops[p]: (3, d, d) operators of party p for I, J and the norm
-    for p in range(n + 1):
-        elems = np.asarray(measurement_elements(scenario, p))
-        ident = ID2 if p in (0, n) else ID4
-        ops.append(np.stack(
-            [np.einsum("x,a,xaij->ij", w[p], s[p], elems) for w, s in factors] + [ident]))
-
-    # bond[k] is the operator left on the right qubit of the latest source
-    bond = np.einsum("kqa,atqs->kts", ops[0], sources[0].rho.reshape(2, 2, 2, 2))
-    for p in range(1, n):
-        bond = np.einsum("kwrab,kaw,btrs->kts", ops[p].reshape(3, 2, 2, 2, 2), bond,
-                         sources[p].rho.reshape(2, 2, 2, 2))
-    I, J, norm = np.einsum("kst,kts->k", ops[n], bond).real
-    if abs(norm - 1.0) > NORM_ATOL:
+    parties = _transfer_tensors(scenario, sources)
+    norm = chain_contract([t[0].sum(axis=-1) for t in parties]).real
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise RangeError(f"sources must have unit trace, product of traces {norm}")
-    return float(I), float(J)
+    I, J = chain_IJ_of(scenario.kind, scenario.n, parties)
+    return float(I.real), float(J.real)
 
 
 def closed_form_p14(n: int) -> Behavior:

@@ -4,6 +4,9 @@ An n-local model assigns each source an independent hidden variable with a
 finite distribution; party 1 responds to (x1, lambda_1), intermediate party i
 to (x_i, lambda_{i-1}, lambda_i) and party n+1 to (x_last, lambda_n).
 Responses may be stochastic; local randomness is part of the response table.
+With each source distribution folded into the response of the party on its
+left, a model is a chain for the kernel in behavior: behavior_of_model takes
+its table from chain_table and model_IJ its I and J from chain_IJ_of.
 
 Deterministic strategy weights: enumerating, per party, all deterministic
 input->output maps, any model induces a weight for each strategy tuple by
@@ -21,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import Behavior, alphabets, ij_factors
+from .behavior import Behavior, alphabets, chain_IJ_of, chain_table, ij_factors, party_factors
 from .errors import DimensionError, RangeError, ScenarioError, SizeGuardError
 from .network import KIND_P14, KIND_P22, check_kind
 
@@ -37,9 +40,10 @@ def _check_dist(v, what):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionError(f"{what} must be a nonempty 1-D array")
-    if v.min() < -1e-12:
+    # written so that NaN fails: every comparison with NaN is False
+    if not v.min() >= -1e-12:
         raise RangeError(f"{what} has negative entries")
-    if abs(v.sum() - 1.0) > _DIST_ATOL:
+    if not abs(v.sum() - 1.0) <= _DIST_ATOL:
         raise RangeError(f"{what} must sum to 1, got {v.sum()}")
     return v
 
@@ -83,9 +87,9 @@ class NLocalModel:
                 want = (ins[p], ks[p - 1], ks[p], outs[p])
             if r.shape != want:
                 raise DimensionError(f"response {p} has shape {r.shape}, expected {want}")
-            if r.min() < -1e-12:
+            if not r.min() >= -1e-12:
                 raise RangeError(f"response {p} has negative entries")
-            if np.abs(r.sum(axis=-1) - 1.0).max() > _DIST_ATOL:
+            if not np.abs(r.sum(axis=-1) - 1.0).max() <= _DIST_ATOL:
                 raise RangeError(f"response {p} rows must sum to 1")
             self.responses[p] = r
 
@@ -94,52 +98,26 @@ class NLocalModel:
         return tuple(len(v) for v in self.source_dists)
 
 
+def _model_parties(model: NLocalModel) -> list[np.ndarray]:
+    """The model as a chain of party tensors: each source distribution
+    folded into the response table of the party on its left."""
+    folded = [r * d[:, None] for r, d in zip(model.responses, model.source_dists)]
+    return folded + [model.responses[-1]]
+
+
 def behavior_of_model(model: NLocalModel) -> Behavior:
-    """Exact finite sum over hidden variables, contracted along the chain."""
+    """Exact finite sum over hidden variables, by behavior.chain_table."""
     ks = model.cardinalities
     if int(np.prod(ks)) > HIDDEN_PRODUCT_GUARD:
         raise SizeGuardError(f"hidden-state product {np.prod(ks)} exceeds {HIDDEN_PRODUCT_GUARD}")
-    n = model.n
-    r0 = model.responses[0]
-    # arr[x, a, lambda]: weight of the chain prefix
-    arr = np.einsum("k,xka->xak", model.source_dists[0], r0)
-    for p in range(1, n):
-        rp = model.responses[p] * model.source_dists[p][None, None, :, None]
-        nx, na = arr.shape[0], arr.shape[1]
-        ni, no = rp.shape[0], rp.shape[3]
-        # (X, A, k) x (x, k, l, a) -> (X, x, A, a, l)
-        arr = np.einsum("XAk,xkla->XxAal", arr, rp)
-        arr = arr.reshape(nx * ni, na * no, rp.shape[2])
-    rn = model.responses[n]
-    table = np.einsum("XAk,xka->XxAa", arr, rn)
-    table = table.reshape(table.shape[0] * table.shape[1], -1)
-    return Behavior(model.kind, n, table)
-
-
-def _ij_party_factors(kind: str, n: int, tables) -> list[list[np.ndarray]]:
-    """Per-party factors of I and J: for each functional, every party's table
-    (input axis first, outcome axis last) contracted with that party's
-    weights and signs from behavior.ij_factors."""
-    return [[np.einsum("x...a,x,a->...", t, w[p], s[p]) for p, t in enumerate(tables)]
-            for w, s in ij_factors(kind, n)]
+    return Behavior(model.kind, model.n, chain_table(_model_parties(model)))
 
 
 def model_IJ(model: NLocalModel) -> tuple[float, float]:
-    """Signed (I, J) of the model, identical to the finite-sum table values.
-
-    I and J are linear and factorise over the parties, so each response table
-    reduces to one factor per functional (a vector over its hidden value at
-    the ends, a matrix over its two hidden values in between), and the hidden
-    variables are summed by one sweep along the chain.  Equality with
-    compute_IJ(behavior_of_model(model)) is exact up to float roundoff.
-    """
-    out = []
-    for factors in _ij_party_factors(model.kind, model.n, model.responses):
-        v = model.source_dists[0] * factors[0]
-        for p in range(1, model.n):
-            v = v @ (factors[p] * model.source_dists[p][None, :])
-        out.append(float(v @ factors[-1]))
-    return out[0], out[1]
+    """Signed (I, J) of the model by the functional chain kernel, equal to
+    compute_IJ(behavior_of_model(model)) up to float roundoff."""
+    I, J = chain_IJ_of(model.kind, model.n, _model_parties(model))
+    return float(I), float(J)
 
 
 def _end_flip_response(r: float) -> np.ndarray:
@@ -275,9 +253,9 @@ class StrategyWeights:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != want:
             raise DimensionError(f"weights shape {self.weights.shape}, expected {want}")
-        if self.weights.min() < -1e-12:
+        if not self.weights.min() >= -1e-12:
             raise RangeError("strategy weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
+        if not abs(self.weights.sum() - 1.0) <= 1e-9:
             raise RangeError(f"strategy weights must sum to 1, got {self.weights.sum()}")
 
 
@@ -430,7 +408,8 @@ def strategy_IJ(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     tables = [np.moveaxis(party_strategy_table(kind, n, p), 1, 0) for p in range(n + 1)]
     out = []
-    for factors in _ij_party_factors(kind, n, tables):
+    for weights, signs in ij_factors(kind, n):
+        factors = party_factors(tables, weights, signs)
         v = factors[0]
         for f in factors[1:]:
             v = np.multiply.outer(v, f)

@@ -131,8 +131,9 @@ def test_lp_feasible_for_random_local_models():
 
 
 def test_lp_tol_validation():
-    with pytest.raises(RangeError):
-        lp_local_membership(uniform_behavior(KIND_P22, 2), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(RangeError):
+            lp_local_membership(uniform_behavior(KIND_P22, 2), tol=tol)
 
 
 def test_chain_pr_has_zero_IJ():

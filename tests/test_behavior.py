@@ -45,6 +45,14 @@ def test_behavior_validation():
     non_norm = np.full((8, 8), 1.0 / 4)
     with pytest.raises(RangeError):
         Behavior(KIND_P22, 2, non_norm)
+    # every comparison with NaN is False, so a NaN must fail each check
+    with pytest.raises(RangeError):
+        Behavior(KIND_P22, 2, np.full((8, 8), np.nan))
+    for value in (np.nan, np.inf):
+        one_bad = np.full((8, 8), 1.0 / 8)
+        one_bad[3, 5] = value
+        with pytest.raises(RangeError):
+            Behavior(KIND_P22, 2, one_bad)
 
 
 def test_indexing_round_trip():
@@ -78,6 +86,8 @@ def test_mix_behaviors_validation_and_linearity():
         mix_behaviors([0.7, 0.7], [b, c])
     with pytest.raises(KindError):
         mix_behaviors([0.5, 0.5], [b, uniform_behavior(KIND_P14, 2)])
+    with pytest.raises(RangeError):
+        mix_behaviors([np.nan, np.nan], [b, c])
 
 
 def _deterministic_p22(n, bits):
@@ -127,6 +137,9 @@ def test_bound_values_flags_and_range():
     assert not quiet.violates_nlocal and not quiet.violates_local
     with pytest.raises(RangeError):
         bound_values(1.5, 0.0)
+    for bad in ((np.nan, np.nan), (0.25, np.nan), (np.inf, 0.0)):
+        with pytest.raises(RangeError):
+            bound_values(*bad)
     doc = report.to_json()
     assert doc["abs_I"] == 0.5 and doc["abs_J"] == 0.5
     assert set(doc) == {"I", "J", "abs_I", "abs_J", "nlocal_value",
@@ -190,3 +203,34 @@ def test_behavior_json_schema_check():
     doc["schema_version"] = 2
     with pytest.raises(KindError):
         behavior_from_json(doc)
+
+
+def test_behavior_json_rejects_malformed_documents(tmp_path):
+    good = behavior_to_json(uniform_behavior(KIND_P22, 2))
+    for doc in (
+        [good],                                  # not an object
+        {**good, "table": good["table"][:-1]},   # wrong table length
+        {k: v for k, v in good.items() if k != "kind"},
+        {**good, "n": "x"},
+        {**good, "n": None},
+        {**good, "n": float("inf")},
+        {**good, "n": 10 ** 1000},
+        {**good, "table": ["a"] * 64},
+        {**good, "table": None},
+    ):
+        with pytest.raises(DimensionError):
+            behavior_from_json(doc)
+    path = tmp_path / "b.json"
+    path.write_text("{not json")
+    with pytest.raises(DimensionError, match="b.json: not a JSON document"):
+        load_behavior_json(path)
+    path.write_text('{"schema_version": 1, "kind": "p22", "n": 2, "table": [0.5]}')
+    with pytest.raises(DimensionError, match="b.json: table has 1 entries"):
+        load_behavior_json(path)
+
+
+def test_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("")
+    with pytest.raises(DimensionError, match="b.csv: empty file"):
+        load_behavior_csv(path, KIND_P22, 2)

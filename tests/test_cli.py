@@ -74,6 +74,22 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     future_json = tmp_path / "future.json"
     future_json.write_text(json.dumps({"schema_version": 99, "kind": "p22", "n": 2,
                                        "table": [0.0] * 64}))
+    nan_lines = n2_csv.read_text().splitlines()
+    nan_lines[1] = nan_lines[1].rsplit(",", 1)[0] + ",nan"
+    good = {"schema_version": 1, "kind": "p22", "n": 2, "table": [1.0 / 8] * 64}
+    malformed = {
+        "short.json": json.dumps({**good, "table": [1.0 / 8] * 63}),
+        "no_kind.json": json.dumps({k: v for k, v in good.items() if k != "kind"}),
+        "n_x.json": json.dumps({**good, "n": "x"}),
+        "n_huge.json": json.dumps({**good, "n": 10 ** 6}),
+        "text_table.json": json.dumps({**good, "table": ["a"] * 64}),
+        "list.json": json.dumps([good]),
+        "invalid.json": "{not json",
+        "empty.csv": "",
+        "nan.csv": "\n".join(nan_lines) + "\n",
+    }
+    for name, text in malformed.items():
+        (tmp_path / name).write_text(text)
     # an LP past the size guard is refused before its behavior or any
     # strategy table is built
     monkeypatch.setattr(netlocal.analysis, "party_strategy_table", _refuse)
@@ -90,7 +106,19 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
         ["lp", "--n", "8", "--source", "chain-pr"],
         ["lp", "--n", "40"],
         ["lp", "--n", "40", "--source", "chain-pr"],
+        *(["lp", "--behavior", str(tmp_path / name)] for name in malformed),
     ):
+        start = time.perf_counter()
+        code, out = _run(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert code == 3 and out == "", argv
+        assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_simulate_refuses_oversized_tables(capsys, monkeypatch):
+    # the table guard must fire before the first contraction allocates
+    monkeypatch.setattr(np, "tensordot", _refuse)
+    for argv in (["simulate", "--n", "14"], ["simulate", "--n", "40", "--kind", "p14"]):
         start = time.perf_counter()
         code, out = _run(capsys, argv)
         elapsed = time.perf_counter() - start

@@ -1,11 +1,12 @@
 """Hidden-variable models: tightness constructions, sampling, strategy weights."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from netlocal.behavior import compute_IJ
+from netlocal.behavior import alphabets, compute_IJ
 from netlocal.errors import DimensionError, RangeError, ScenarioError
 from netlocal.hvmodels import (
     NLocalModel,
@@ -36,23 +37,61 @@ def test_model_validation():
         NLocalModel(n=2, kind=KIND_P22,
                     source_dists=m.source_dists,
                     responses=[m.responses[0][:, :1, :]] + m.responses[1:])
+    # NaN must fail each check: every comparison with NaN is False
+    with pytest.raises(RangeError):
+        NLocalModel(n=2, kind=KIND_P22,
+                    source_dists=[np.array([np.nan, 0.5])] + m.source_dists[1:],
+                    responses=m.responses)
+    nan_row = m.responses[1].copy()
+    nan_row[0, 1, 0] = [np.nan, np.nan]
+    with pytest.raises(RangeError):
+        NLocalModel(n=2, kind=KIND_P22, source_dists=m.source_dists,
+                    responses=[m.responses[0], nan_row, m.responses[2]])
+
+
+def test_strategy_weights_validation():
+    from netlocal.hvmodels import StrategyWeights, strategy_counts
+    counts = strategy_counts(KIND_P22, 2)
+    StrategyWeights(KIND_P22, 2, np.full(counts, 1.0 / math.prod(counts)))
+    for bad in (np.full(counts, np.nan), np.full(counts, 1.0), -np.full(counts, 1.0)):
+        with pytest.raises(RangeError):
+            StrategyWeights(KIND_P22, 2, bad)
+
+
+def _uneven_model(kind, n, ks, rng):
+    ins, outs = alphabets(kind, n)
+
+    def simplex(*shape):
+        e = rng.exponential(size=shape)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    responses = ([simplex(ins[0], ks[0], outs[0])]
+                 + [simplex(ins[p], ks[p - 1], ks[p], outs[p]) for p in range(1, n)]
+                 + [simplex(ins[n], ks[-1], outs[n])])
+    return NLocalModel(n=n, kind=kind, source_dists=[simplex(k) for k in ks],
+                       responses=responses)
 
 
 def test_behavior_of_model_matches_brute_force():
-    model = sample_random_model(KIND_P22, 2, 2, trial_rng(42, 0))
-    b = behavior_of_model(model)
-    k1, k2 = (d.size for d in model.source_dists)
-    r0, r1, r2 = model.responses
-    for xs in itertools.product((0, 1), repeat=3):
-        for outs in itertools.product((0, 1), repeat=3):
-            p = 0.0
-            for l1 in range(k1):
-                for l2 in range(k2):
-                    p += (model.source_dists[0][l1] * model.source_dists[1][l2]
-                          * r0[xs[0], l1, outs[0]]
-                          * r1[xs[1], l1, l2, outs[1]]
-                          * r2[xs[2], l2, outs[2]])
-            assert abs(b.prob(xs, outs) - p) < 1e-12
+    # uneven per-source cardinalities expose a swapped left/right bond axis
+    rng = np.random.default_rng(42)
+    cases = [(KIND_P22, 2, (2, 2)), (KIND_P22, 2, (1, 3)), (KIND_P22, 3, (2, 1, 3)),
+             (KIND_P14, 2, (1, 3)), (KIND_P14, 3, (2, 1, 3)), (KIND_P14, 3, (3, 2, 1))]
+    for kind, n, ks in cases:
+        model = _uneven_model(kind, n, ks, rng)
+        b = behavior_of_model(model)
+        ins, outs = alphabets(kind, n)
+        for xs in itertools.product(*map(range, ins)):
+            for av in itertools.product(*map(range, outs)):
+                p = 0.0
+                for lams in itertools.product(*map(range, ks)):
+                    term = math.prod(d[lam] for d, lam in zip(model.source_dists, lams))
+                    term *= model.responses[0][xs[0], lams[0], av[0]]
+                    for q in range(1, n):
+                        term *= model.responses[q][xs[q], lams[q - 1], lams[q], av[q]]
+                    term *= model.responses[n][xs[n], lams[-1], av[n]]
+                    p += term
+                assert abs(b.prob(xs, av) - p) < 1e-12, (kind, n, ks, xs, av)
 
 
 def test_tightness_models_hit_the_boundary():
