@@ -7,10 +7,10 @@ exactly, party by party, and stops once that violation is negligible; a
 behavior is a member exactly when some strategy mixture reproduces its full
 table within tolerance.
 
-Also here: the exact-rational decomposition identity of the analytic quantum
-point, visibility-threshold bisection on Werner-type sources, plot-ready
-boundary curves in the (I, J) plane, and seeded Monte-Carlo sweeps over
-random models and local mixtures.
+Also here: the exact decomposition of the analytic quantum point into two
+n-local models (so the n-local set is not convex), visibility-threshold
+bisection on Werner-type sources, plot-ready boundary curves in the (I, J)
+plane, and seeded Monte-Carlo sweeps over random models and local mixtures.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from itertools import product
 import numpy as np
 
 from . import hvmodels
-from .behavior import Behavior, bound_values, compute_IJ, mix_behaviors, alphabets
+from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
-from .evaluator import chain_IJ
+from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ,
                        party_strategy_table, sample_random_model, strategy_counts,
                        strategy_IJ, trial_rng)
@@ -220,8 +220,8 @@ def chain_pr_behavior(kind: str, n: int) -> Behavior:
 
 @dataclass
 class DecompositionReport:
-    """Exact-rational check that the analytic table is an even mixture of a
-    pure-I and a pure-J extremal behavior."""
+    """Exact check that the analytic table is the even mixture of the tables
+    of two n-local models, P_I at (I, J) = (-1, 0) and P_J at (0, -1)."""
 
     kind: str
     n: int
@@ -244,28 +244,6 @@ class DecompositionReport:
             "pj_I": str(self.pj_IJ[0]), "pj_J": str(self.pj_IJ[1]),
             "ok": self.ok,
         }
-
-
-def _exact_tables(kind: str, n: int):
-    """(P_Q, P_I, P_J) as dicts (xs, outs) -> Fraction, reference convention."""
-    ins, outs = alphabets(kind, n)
-    pq, pi, pj = {}, {}, {}
-    for xs in product(*[range(k) for k in ins]):
-        for av in product(*[range(k) for k in outs]):
-            if kind == KIND_P14:
-                s = (-1) ** (av[0] + av[-1] + 1)
-                z = (-1) ** sum(m >> 1 for m in av[1:-1])
-                w = (-1) ** (sum(m & 1 for m in av[1:-1]) + xs[0] + xs[-1])
-                denom = 4 ** n
-            else:
-                s = (-1) ** (sum(av) + 1)
-                z = 1 if all(x == 0 for x in xs[1:-1]) else 0
-                w = ((-1) ** (xs[0] + xs[-1])) if all(x == 1 for x in xs[1:-1]) else 0
-                denom = 2 ** (n + 1)
-            pq[xs, av] = Fraction(2 + s * z + s * w, 2 * denom)
-            pi[xs, av] = Fraction(1 + s * z, denom)
-            pj[xs, av] = Fraction(1 + s * w, denom)
-    return pq, pi, pj
 
 
 def _exact_IJ(kind: str, n: int, table) -> tuple[Fraction, Fraction]:
@@ -295,32 +273,24 @@ def _exact_IJ(kind: str, n: int, table) -> tuple[Fraction, Fraction]:
 
 
 def decomposition_check(kind: str, n: int) -> DecompositionReport:
-    """Verify P_Q = (P_I + P_J)/2 exactly and the extremal (I, J) values.
-
-    All entries are dyadic rationals, so Fraction arithmetic gives a zero-
-    residual identity rather than a float comparison.  P_I carries
-    (I, J) = (-1, 0) and P_J carries (0, -1) in the reference convention.
+    """Check P_Q = (P_I + P_J)/2 for the analytic table P_Q and the tables of
+    the two n-local models of hvmodels.decomposition_model.  Every entry is
+    dyadic, so float64 holds the identity exactly and array_equal checks it
+    with no tolerance; the extremal (I, J) from model_IJ are exact Fractions.
     """
     check_kind(kind)
     if n < 2:
         raise RangeError(f"chain needs n >= 2, got {n}")
-    if n > 5:
-        raise SizeGuardError("exact decomposition is intended for small n (<= 5)")
-    pq, pi, pj = _exact_tables(kind, n)
-    exact = all(2 * pq[key] == pi[key] + pj[key] for key in pq)
-    for tbl in (pi, pj):
-        total_by_x = {}
-        for (xs, av), val in tbl.items():
-            if val < 0 or val > 1:
-                exact = False
-            total_by_x[xs] = total_by_x.get(xs, Fraction(0)) + val
-        if any(t != 1 for t in total_by_x.values()):
-            exact = False
+    if 4 ** (n + 1) > OUTPUT_CELL_GUARD:
+        raise SizeGuardError(f"decomposition table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
+    closed_form = closed_form_p22_end_parity if kind == KIND_P22 else closed_form_p14
+    pi, pj = (hvmodels.decomposition_model(kind, n, which) for which in (0, 1))
+    mixture = hvmodels.behavior_of_model(pi).table + hvmodels.behavior_of_model(pj).table
     return DecompositionReport(
         kind=kind, n=n,
-        exact_mixture=exact,
-        pi_IJ=_exact_IJ(kind, n, pi),
-        pj_IJ=_exact_IJ(kind, n, pj),
+        exact_mixture=np.array_equal(2 * closed_form(n).table, mixture),
+        pi_IJ=tuple(map(Fraction, model_IJ(pi))),
+        pj_IJ=tuple(map(Fraction, model_IJ(pj))),
     )
 
 
@@ -420,17 +390,17 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
     """Plot-ready data for the (I, J) plane: boundaries, curve, special points.
 
     Returns a dict with the quantum point of the standard chain (I and J from
-    chain_IJ, no table), the two extremal points of the analytic
-    decomposition, the tightness-model curve (I, J) = (r**2, (1-r)**2)
-    evaluated from actual models, and the two boundary loci |I| + |J| = 1 and
-    sqrt|I| + sqrt|J| = 1 sampled in the first quadrant.  The exact
-    decomposition runs first, so n > 5 is refused before anything else.
+    chain_IJ), the two extremal points of the analytic decomposition (from
+    model_IJ of the two decomposition models), the tightness-model curve
+    (I, J) = (r**2, (1-r)**2) evaluated from actual models, and the two
+    boundary loci |I| + |J| = 1 and sqrt|I| + sqrt|J| = 1 sampled in the
+    first quadrant.  No table is built, so any n is accepted.
     """
     check_kind(kind)
     if not 0.0 < grid_step <= 0.5:
         raise RangeError(f"grid step must lie in (0, 0.5], got {grid_step}")
-    decomposition = decomposition_check(kind, n)
     qrep = bound_values(*chain_IJ(standard_scenario(n, kind)))
+    pi, pj = (model_IJ(hvmodels.decomposition_model(kind, n, which)) for which in (0, 1))
 
     rs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     make = (hvmodels.tightness_model_p22 if kind == KIND_P22
@@ -450,8 +420,8 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
         "n": n,
         "grid_step": grid_step,
         "quantum_point": qrep.to_json(),
-        "pi_point": {"I": float(decomposition.pi_IJ[0]), "J": float(decomposition.pi_IJ[1])},
-        "pj_point": {"I": float(decomposition.pj_IJ[0]), "J": float(decomposition.pj_IJ[1])},
+        "pi_point": {"I": pi[0], "J": pi[1]},
+        "pj_point": {"I": pj[0], "J": pj[1]},
         "tightness_curve": tight,
         "nlocal_boundary": nlocal_boundary,
         "local_boundary": local_boundary,
@@ -539,10 +509,9 @@ def correlated_sources_demo() -> dict:
     strategy weights of a genuinely correlated 3-source law are also checked
     against the factorization identities.
     """
-    b1 = hvmodels.behavior_of_model(hvmodels.tightness_model_p22(3, 1.0))
-    b0 = hvmodels.behavior_of_model(hvmodels.tightness_model_p22(3, 0.0))
-    mixed = mix_behaviors([0.5, 0.5], [b1, b0])
-    report = bound_values(*compute_IJ(mixed))
+    (i1, j1), (i0, j0) = (model_IJ(hvmodels.tightness_model_p22(3, r)) for r in (1.0, 0.0))
+    # I and J are linear in the behavior, so the even mixture's are the means
+    report = bound_values((i1 + i0) / 2, (j1 + j0) / 2)
     factor = check_factorization(correlated_sources_example(3))
     return {
         "mixture_IJ": [report.I, report.J],

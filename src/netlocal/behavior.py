@@ -36,6 +36,8 @@ NORM_ATOL = 1e-10
 VIOLATION_ATOL = 1e-9
 # both kinds have 4**(n+1) cells; n = 13 is a 2 GiB table
 CHAIN_CELL_GUARD = 4 ** 14
+# decomposition holds three tables and simulate prints one as text: n <= 11
+OUTPUT_CELL_GUARD = 4 ** 12
 
 
 def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -30,6 +30,7 @@ from .analysis import (
     visibility_threshold,
 )
 from .behavior import (
+    OUTPUT_CELL_GUARD,
     behavior_to_json,
     bound_values,
     correlator_report,
@@ -38,7 +39,7 @@ from .behavior import (
     save_behavior_csv,
     save_behavior_json,
 )
-from .errors import NetlocalError
+from .errors import NetlocalError, SizeGuardError
 from .evaluator import evaluate_chain
 from .hvmodels import (
     model_IJ,
@@ -152,6 +153,8 @@ def cmd_simulate(args) -> dict:
     alphas = _check_alphas(args.parser, args.alphas, args.n)
     if args.format == "csv" and args.out is None:
         args.parser.error("--format csv requires --out (stdout stays JSON)")
+    if 4 ** (args.n + 1) > OUTPUT_CELL_GUARD:
+        raise SizeGuardError(f"simulate table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
     b = evaluate_chain(standard_scenario(args.n, args.kind, alphas))
     report = correlator_report(b)
     if args.out is not None:

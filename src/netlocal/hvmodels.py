@@ -19,6 +19,7 @@ marginals; check_factorization measures them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -175,6 +176,34 @@ def tightness_model_p14(n: int, r: float) -> NLocalModel:
     )
 
 
+def decomposition_model(kind: str, n: int, which: int) -> NLocalModel:
+    """P_I (which = 0) at (I, J) = (-1, 0) or P_J (which = 1) at (0, -1): the
+    n-local models whose even mixture is the analytic quantum point.
+
+    Uniform binary sources; each end outputs its hidden bit, XORed with its
+    input for P_J, and the last end flips it.  An intermediate outputs the
+    XOR of its hidden bits at input `which` (p22), or as bit `which` of its
+    string 2*b0 + b1 (p14), with a fair local coin for the other one.
+    """
+    check_kind(kind)
+    if which not in (0, 1):
+        raise RangeError(f"which must be 0 (P_I) or 1 (P_J), got {which}")
+    end = _end_flip_response(1.0 - which)
+    xor = np.array([[0, 1], [1, 0]])  # lam ^ mu
+    if kind == KIND_P22:
+        mid = np.full((2, 2, 2, 2), 0.5)
+        mid[which] = np.eye(2)[xor]
+    else:
+        bit = (np.arange(4) >> (1 - which)) & 1  # bit `which` of each string
+        mid = 0.5 * (bit == xor[..., None])[None]
+    return NLocalModel(
+        n=n, kind=kind,
+        source_dists=[np.array([0.5, 0.5]) for _ in range(n)],
+        responses=[end] + [mid.copy() for _ in range(n - 1)] + [end[..., ::-1].copy()],
+        note=f"decomposition {'P_J' if which else 'P_I'}",
+    )
+
+
 def _simplex_sample(rng, shape) -> np.ndarray:
     """Uniform draws from the probability simplex via normalized exponentials."""
     e = rng.exponential(size=shape)
@@ -193,7 +222,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def sample_random_model(kind: str, n: int, cardinality: int, rng) -> NLocalModel:
     """Random n-local model: simplex-uniform sources, random responses.
 
-    rng may be an integer seed or a numpy Generator.
+    rng may be an integer seed or a numpy Generator.  Response tables of more
+    than HIDDEN_PRODUCT_GUARD cells in all are refused before any draw.
     """
     check_kind(kind)
     if n < 2:
@@ -204,11 +234,13 @@ def sample_random_model(kind: str, n: int, cardinality: int, rng) -> NLocalModel
         rng = np.random.default_rng(int(rng))
     k = int(cardinality)
     ins, outs = alphabets(kind, n)
+    shapes = ([(ins[0], k, outs[0])] + [(ins[p], k, k, outs[p]) for p in range(1, n)]
+              + [(ins[n], k, outs[n])])
+    cells = sum(math.prod(shape) for shape in shapes)
+    if cells > HIDDEN_PRODUCT_GUARD:
+        raise SizeGuardError(f"response tables need {cells} cells, over {HIDDEN_PRODUCT_GUARD}")
     dists = [_simplex_sample(rng, (k,)) for _ in range(n)]
-    responses = [_simplex_sample(rng, (ins[0], k, outs[0]))]
-    for p in range(1, n):
-        responses.append(_simplex_sample(rng, (ins[p], k, k, outs[p])))
-    responses.append(_simplex_sample(rng, (ins[n], k, outs[n])))
+    responses = [_simplex_sample(rng, shape) for shape in shapes]
     return NLocalModel(n=n, kind=kind, source_dists=dists, responses=responses,
                        note=f"random K={k}")
 
@@ -220,6 +252,14 @@ def strategy_counts(kind: str, n: int) -> tuple[int, ...]:
     """Number of deterministic strategies per party (outputs ** inputs)."""
     ins, outs = alphabets(kind, n)
     return tuple(o ** i for i, o in zip(ins, outs))
+
+
+def _check_strategy_space(kind: str, n: int) -> None:
+    """Refuse more than STRATEGY_SPACE_GUARD strategy tuples (4**(n+1) for
+    both kinds, so n <= 8) before any table is built."""
+    tuples = math.prod(strategy_counts(kind, n))
+    if tuples > STRATEGY_SPACE_GUARD:
+        raise SizeGuardError(f"strategy space {tuples} exceeds {STRATEGY_SPACE_GUARD}")
 
 
 def party_strategy_table(kind: str, n: int, party: int) -> np.ndarray:
@@ -280,9 +320,7 @@ def q_weights_joint(kind: str, n: int, joint: np.ndarray, responses) -> Strategy
     also admits deliberately correlated sources, which break the
     factorization identities that independent sources enforce.
     """
-    counts = strategy_counts(kind, n)
-    if int(np.prod(counts)) > STRATEGY_SPACE_GUARD:
-        raise SizeGuardError(f"strategy space {np.prod(counts)} exceeds {STRATEGY_SPACE_GUARD}")
+    _check_strategy_space(kind, n)
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != n:
         raise DimensionError(f"joint law needs {n} axes, got {joint.ndim}")
@@ -406,6 +444,7 @@ def strategy_IJ(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     the outer product of one factor per party: its strategy table contracted
     with the party's weights and signs from behavior.ij_factors.
     """
+    _check_strategy_space(kind, n)
     tables = [np.moveaxis(party_strategy_table(kind, n, p), 1, 0) for p in range(n + 1)]
     out = []
     for weights, signs in ij_factors(kind, n):

@@ -2,6 +2,8 @@
 
 import math
 import time
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from netlocal.errors import (
     ScenarioError,
     SizeGuardError,
 )
-from netlocal.evaluator import evaluate_chain
-from netlocal.hvmodels import (behavior_of_model, party_strategy_table,
+from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
+from netlocal.hvmodels import (behavior_of_model, decomposition_model, party_strategy_table,
                                sample_random_model, trial_rng)
 from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
@@ -160,21 +162,79 @@ def test_lp_tables_match_their_definitions():
             assert np.array_equal(strategy_behavior_matrix(kind, n), D)
 
 
+def _reference_decomposition(kind, n):
+    """(P_Q, P_I, P_J) of the analytic decomposition as Fraction dicts keyed
+    (xs, outs), in the reference convention: the definition the models of
+    decomposition_model must reproduce."""
+    ins, outs = alphabets(kind, n)
+    pq, pi, pj = {}, {}, {}
+    for xs in product(*[range(k) for k in ins]):
+        for av in product(*[range(k) for k in outs]):
+            if kind == KIND_P14:
+                s = (-1) ** (av[0] + av[-1] + 1)
+                z = (-1) ** sum(m >> 1 for m in av[1:-1])
+                w = (-1) ** (sum(m & 1 for m in av[1:-1]) + xs[0] + xs[-1])
+                denom = 4 ** n
+            else:
+                s = (-1) ** (sum(av) + 1)
+                z = 1 if all(x == 0 for x in xs[1:-1]) else 0
+                w = ((-1) ** (xs[0] + xs[-1])) if all(x == 1 for x in xs[1:-1]) else 0
+                denom = 2 ** (n + 1)
+            pq[xs, av] = Fraction(2 + s * z + s * w, 2 * denom)
+            pi[xs, av] = Fraction(1 + s * z, denom)
+            pj[xs, av] = Fraction(1 + s * w, denom)
+    return pq, pi, pj
+
+
+def _fraction_rows(b):
+    """The rows of b that analysis._exact_IJ reads (all intermediate inputs
+    equal) as exact Fractions keyed (xs, outs); a dyadic float converts
+    exactly."""
+    ins, outs = alphabets(b.kind, b.n)
+    cells = {}
+    for xs in product(*map(range, ins)):
+        if len(set(xs[1:-1])) == 1:
+            row = b.table[b.input_index(xs)].tolist()
+            cells.update(((xs, av), Fraction(v)) for av, v in zip(product(*map(range, outs)), row))
+    return cells
+
+
+def test_decomposition_models_match_reference_tables():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 4, 5):
+            ins, outs = alphabets(kind, n)
+            reference = _reference_decomposition(kind, n)
+            tables = [closed_form_p22_end_parity(n) if kind == KIND_P22 else closed_form_p14(n)]
+            tables += [behavior_of_model(decomposition_model(kind, n, which)) for which in (0, 1)]
+            for ref, b in zip(reference, tables):
+                want = np.array([[float(ref[xs, av]) for av in product(*map(range, outs))]
+                                 for xs in product(*map(range, ins))])
+                assert np.array_equal(b.table, want), (kind, n)
+
+
 def test_decomposition_is_exact():
     for kind in (KIND_P22, KIND_P14):
-        for n in (2, 3):
+        for n in range(2, 9):
             report = decomposition_check(kind, n)
             assert report.exact_mixture
             assert report.ok
             assert abs(report.pi_IJ[0]) == 1 and report.pi_IJ[1] == 0
             assert report.pj_IJ[0] == 0 and abs(report.pj_IJ[1]) == 1
+            # the Fraction oracle on the model tables agrees exactly; it is
+            # pure Python, and p14 n = 7, 8 would cost it about 10 s more
+            if kind == KIND_P14 and n > 6:
+                continue
+            for which, got in ((0, report.pi_IJ), (1, report.pj_IJ)):
+                b = behavior_of_model(decomposition_model(kind, n, which))
+                assert analysis._exact_IJ(kind, n, _fraction_rows(b)) == got, (kind, n)
 
 
 def test_decomposition_guards():
     with pytest.raises(RangeError):
         decomposition_check(KIND_P22, 1)
-    with pytest.raises(SizeGuardError):
-        decomposition_check(KIND_P22, 6)
+    for kind in (KIND_P22, KIND_P14):
+        with pytest.raises(SizeGuardError):
+            decomposition_check(kind, 12)
 
 
 def test_threshold_equal_profile():

@@ -9,6 +9,7 @@ import pytest
 
 from netlocal.behavior import compute_IJ, load_behavior_csv, load_behavior_json
 from netlocal.cli import main
+from netlocal.errors import SizeGuardError
 from netlocal.evaluator import evaluate_chain
 from netlocal.network import KIND_P22, standard_scenario
 
@@ -69,6 +70,7 @@ def test_usage_errors_exit_2(capsys):
 def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     import netlocal.analysis
     import netlocal.cli
+    import netlocal.hvmodels
     n2_csv = tmp_path / "n2.csv"
     _run_json(capsys, ["simulate", "--n", "2", "--format", "csv", "--out", str(n2_csv)])
     future_json = tmp_path / "future.json"
@@ -91,12 +93,20 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     for name, text in malformed.items():
         (tmp_path / name).write_text(text)
     # an LP past the size guard is refused before its behavior or any
-    # strategy table is built
+    # strategy table is built; so are oversized tables, models and mixtures
     monkeypatch.setattr(netlocal.analysis, "party_strategy_table", _refuse)
+    monkeypatch.setattr(netlocal.hvmodels, "party_strategy_table", _refuse)
+    monkeypatch.setattr(netlocal.hvmodels, "_simplex_sample", _refuse)
     monkeypatch.setattr(netlocal.cli, "evaluate_chain", _refuse)
     for argv in (
-        ["decomposition", "--n", "6"],                      # exact-rational size guard
-        ["figure4", "--n", "12"],                           # the same guard, run first
+        ["decomposition", "--n", "12"],                     # three 4**13-cell tables
+        ["decomposition", "--n", "12", "--kind", "p14"],
+        ["simulate", "--n", "12"],                          # printed table size guard
+        ["simulate", "--n", "12", "--out", str(tmp_path / "F"), "--format", "csv"],
+        ["montecarlo", "--cardinality", "10000000", "--trials", "1"],  # response tables
+        ["montecarlo", "--cardinality", "10000000", "--trials", "2", "--workers", "2"],
+        ["montecarlo", "--mixture", "--n", "9", "--trials", "1"],  # strategy tuples
+        ["montecarlo", "--mixture", "--n", "30", "--trials", "1"],
         ["threshold", "--n", "2", "--alphas", "0.6,0.6"],   # never crosses the bound
         ["lp", "--behavior", str(tmp_path / "missing.json")],
         ["lp", "--behavior", str(n2_csv), "--n", "3"],      # wrong shape for n = 3
@@ -124,6 +134,10 @@ def test_simulate_refuses_oversized_tables(capsys, monkeypatch):
         elapsed = time.perf_counter() - start
         assert code == 3 and out == "", argv
         assert elapsed < 1.0, (argv, elapsed)
+    # the library call keeps the chain kernel's own, larger guard
+    for kind in ("p22", "p14"):
+        with pytest.raises(SizeGuardError):
+            evaluate_chain(standard_scenario(14, kind))
 
 
 def test_malformed_behavior_csv_exits_3(capsys, tmp_path):
@@ -260,14 +274,18 @@ def test_figure4_json_and_csv(capsys, tmp_path):
     assert path.read_text().startswith("series,param,I,J")
 
 
-def test_figure4_refuses_long_chains_first(capsys, monkeypatch):
+def test_figure4_builds_no_table(capsys, monkeypatch):
     import netlocal.analysis
+    import netlocal.behavior
     import netlocal.evaluator
-    for module in (netlocal.analysis, netlocal.evaluator):
-        monkeypatch.setattr(module, "chain_IJ", _refuse)
-        monkeypatch.setattr(module, "evaluate_chain", _refuse, raising=False)
-    code, out = _run(capsys, ["figure4", "--n", "12"])
-    assert code == 3 and out == ""
+    import netlocal.hvmodels
+    for module in (netlocal.analysis, netlocal.behavior, netlocal.evaluator, netlocal.hvmodels):
+        for name in ("behavior_of_model", "chain_table", "evaluate_chain"):
+            monkeypatch.setattr(module, name, _refuse, raising=False)
+    for kind in ("p22", "p14"):
+        doc = _run_json(capsys, ["figure4", "--n", "40", "--kind", kind])
+        assert doc["result"]["pi_point"] == {"I": -1.0, "J": 0.0}
+        assert doc["result"]["pj_point"] == {"I": 0.0, "J": -1.0}
 
 
 def test_decomposition_payload(capsys):
