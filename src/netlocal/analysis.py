@@ -11,12 +11,16 @@ Also here: the exact decomposition of the analytic quantum point into two
 n-local models (so the n-local set is not convex), visibility-threshold
 bisection on Werner-type sources, plot-ready boundary curves in the (I, J)
 plane, and seeded Monte-Carlo sweeps over random models and local mixtures.
+The sweeps evaluate a block of trials at once (hvmodels.random_model_blocks
+and random_mixture_blocks), with no Python loop per trial beyond its PRNG
+and its one draw; trial t still uses the stream (seed, t).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -28,9 +32,9 @@ from . import hvmodels
 from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
 from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity
-from .hvmodels import (check_factorization, correlated_sources_example, model_IJ,
-                       party_strategy_table, sample_random_model, strategy_counts,
-                       strategy_IJ, trial_rng)
+from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
+                       party_strategy_table, random_mixture_blocks, random_model_blocks,
+                       strategy_counts, strategy_IJ)
 from .network import (KIND_P14, KIND_P22, SourceState, check_kind, standard_scenario,
                       werner)
 
@@ -431,17 +435,22 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
 # ---------------------------------------------------------------------------
 # Monte-Carlo sweeps
 
+def _best_trial(blocks) -> tuple[float, int]:
+    """(largest value, its trial) over (first_trial, values) blocks given in
+    trial order; ties go to the earliest trial."""
+    worst, worst_trial = -np.inf, -1
+    for first, values in blocks:
+        i = int(np.argmax(values))
+        if values[i] > worst:
+            worst, worst_trial = float(values[i]), first + i
+    return worst, worst_trial
+
+
 def _nlocal_block(args):
     kind, n, cardinality, seed, start, stop = args
-    worst = -np.inf
-    worst_trial = -1
-    for trial in range(start, stop):
-        model = sample_random_model(kind, n, cardinality, trial_rng(seed, trial))
-        I, J = model_IJ(model)
-        value = np.sqrt(abs(I)) + np.sqrt(abs(J))
-        if value > worst:
-            worst, worst_trial = value, trial
-    return float(worst), int(worst_trial)
+    blocks = random_model_blocks(kind, n, cardinality, seed, start, stop)
+    ijs = ((first, models_IJ(kind, n, dists, responses)) for first, dists, responses in blocks)
+    return _best_trial((first, np.sqrt(np.abs(I)) + np.sqrt(np.abs(J))) for first, (I, J) in ijs)
 
 
 def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
@@ -449,19 +458,22 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     """Sample random n-local models and track the largest sqrt|I|+sqrt|J|.
 
     Trial t uses the PRNG derived from (seed, t), so the result does not
-    depend on how trials are split across workers.
+    depend on how trials are split across workers.  The trials are split
+    into `workers` jobs, run by at most one process per job and per CPU.
     """
     check_kind(kind)
     if trials < 1:
         raise RangeError(f"trials must be positive, got {trials}")
-    workers = max(1, int(workers))
+    # beyond one job per trial, more workers only add empty jobs
+    workers = min(max(1, int(workers)), trials)
     if workers == 1:
         worst, worst_trial = _nlocal_block((kind, n, cardinality, seed, 0, trials))
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         jobs = [(kind, n, cardinality, seed, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(len(jobs), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_nlocal_block, jobs))
         # ties resolve to the earliest trial, matching the single-worker walk
         worst, worst_trial = max(results, key=lambda t: (t[0], -t[1]))
@@ -476,26 +488,19 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
 def mc_local_mixture_sweep(kind: str, n: int, trials: int, seed: int) -> dict:
     """Sample mixtures of deterministic strategy tuples; track max |I|+|J|.
 
-    I and J are linear in the mixture, so each trial is a dot product with
-    the per-tuple correlator values.
+    I and J are linear in the mixture, so a block of trials is one matrix
+    product of its weights with the per-tuple correlator values.
     """
     check_kind(kind)
     if trials < 1:
         raise RangeError(f"trials must be positive, got {trials}")
-    vi, vj = strategy_IJ(kind, n)
-    worst = -np.inf
-    worst_trial = -1
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        e = rng.exponential(size=vi.size)
-        q = e / e.sum()
-        value = abs(q @ vi) + abs(q @ vj)
-        if value > worst:
-            worst, worst_trial = value, trial
+    vij = np.stack(strategy_IJ(kind, n), axis=1)
+    worst, worst_trial = _best_trial((first, np.abs(q @ vij).sum(axis=1))
+                                     for first, q in random_mixture_blocks(len(vij), seed, 0, trials))
     return {
         "kind": kind, "n": n, "trials": trials, "seed": seed,
         "prng": hvmodels.PRNG_ALGORITHM,
-        "max_local_value": float(worst), "argmax_trial": int(worst_trial),
+        "max_local_value": worst, "argmax_trial": worst_trial,
         "bound_satisfied": bool(worst <= 1.0 + 1e-9),
     }
 

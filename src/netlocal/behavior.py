@@ -22,7 +22,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -118,11 +117,12 @@ def mix_behaviors(weights, behaviors) -> Behavior:
     return Behavior(first.kind, first.n, table)
 
 
-@lru_cache(maxsize=64)
 def _outcome_digits(kind: str, n: int) -> tuple[np.ndarray, ...]:
+    """Each party's outcome digit as an open grid over the outcome axes,
+    party 1 first: an expression in them broadcasts to the outcome shape,
+    whose row-major flattening is the packed outcome index."""
     _, outs = alphabets(kind, n)
-    num_out = int(np.prod(outs))
-    return tuple(np.asarray(d) for d in np.unravel_index(np.arange(num_out), outs))
+    return np.indices(outs, sparse=True)
 
 
 # sign of an outcome bit, and of bit 0 (high) or bit 1 (low) of a p14
@@ -170,7 +170,10 @@ def ij_factors(kind: str, n: int):
 # ---------------------------------------------------------------------------
 # the chain kernel: a chain is a list of party tensors T[x, bonds..., a], input
 # axis first and outcome axis last, with one bond axis at an end and (left,
-# right) in between; each source is folded into the party on its left.
+# right) in between; each source is folded into the party on its left.  The
+# functional kernel also takes a block of chains at once: tensors
+# T[x, trials..., bonds..., a] with the same trial axes right after the input
+# axis give factors, and values, with those trial axes leading.
 
 def chain_table(parties) -> np.ndarray:
     """P(a|x) of a chain in table order, refused beyond CHAIN_CELL_GUARD cells.
@@ -194,14 +197,20 @@ def chain_table(parties) -> np.ndarray:
 
 def party_factors(parties, weights, signs) -> list[np.ndarray]:
     """Each party tensor contracted with its input weights and outcome signs:
-    a vector over the bond at the ends, a (left, right) matrix in between."""
+    a vector over the bond at the ends, a (left, right) matrix in between,
+    behind any trial axes the tensors carry."""
     return [np.einsum("x...a,x,a->...", t, w, s) for t, w, s in zip(parties, weights, signs)]
 
 
 def chain_contract(factors):
     """The value of a chain functional from its per-party factors, in O(n):
-    sum_x prod_p weights[p][x_p] sum_a prod_p signs[p][a_p] P(a|x)."""
-    return reduce(np.matmul, factors)
+    sum_x prod_p weights[p][x_p] sum_a prod_p signs[p][a_p] P(a|x).
+    Factors with leading trial axes give one value per trial."""
+    first, *mids, last = factors
+    v = first[..., None, :]
+    for m in mids:
+        v = v @ m
+    return (v @ last[..., None])[..., 0, 0]
 
 
 def chain_IJ_of(kind: str, n: int, parties) -> tuple:

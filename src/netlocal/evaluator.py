@@ -17,6 +17,8 @@ the discrepancy stays visible.  See the README section on conventions.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
@@ -130,26 +132,24 @@ def closed_form_p14(n: int) -> Behavior:
             signed = ((-1.0) ** (ends + 1)) * (
                 (-1.0) ** s0 + (-1.0) ** (s1 + x1 + xlast)
             ) / 2.0
-            rows.append((1.0 + signed) / 4.0 ** n)
+            rows.append(((1.0 + signed) / 4.0 ** n).reshape(-1))
     return Behavior(KIND_P14, n, np.stack(rows))
 
 
 def _p22_delta_rows(n: int, include_ends: bool) -> np.ndarray:
-    ins, _ = alphabets(KIND_P22, n)
+    ins, outs = alphabets(KIND_P22, n)
     digits = _outcome_digits(KIND_P22, n)
-    mid_parity = np.zeros(digits[0].shape, dtype=np.int64)
-    for d in digits[1:-1]:
-        mid_parity ^= d
-    parity = mid_parity ^ digits[0] ^ digits[-1] if include_ends else mid_parity
+    parity = reduce(np.bitwise_xor, digits[1:-1])
+    if include_ends:
+        parity = parity ^ digits[0] ^ digits[-1]
+    sign = np.broadcast_to((-1.0) ** (parity + 1), outs).reshape(-1)
     num_in = int(np.prod(ins))
-    rows = np.zeros((num_in, digits[0].size))
+    rows = np.zeros((num_in, sign.size))
     for xi in range(num_in):
         xs = np.unravel_index(xi, ins)
         d0 = all(x == 0 for x in xs[1:-1])
         d1 = all(x == 1 for x in xs[1:-1])
-        signed = ((-1.0) ** (parity + 1)) * (
-            float(d0) + (-1.0) ** (xs[0] + xs[-1]) * float(d1)
-        ) / 2.0
+        signed = sign * (float(d0) + (-1.0) ** (xs[0] + xs[-1]) * float(d1)) / 2.0
         rows[xi] = (1.0 + signed) / 2.0 ** (n + 1)
     return rows
 

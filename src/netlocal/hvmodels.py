@@ -8,6 +8,15 @@ With each source distribution folded into the response of the party on its
 left, a model is a chain for the kernel in behavior: behavior_of_model takes
 its table from chain_table and model_IJ its I and J from chain_IJ_of.
 
+Random models for Monte-Carlo sweeps are drawn a block of trials at a time:
+random_model_blocks gives each trial t one flat exponential draw from
+trial_rng(seed, t), splits and normalises the block's draws into arrays with
+a leading trial axis, validates them as NLocalModel does, and models_IJ
+contracts the whole block at once.  A block holds at most MC_BLOCK_CELLS
+drawn cells.  Row t of a block holds exactly the arrays of
+sample_random_model(kind, n, K, trial_rng(seed, t)); random_mixture_blocks
+draws strategy-tuple weights the same way.
+
 Deterministic strategy weights: enumerating, per party, all deterministic
 input->output maps, any model induces a weight for each strategy tuple by
 summing source probabilities (stochastic responses decompose into
@@ -33,19 +42,29 @@ MODEL_SCHEMA_VERSION = 1
 HIDDEN_PRODUCT_GUARD = 10 ** 7
 STRATEGY_SPACE_GUARD = 10 ** 6
 PRNG_ALGORITHM = "numpy-pcg64"
+# drawn cells per block of Monte-Carlo trials: 128 KiB of float64.  A sweep
+# holds about three blocks' worth at once; larger blocks are no faster
+MC_BLOCK_CELLS = 2 ** 14
 
 _DIST_ATOL = 1e-10
+
+
+def _check_rows(a, what):
+    """Every entry nonnegative and every slice over the last axis summing
+    to 1; any leading axes are checked at once."""
+    # written so that NaN fails: every comparison with NaN is False
+    if not a.min() >= -1e-12:
+        raise RangeError(f"{what} has negative entries")
+    worst = np.abs(a.sum(axis=-1) - 1.0).max()
+    if not worst <= _DIST_ATOL:
+        raise RangeError(f"{what} rows must sum to 1, worst deviation {worst}")
 
 
 def _check_dist(v, what):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionError(f"{what} must be a nonempty 1-D array")
-    # written so that NaN fails: every comparison with NaN is False
-    if not v.min() >= -1e-12:
-        raise RangeError(f"{what} has negative entries")
-    if not abs(v.sum() - 1.0) <= _DIST_ATOL:
-        raise RangeError(f"{what} must sum to 1, got {v.sum()}")
+    _check_rows(v, what)
     return v
 
 
@@ -88,10 +107,7 @@ class NLocalModel:
                 want = (ins[p], ks[p - 1], ks[p], outs[p])
             if r.shape != want:
                 raise DimensionError(f"response {p} has shape {r.shape}, expected {want}")
-            if not r.min() >= -1e-12:
-                raise RangeError(f"response {p} has negative entries")
-            if not np.abs(r.sum(axis=-1) - 1.0).max() <= _DIST_ATOL:
-                raise RangeError(f"response {p} rows must sum to 1")
+            _check_rows(r, f"response {p}")
             self.responses[p] = r
 
     @property
@@ -99,11 +115,15 @@ class NLocalModel:
         return tuple(len(v) for v in self.source_dists)
 
 
-def _model_parties(model: NLocalModel) -> list[np.ndarray]:
-    """The model as a chain of party tensors: each source distribution
-    folded into the response table of the party on its left."""
-    folded = [r * d[:, None] for r, d in zip(model.responses, model.source_dists)]
-    return folded + [model.responses[-1]]
+def _model_parties(source_dists, responses) -> list[np.ndarray]:
+    """A model as a chain of party tensors: each source distribution folded
+    into the right bond axis of the party on its left.  The arrays may all
+    carry the same leading trial axes; the tensors then keep them."""
+    folded = []
+    for r, d in zip(responses, source_dists):
+        lead = d.shape[:-1]
+        folded.append(r * d.reshape(lead + (1,) * (r.ndim - len(lead) - 2) + (-1, 1)))
+    return folded + [responses[-1]]
 
 
 def behavior_of_model(model: NLocalModel) -> Behavior:
@@ -111,14 +131,26 @@ def behavior_of_model(model: NLocalModel) -> Behavior:
     ks = model.cardinalities
     if int(np.prod(ks)) > HIDDEN_PRODUCT_GUARD:
         raise SizeGuardError(f"hidden-state product {np.prod(ks)} exceeds {HIDDEN_PRODUCT_GUARD}")
-    return Behavior(model.kind, model.n, chain_table(_model_parties(model)))
+    parties = _model_parties(model.source_dists, model.responses)
+    return Behavior(model.kind, model.n, chain_table(parties))
+
+
+def models_IJ(kind: str, n: int, source_dists, responses) -> tuple[np.ndarray, np.ndarray]:
+    """Signed (I, J) of a block of models by the functional chain kernel.
+
+    source_dists and responses hold a model's arrays with a leading trial
+    axis, as random_model_blocks yields them; one I and one J per trial.
+    """
+    parties = [np.moveaxis(t, 0, 1) for t in _model_parties(source_dists, responses)]
+    return chain_IJ_of(kind, n, parties)
 
 
 def model_IJ(model: NLocalModel) -> tuple[float, float]:
-    """Signed (I, J) of the model by the functional chain kernel, equal to
+    """Signed (I, J) of the model, models_IJ of a block of one; equal to
     compute_IJ(behavior_of_model(model)) up to float roundoff."""
-    I, J = chain_IJ_of(model.kind, model.n, _model_parties(model))
-    return float(I), float(J)
+    I, J = models_IJ(model.kind, model.n, [d[None] for d in model.source_dists],
+                     [r[None] for r in model.responses])
+    return float(I[0]), float(J[0])
 
 
 def _end_flip_response(r: float) -> np.ndarray:
@@ -204,12 +236,6 @@ def decomposition_model(kind: str, n: int, which: int) -> NLocalModel:
     )
 
 
-def _simplex_sample(rng, shape) -> np.ndarray:
-    """Uniform draws from the probability simplex via normalized exponentials."""
-    e = rng.exponential(size=shape)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """PRNG for one Monte-Carlo trial, derived from (seed, trial index).
 
@@ -219,30 +245,97 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(trial)))))
 
 
-def sample_random_model(kind: str, n: int, cardinality: int, rng) -> NLocalModel:
-    """Random n-local model: simplex-uniform sources, random responses.
+def _trial_draws(seed: int, start: int, stop: int, cells: int) -> np.ndarray:
+    """(stop - start, cells) exponential draws; row t - start is the one
+    flat draw of trial t from trial_rng(seed, t)."""
+    draws = np.empty((stop - start, cells))
+    for row, trial in enumerate(range(start, stop)):
+        draws[row] = trial_rng(seed, trial).exponential(size=cells)
+    return draws
 
-    rng may be an integer seed or a numpy Generator.  Response tables of more
-    than HIDDEN_PRODUCT_GUARD cells in all are refused before any draw.
-    """
+
+def _simplex_split(draws: np.ndarray, shapes) -> list[np.ndarray]:
+    """Cut the last axis of draws into consecutive arrays of the given
+    shapes, each normalised in place over its own last axis: uniform points
+    of the probability simplex.  Leading axes are kept."""
+    lead = draws.shape[:-1]
+    arrays = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        e = draws[..., start:stop].reshape(lead + shape)
+        e /= e.sum(axis=-1, keepdims=True)
+        arrays.append(e)
+        start = stop
+    return arrays
+
+
+def _random_model_shapes(kind: str, n: int, cardinality: int) -> list[tuple[int, ...]]:
+    """Shapes of a random model's arrays in draw order: the n source
+    distributions, then the n + 1 response tables.  Response tables of more
+    than HIDDEN_PRODUCT_GUARD cells in all are refused."""
     check_kind(kind)
     if n < 2:
         raise ScenarioError(f"chain needs n >= 2, got {n}")
     if cardinality < 1:
         raise RangeError(f"cardinality must be positive, got {cardinality}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(int(rng))
     k = int(cardinality)
     ins, outs = alphabets(kind, n)
-    shapes = ([(ins[0], k, outs[0])] + [(ins[p], k, k, outs[p]) for p in range(1, n)]
-              + [(ins[n], k, outs[n])])
-    cells = sum(math.prod(shape) for shape in shapes)
+    responses = ([(ins[0], k, outs[0])] + [(ins[p], k, k, outs[p]) for p in range(1, n)]
+                 + [(ins[n], k, outs[n])])
+    cells = sum(math.prod(shape) for shape in responses)
     if cells > HIDDEN_PRODUCT_GUARD:
         raise SizeGuardError(f"response tables need {cells} cells, over {HIDDEN_PRODUCT_GUARD}")
-    dists = [_simplex_sample(rng, (k,)) for _ in range(n)]
-    responses = [_simplex_sample(rng, shape) for shape in shapes]
-    return NLocalModel(n=n, kind=kind, source_dists=dists, responses=responses,
-                       note=f"random K={k}")
+    return [(k,)] * n + responses
+
+
+def sample_random_model(kind: str, n: int, cardinality: int, rng) -> NLocalModel:
+    """Random n-local model: simplex-uniform sources, random responses.
+
+    rng may be an integer seed or a numpy Generator; one flat exponential
+    draw fills every array.  Response tables of more than
+    HIDDEN_PRODUCT_GUARD cells in all are refused before any draw.
+    """
+    shapes = _random_model_shapes(kind, n, cardinality)
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(int(rng))
+    arrays = _simplex_split(rng.exponential(size=sum(map(math.prod, shapes))), shapes)
+    return NLocalModel(n=n, kind=kind, source_dists=arrays[:n], responses=arrays[n:],
+                       note=f"random K={int(cardinality)}")
+
+
+def _block_bounds(start: int, stop: int, cells: int):
+    """Consecutive [a, b) blocks of trials start..stop-1 holding at most
+    MC_BLOCK_CELLS drawn cells each (one trial at the least)."""
+    step = max(1, MC_BLOCK_CELLS // cells)
+    return ((a, min(a + step, stop)) for a in range(start, stop, step))
+
+
+def random_model_blocks(kind: str, n: int, cardinality: int, seed: int, start: int, stop: int):
+    """Random models of trials start..stop-1, a block at a time.
+
+    Yields (first_trial, source_dists, responses) with a leading trial axis
+    on every array; row t - first_trial holds exactly the arrays of
+    sample_random_model(kind, n, cardinality, trial_rng(seed, t)), checked
+    as NLocalModel checks them.  Oversized models are refused before any
+    draw, as by sample_random_model.
+    """
+    shapes = _random_model_shapes(kind, n, cardinality)
+    cells = sum(map(math.prod, shapes))
+    for a, b in _block_bounds(start, stop, cells):
+        arrays = _simplex_split(_trial_draws(seed, a, b, cells), shapes)
+        for i, arr in enumerate(arrays):
+            _check_rows(arr, f"source {i}" if i < n else f"response {i - n}")
+        yield a, arrays[:n], arrays[n:]
+
+
+def random_mixture_blocks(size: int, seed: int, start: int, stop: int):
+    """Uniform random weights over `size` strategy tuples for trials
+    start..stop-1, a block at a time: yields (first_trial, q) with one row
+    of q per trial, from one flat draw of trial_rng(seed, t) each."""
+    for a, b in _block_bounds(start, stop, size):
+        (q,) = _simplex_split(_trial_draws(seed, a, b, size), [(size,)])
+        yield a, q
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """LP membership, exact decomposition, thresholds, boundary data, MC sweeps."""
 
 import math
+import os
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -31,6 +33,7 @@ from netlocal.errors import (
     ScenarioError,
     SizeGuardError,
 )
+from netlocal import hvmodels
 from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
 from netlocal.hvmodels import (behavior_of_model, decomposition_model, party_strategy_table,
                                sample_random_model, trial_rng)
@@ -357,6 +360,69 @@ def test_mc_local_mixture_sweep_frozen_values(kind, n, seed, value, trial):
     res = mc_local_mixture_sweep(kind, n, 200, seed)
     assert abs(res["max_local_value"] - value) <= 1e-15
     assert res["argmax_trial"] == trial
+
+
+@pytest.mark.parametrize("budget", [1, 500])
+def test_mc_sweeps_do_not_depend_on_the_block_size(monkeypatch, budget):
+    cases = [(KIND_P22, 3, 2, 5), (KIND_P14, 4, 3, 6)]
+    default = [mc_nlocal_sweep(kind, n, k, 300, seed) for kind, n, k, seed in cases]
+    mixtures = [mc_local_mixture_sweep(kind, n, 300, seed) for kind, n, _, seed in cases]
+    monkeypatch.setattr(hvmodels, "MC_BLOCK_CELLS", budget)
+    assert default == [mc_nlocal_sweep(kind, n, k, 300, seed) for kind, n, k, seed in cases]
+    # the mixture values are one BLAS product per block, whose summation
+    # order may follow the block's row count in the last bit
+    for (kind, n, _, seed), ref in zip(cases, mixtures):
+        res = mc_local_mixture_sweep(kind, n, 300, seed)
+        assert abs(res["max_local_value"] - ref["max_local_value"]) <= 1e-15
+        assert res["argmax_trial"] == ref["argmax_trial"]
+
+
+def test_best_trial_ties_go_to_the_earliest_trial():
+    blocks = [(0, np.array([1.0, 3.0, 3.0])), (3, np.array([3.0, 2.0]))]
+    assert analysis._best_trial(blocks) == (3.0, 1)
+
+
+def test_mc_sweep_peak_allocation_stays_within_the_block_budget():
+    # unblocked, each of these sweeps would hold over 90x the budget at once
+    budget_bytes = hvmodels.MC_BLOCK_CELLS * 8
+    for sweep in (lambda: mc_nlocal_sweep(KIND_P22, 4, 4, 3000, seed=1),
+                  lambda: mc_local_mixture_sweep(KIND_P14, 4, 1500, seed=1)):
+        sweep()  # strategy tables and imports first
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * budget_bytes, peak / budget_bytes
+
+
+def test_mc_nlocal_pool_is_no_larger_than_jobs_or_cpus(monkeypatch):
+    sizes, job_counts = [], []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            job_counts.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for trials, workers in ((2, 4), (3, 10_000)):
+        res = mc_nlocal_sweep(KIND_P22, 2, 2, trials, seed=3, workers=workers)
+        assert res == mc_nlocal_sweep(KIND_P22, 2, 2, trials, seed=3, workers=1)
+    assert job_counts == [2, 3]
+    assert sizes == [min(2, os.cpu_count() or 1), min(3, os.cpu_count() or 1)]
 
 
 def test_mc_local_mixture_sweep_respects_bound():

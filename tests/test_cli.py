@@ -96,7 +96,7 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     # strategy table is built; so are oversized tables, models and mixtures
     monkeypatch.setattr(netlocal.analysis, "party_strategy_table", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "party_strategy_table", _refuse)
-    monkeypatch.setattr(netlocal.hvmodels, "_simplex_sample", _refuse)
+    monkeypatch.setattr(netlocal.hvmodels, "_trial_draws", _refuse)
     monkeypatch.setattr(netlocal.cli, "evaluate_chain", _refuse)
     for argv in (
         ["decomposition", "--n", "12"],                     # three 4**13-cell tables

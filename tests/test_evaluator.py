@@ -1,9 +1,12 @@
 """Born-rule evaluation: naive vs chain contraction, closed forms, relabeling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from netlocal.behavior import compute_IJ
+from netlocal.behavior import _outcome_digits, compute_IJ
 from netlocal.errors import KindError, RangeError, ScenarioError, SizeGuardError
 from netlocal.evaluator import (
     chain_IJ,
@@ -99,6 +102,17 @@ def test_closed_form_validation():
 def test_frozen_closed_form_entry():
     cf = closed_form_p14(2)
     assert cf.prob((0, 0, 0), (0, 1, 0)) == 1.0 / 16.0
+
+
+def test_closed_forms_cache_no_outcome_digits():
+    # a cache would keep every n's digit arrays for the life of the process
+    for kind, form in ((KIND_P14, closed_form_p14), (KIND_P22, closed_form_p22_end_parity)):
+        form(5)
+        digits = _outcome_digits(kind, 5)
+        refs = [weakref.ref(d) for d in digits]
+        del digits
+        gc.collect()
+        assert all(ref() is None for ref in refs), kind
 
 
 def test_closed_form_p22_has_no_end_correlations():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from netlocal import hvmodels
 from netlocal.behavior import alphabets, compute_IJ
 from netlocal.errors import DimensionError, RangeError, ScenarioError
 from netlocal.hvmodels import (
@@ -17,7 +18,10 @@ from netlocal.hvmodels import (
     model_IJ,
     model_from_json,
     model_to_json,
+    models_IJ,
     q_weights,
+    random_mixture_blocks,
+    random_model_blocks,
     sample_random_model,
     strategy_IJ,
     tightness_model_p14,
@@ -113,6 +117,62 @@ def test_model_IJ_matches_behavior_path():
             fast = model_IJ(model)
             slow = compute_IJ(behavior_of_model(model))
             assert np.allclose(fast, slow, atol=1e-12)
+
+
+def _block_rows(blocks):
+    """(trial, source_dists, responses) of every trial in random_model_blocks."""
+    for first, dists, responses in blocks:
+        for i in range(len(dists[0])):
+            yield first + i, [d[i] for d in dists], [r[i] for r in responses]
+
+
+@pytest.mark.parametrize("budget", [hvmodels.MC_BLOCK_CELLS, 1])
+def test_model_blocks_equal_single_model_draws(monkeypatch, budget):
+    # a budget of one cell puts every trial in its own block
+    monkeypatch.setattr(hvmodels, "MC_BLOCK_CELLS", budget)
+    for kind, n, k in itertools.product((KIND_P22, KIND_P14), (2, 3, 4), (1, 2, 3, 4)):
+        blocks = random_model_blocks(kind, n, k, 9, 3, 8)
+        trials = []
+        for trial, dists, responses in _block_rows(blocks):
+            model = sample_random_model(kind, n, k, trial_rng(9, trial))
+            for a, b in zip(model.source_dists + model.responses, dists + responses):
+                assert np.array_equal(a, b), (kind, n, k, trial)
+            trials.append(trial)
+        assert trials == list(range(3, 8))
+
+
+def test_model_blocks_are_validated(monkeypatch):
+    # a NaN draw must fail the block's row checks, as it fails NLocalModel's
+    real = hvmodels._trial_draws
+
+    def poisoned(*args):
+        draws = real(*args)
+        draws[1, -1] = np.nan
+        return draws
+
+    monkeypatch.setattr(hvmodels, "_trial_draws", poisoned)
+    with pytest.raises(RangeError):
+        list(random_model_blocks(KIND_P22, 2, 2, 0, 0, 4))
+
+
+def test_models_IJ_matches_table_route_per_trial():
+    for kind, n, k in itertools.product((KIND_P22, KIND_P14), (2, 3, 4), (1, 2, 3)):
+        for first, dists, responses in random_model_blocks(kind, n, k, 4, 0, 6):
+            I, J = models_IJ(kind, n, dists, responses)
+            for i in range(len(I)):
+                model = NLocalModel(n=n, kind=kind, source_dists=[d[i] for d in dists],
+                                    responses=[r[i] for r in responses])
+                slow = compute_IJ(behavior_of_model(model))
+                assert np.allclose((I[i], J[i]), slow, atol=1e-12), (kind, n, k, first + i)
+
+
+def test_mixture_blocks_draw_one_row_per_trial(monkeypatch):
+    monkeypatch.setattr(hvmodels, "MC_BLOCK_CELLS", 100)
+    blocks = list(random_mixture_blocks(64, 6, 2, 9))
+    assert [first for first, _ in blocks] == [2, 3, 4, 5, 6, 7, 8]
+    for first, q in blocks:
+        e = trial_rng(6, first).exponential(size=64)
+        assert np.array_equal(q[0], e / e.sum())
 
 
 def test_trial_rng_is_reproducible_and_distinct():
