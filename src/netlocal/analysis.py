@@ -407,11 +407,9 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
     pi, pj = (model_IJ(hvmodels.decomposition_model(kind, n, which)) for which in (0, 1))
 
     rs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    make = (hvmodels.tightness_model_p22 if kind == KIND_P22
-            else hvmodels.tightness_model_p14)
     tight = []
     for r in rs:
-        I, J = model_IJ(make(n, float(r)))
+        I, J = model_IJ(hvmodels.tightness_model(kind, n, float(r)))
         tight.append({"r": float(r), "I": I, "J": J})
 
     ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
@@ -514,7 +512,7 @@ def correlated_sources_demo() -> dict:
     strategy weights of a genuinely correlated 3-source law are also checked
     against the factorization identities.
     """
-    (i1, j1), (i0, j0) = (model_IJ(hvmodels.tightness_model_p22(3, r)) for r in (1.0, 0.0))
+    (i1, j1), (i0, j0) = (model_IJ(hvmodels.tightness_model(KIND_P22, 3, r)) for r in (1.0, 0.0))
     # I and J are linear in the behavior, so the even mixture's are the means
     report = bound_values((i1 + i0) / 2, (j1 + j0) / 2)
     factor = check_factorization(correlated_sources_example(3))

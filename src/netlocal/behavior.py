@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError, KindError, RangeError, SizeGuardError
-from .network import KIND_P14, KIND_P22, check_kind
+from .network import KIND_P22, check_kind
 
 BEHAVIOR_SCHEMA_VERSION = 1
 ENTRY_ATOL = 1e-12
@@ -178,9 +178,10 @@ def ij_factors(kind: str, n: int):
 def chain_table(parties) -> np.ndarray:
     """P(a|x) of a chain in table order, refused beyond CHAIN_CELL_GUARD cells.
 
-    The running array holds the bond by (packed inputs, packed outcomes) so
-    far; the last intermediate is folded into the closing party, so the
-    final product is written directly in table order.
+    The running array holds (packed inputs, packed outcomes, bond) so far;
+    the last intermediate is folded into the closing party, and the final
+    products are written straight into the table, one block per input pair
+    of those two parties, so no second full-size array is made.
     """
     cells = math.prod(t.shape[0] * t.shape[-1] for t in parties)
     if cells > CHAIN_CELL_GUARD:
@@ -191,8 +192,11 @@ def chain_table(parties) -> np.ndarray:
         arr = np.tensordot(arr, t, axes=([2], [1])).transpose(0, 2, 1, 4, 3)  # (X, x, A, a, r)
         arr = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2] * arr.shape[3], -1)
     closing = np.tensordot(last, closing, axes=([2], [1]))  # (xi, l, ai, xe, ae)
-    table = np.tensordot(arr, closing, axes=([2], [1])).transpose(0, 2, 4, 1, 3, 5)
-    return table.reshape(math.prod(table.shape[:3]), -1)
+    xi, bond, ai, xe, ae = closing.shape
+    table = np.empty((arr.shape[0], xi, xe, arr.shape[1], ai * ae), np.result_type(arr, closing))
+    for i, e in product(range(xi), range(xe)):
+        np.matmul(arr, closing[i, :, :, e].reshape(bond, -1), out=table[:, i, e])
+    return table.reshape(arr.shape[0] * xi * xe, -1)
 
 
 def party_factors(parties, weights, signs) -> list[np.ndarray]:
@@ -225,33 +229,6 @@ def _row_correlator(row: np.ndarray, signs) -> float:
     for s in reversed(signs):
         v = v.reshape(-1, s.size) @ s
     return float(v[0])
-
-
-def correlator_p22(b: Behavior, xs) -> float:
-    """Full (n+1)-partite correlator <prod_i (-1)**a_i> at input tuple xs."""
-    if b.kind != KIND_P22:
-        raise KindError(f"correlator_p22 needs a p22 behavior, got {b.kind}")
-    row = b.table[b.input_index(xs)]
-    return _row_correlator(row, [_BIT_SIGNS] * (b.n + 1))
-
-
-def correlator_p14(b: Behavior, x1: int, xlast: int, selectors) -> float:
-    """End-to-end correlator with one outcome bit selected per intermediate.
-
-    Intermediate i contributes bit selectors[i-1] of its outcome string
-    (bit 0 is the high bit of 2*b0 + b1).
-    """
-    if b.kind != KIND_P14:
-        raise KindError(f"correlator_p14 needs a p14 behavior, got {b.kind}")
-    selectors = tuple(int(s) for s in selectors)
-    if len(selectors) != b.n - 1:
-        raise DimensionError(f"need {b.n - 1} bit selectors, got {len(selectors)}")
-    if any(sel not in (0, 1) for sel in selectors):
-        raise RangeError(f"bit selectors must be 0 or 1, got {selectors}")
-    xs = (x1,) + (0,) * (b.n - 1) + (xlast,)
-    row = b.table[b.input_index(xs)]
-    signs = [_BIT_SIGNS] + [_STRING_BIT_SIGNS[sel] for sel in selectors] + [_BIT_SIGNS]
-    return _row_correlator(row, signs)
 
 
 def compute_IJ(b: Behavior) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .analysis import (
@@ -41,12 +40,7 @@ from .behavior import (
 )
 from .errors import NetlocalError, SizeGuardError
 from .evaluator import evaluate_chain
-from .hvmodels import (
-    model_IJ,
-    model_to_json,
-    tightness_model_p14,
-    tightness_model_p22,
-)
+from .hvmodels import model_IJ, model_to_json, tightness_model
 from .network import KIND_P14, KIND_P22, standard_scenario
 
 CLI_SCHEMA_VERSION = 1
@@ -129,18 +123,6 @@ def _check_alphas(parser, alphas, n):
     return [float(a) for a in alphas]
 
 
-def _resolved_workers(parser, requested: int) -> int:
-    """Apply the NETLOCAL_THREADS cap to a requested worker count."""
-    cap = os.environ.get("NETLOCAL_THREADS")
-    if cap is None:
-        return requested
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        parser.error(f"NETLOCAL_THREADS must be an integer, got {cap!r}")
-    return max(1, min(requested, cap_value))
-
-
 def _payload(command: str, config: dict) -> dict:
     return {"schema_version": CLI_SCHEMA_VERSION, "command": command,
             "config": config}
@@ -176,8 +158,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_tightness(args) -> dict:
-    make = tightness_model_p22 if args.kind == KIND_P22 else tightness_model_p14
-    model = make(args.n, args.r)
+    model = tightness_model(args.kind, args.n, args.r)
     report = bound_values(*model_IJ(model))
     if args.model_out is not None:
         with open(args.model_out, "w", encoding="utf-8") as fh:
@@ -194,16 +175,15 @@ def cmd_tightness(args) -> dict:
 
 
 def cmd_montecarlo(args) -> dict:
-    workers = _resolved_workers(args.parser, args.workers)
     if args.mixture:
         result = mc_local_mixture_sweep(args.kind, args.n, args.trials, args.seed)
     else:
         result = mc_nlocal_sweep(args.kind, args.n, args.cardinality,
-                                 args.trials, args.seed, workers=workers)
+                                 args.trials, args.seed, workers=args.workers)
     doc = _payload("montecarlo", {
         "n": args.n, "kind": args.kind, "trials": args.trials,
         "seed": args.seed, "cardinality": args.cardinality,
-        "mixture": args.mixture, "workers": workers,
+        "mixture": args.mixture, "workers": args.workers,
     })
     doc["result"] = result
     return doc
@@ -327,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cardinality", type=_positive_int, default=2,
                    help="hidden-variable values per source")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process count (capped by NETLOCAL_THREADS)")
+                   help="process count (at most one per job and per CPU)")
     p.add_argument("--mixture", action="store_true",
                    help="sweep random local mixtures against |I|+|J| instead")
     p.set_defaults(func=cmd_montecarlo)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .behavior import Behavior, alphabets, chain_IJ_of, chain_table, ij_factors, party_factors
 from .errors import DimensionError, RangeError, ScenarioError, SizeGuardError
-from .network import KIND_P14, KIND_P22, check_kind
+from .network import KIND_P22, check_kind
 
 MODEL_SCHEMA_VERSION = 1
 HIDDEN_PRODUCT_GUARD = 10 ** 7
@@ -47,6 +47,7 @@ PRNG_ALGORITHM = "numpy-pcg64"
 MC_BLOCK_CELLS = 2 ** 14
 
 _DIST_ATOL = 1e-10
+_XOR = np.array([[0, 1], [1, 0]])  # _XOR[lam, mu] = lam ^ mu
 
 
 def _check_rows(a, what):
@@ -127,10 +128,9 @@ def _model_parties(source_dists, responses) -> list[np.ndarray]:
 
 
 def behavior_of_model(model: NLocalModel) -> Behavior:
-    """Exact finite sum over hidden variables, by behavior.chain_table."""
-    ks = model.cardinalities
-    if int(np.prod(ks)) > HIDDEN_PRODUCT_GUARD:
-        raise SizeGuardError(f"hidden-state product {np.prod(ks)} exceeds {HIDDEN_PRODUCT_GUARD}")
+    """Exact finite sum over hidden variables, by behavior.chain_table,
+    which refuses tables beyond CHAIN_CELL_GUARD cells; the product of the
+    hidden cardinalities is never formed."""
     parties = _model_parties(model.source_dists, model.responses)
     return Behavior(model.kind, model.n, chain_table(parties))
 
@@ -162,49 +162,31 @@ def _end_flip_response(r: float) -> np.ndarray:
     return table
 
 
-def tightness_model_p22(n: int, r: float) -> NLocalModel:
+def tightness_model(kind: str, n: int, r: float) -> NLocalModel:
     """Boundary model hitting I = r**2, J = (1-r)**2 (so sqrt|I|+sqrt|J| = 1).
 
-    Uniform binary sources; each intermediate outputs the XOR of its two
-    hidden bits regardless of input; each end outputs its hidden bit, XORed
-    with its input when a local coin (heads probability 1-r) says so.
+    Uniform binary sources; each end outputs its hidden bit, XORed with its
+    input when a local coin (heads probability 1-r) says so.  An
+    intermediate outputs the XOR of its hidden bits regardless of input
+    (p22), or announces the diagonal string whose two bits both equal that
+    XOR, string 0 or 3 (p14).  Announcing instead a uniform choice among all
+    strings whose bit-AND matches the XOR fails to reach the boundary (it
+    damps I and J by 2/3 per party), so the diagonal rule is the one used;
+    the choice is recorded in the p14 model note.
     """
+    check_kind(kind)
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"r must lie in [0, 1], got {r}")
-    uniform = np.array([0.5, 0.5])
-    mid = np.zeros((2, 2, 2, 2))
-    for x, lam, mu in product((0, 1), repeat=3):
-        mid[x, lam, mu, lam ^ mu] = 1.0
+    if kind == KIND_P22:
+        mid, note = np.eye(2)[np.stack([_XOR, _XOR])], f"tightness r={r}"
+    else:
+        mid, note = np.eye(4)[3 * _XOR][None], f"tightness r={r}, diagonal strings"
     end = _end_flip_response(r)
     return NLocalModel(
-        n=n, kind=KIND_P22,
-        source_dists=[uniform.copy() for _ in range(n)],
+        n=n, kind=kind,
+        source_dists=[np.array([0.5, 0.5]) for _ in range(n)],
         responses=[end] + [mid.copy() for _ in range(n - 1)] + [end.copy()],
-        note=f"tightness r={r}",
-    )
-
-
-def tightness_model_p14(n: int, r: float) -> NLocalModel:
-    """p14 boundary model with the same ends as tightness_model_p22.
-
-    Each intermediate announces the diagonal string whose two bits both equal
-    the XOR of its hidden bits (string 0 or 3).  Announcing instead a uniform
-    choice among all strings whose bit-AND matches the XOR fails to reach the
-    boundary (it damps I and J by 2/3 per party), so the diagonal rule is the
-    one used; the choice is recorded in the model note.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise RangeError(f"r must lie in [0, 1], got {r}")
-    uniform = np.array([0.5, 0.5])
-    mid = np.zeros((1, 2, 2, 4))
-    for lam, mu in product((0, 1), repeat=2):
-        mid[0, lam, mu, 3 * (lam ^ mu)] = 1.0
-    end = _end_flip_response(r)
-    return NLocalModel(
-        n=n, kind=KIND_P14,
-        source_dists=[uniform.copy() for _ in range(n)],
-        responses=[end] + [mid.copy() for _ in range(n - 1)] + [end.copy()],
-        note=f"tightness r={r}, diagonal strings",
+        note=note,
     )
 
 
@@ -221,13 +203,12 @@ def decomposition_model(kind: str, n: int, which: int) -> NLocalModel:
     if which not in (0, 1):
         raise RangeError(f"which must be 0 (P_I) or 1 (P_J), got {which}")
     end = _end_flip_response(1.0 - which)
-    xor = np.array([[0, 1], [1, 0]])  # lam ^ mu
     if kind == KIND_P22:
         mid = np.full((2, 2, 2, 2), 0.5)
-        mid[which] = np.eye(2)[xor]
+        mid[which] = np.eye(2)[_XOR]
     else:
         bit = (np.arange(4) >> (1 - which)) & 1  # bit `which` of each string
-        mid = 0.5 * (bit == xor[..., None])[None]
+        mid = 0.5 * (bit == _XOR[..., None])[None]
     return NLocalModel(
         n=n, kind=kind,
         source_dists=[np.array([0.5, 0.5]) for _ in range(n)],

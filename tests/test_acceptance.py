@@ -34,8 +34,7 @@ from netlocal.hvmodels import (
     model_IJ,
     q_weights,
     sample_random_model,
-    tightness_model_p14,
-    tightness_model_p22,
+    tightness_model,
     trial_rng,
 )
 from netlocal.network import KIND_P14, KIND_P22, standard_scenario
@@ -106,11 +105,10 @@ def test_criterion_2_closed_form_oracle_match():
 def test_criterion_3_tightness_saturation():
     failures = []
     rs = [round(0.05 * k, 2) for k in range(21)]
-    for kind, make in ((KIND_P22, tightness_model_p22),
-                       (KIND_P14, tightness_model_p14)):
+    for kind in (KIND_P22, KIND_P14):
         for n in (2, 3):
             for r in rs:
-                I, J = model_IJ(make(n, r))
+                I, J = model_IJ(tightness_model(kind, n, r))
                 value = bound_values(I, J).nlocal_value
                 if abs(I - r ** 2) > 1e-12:
                     failures.append(f"{kind} n={n} r={r}: I={I!r}")
@@ -149,10 +147,9 @@ def test_criterion_4_monte_carlo_bounds():
 
 def test_criterion_5_non_convexity():
     failures = []
-    for kind, make in ((KIND_P22, tightness_model_p22),
-                       (KIND_P14, tightness_model_p14)):
-        b1 = behavior_of_model(make(2, 1.0))
-        b0 = behavior_of_model(make(2, 0.0))
+    for kind in (KIND_P22, KIND_P14):
+        b1 = behavior_of_model(tightness_model(kind, 2, 1.0))
+        b0 = behavior_of_model(tightness_model(kind, 2, 0.0))
         for b in (b1, b0):
             component = correlator_report(b).nlocal_value
             if abs(component - 1.0) > 1e-12:

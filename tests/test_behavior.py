@@ -1,5 +1,6 @@
 """Behavior tables: validation, correlators, bounds, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,6 @@ from netlocal.behavior import (
     behavior_to_json,
     bound_values,
     compute_IJ,
-    correlator_p14,
-    correlator_p22,
     correlator_report,
     load_behavior_csv,
     load_behavior_json,
@@ -90,36 +89,34 @@ def test_mix_behaviors_validation_and_linearity():
         mix_behaviors([np.nan, np.nan], [b, c])
 
 
-def _deterministic_p22(n, bits):
-    """All parties output fixed bits regardless of input."""
-    ins, outs = alphabets(KIND_P22, n)
-    table = np.zeros((int(np.prod(ins)), int(np.prod(outs))))
-    oi = int(np.ravel_multi_index(bits, outs))
-    table[:, oi] = 1.0
-    return Behavior(KIND_P22, n, table)
+def _deterministic(kind, n, rule):
+    """Behavior answering each input tuple xs with the outcome tuple rule(*xs)."""
+    ins, outs = alphabets(kind, n)
+    table = np.zeros((math.prod(ins), math.prod(outs)))
+    for xi, xs in enumerate(itertools.product(*map(range, ins))):
+        table[xi, np.ravel_multi_index(rule(*xs), outs)] = 1.0
+    return Behavior(kind, n, table)
 
 
-def test_correlator_p22_on_deterministic_tables():
-    even = _deterministic_p22(2, (0, 0, 0))
-    odd = _deterministic_p22(2, (1, 0, 0))
-    for xs in ((0, 0, 0), (1, 1, 1)):
-        assert correlator_p22(even, xs) == 1.0
-        assert correlator_p22(odd, xs) == -1.0
-    # I averages the all-0 intermediate inputs; J carries (-1)**(x1+xlast)
-    # end signs that cancel on an input-independent table
-    I, J = compute_IJ(even)
-    assert I == 1.0 and J == 0.0
+def test_compute_IJ_on_deterministic_p22_tables():
+    # I averages the all-0 intermediate inputs; J weighs the all-1 rows with
+    # (-1)**(x1+xlast) end signs, which cancel on an input-independent table
+    assert compute_IJ(_deterministic(KIND_P22, 2, lambda *xs: (0, 0, 0))) == (1.0, 0.0)
+    assert compute_IJ(_deterministic(KIND_P22, 2, lambda *xs: (1, 0, 0))) == (-1.0, 0.0)
+    # ends flip with their input only where the intermediate reads input 1
+    assert compute_IJ(_deterministic(KIND_P22, 2, lambda x1, x2, x3: (x1 & x2, 0, x3 & x2))) == (1.0, 1.0)
+    assert compute_IJ(_deterministic(KIND_P22, 3, lambda x1, x2, x3, x4: (x1 & x3, x2, 0, x4 & x3))) == (1.0, -1.0)
 
 
-def test_correlator_p14_bit_selection():
-    # outcome string m = 2*b0 + b1; selector 0 reads b0, selector 1 reads b1
-    ins, outs = alphabets(KIND_P14, 2)
-    table = np.zeros((int(np.prod(ins)), int(np.prod(outs))))
-    oi = int(np.ravel_multi_index((0, 1, 0), outs))  # m=1: b0=0, b1=1
-    table[:, oi] = 1.0
-    b = Behavior(KIND_P14, 2, table)
-    assert correlator_p14(b, 0, 0, (0,)) == 1.0   # b0 = 0 keeps parity even
-    assert correlator_p14(b, 0, 0, (1,)) == -1.0  # b1 = 1 flips it
+def test_compute_IJ_reads_p14_string_bits():
+    # outcome string m = 2*b0 + b1: I reads bit b0 and J bit b1.  Ends that
+    # answer with their input keep J's end signs from cancelling (and I's
+    # average to 0); ends answering 0 do the reverse
+    for m, b0, b1 in ((1, 0, 1), (2, 1, 0)):
+        fixed = _deterministic(KIND_P14, 2, lambda x1, x2, x3: (0, m, 0))
+        echo = _deterministic(KIND_P14, 2, lambda x1, x2, x3: (x1, m, x3))
+        assert compute_IJ(fixed) == ((-1.0) ** b0, 0.0)
+        assert compute_IJ(echo) == (0.0, (-1.0) ** b1)
 
 
 def test_closed_form_correlators():

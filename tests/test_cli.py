@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,18 +238,6 @@ def test_montecarlo_mixture_mode(capsys):
     assert "max_local_value" in doc["result"]
 
 
-def test_montecarlo_worker_cap(capsys, monkeypatch):
-    monkeypatch.setenv("NETLOCAL_THREADS", "1")
-    doc = _run_json(capsys, ["montecarlo", "--n", "2", "--trials", "100",
-                             "--workers", "4"])
-    assert doc["config"]["workers"] == 1
-    monkeypatch.setenv("NETLOCAL_THREADS", "junk")
-    with pytest.raises(SystemExit) as exc:
-        main(["montecarlo", "--n", "2", "--trials", "10", "--workers", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
 def test_threshold_payload(capsys):
     doc = _run_json(capsys, ["threshold", "--n", "2", "--kind", "p14"])
     res = doc["result"]
@@ -292,3 +281,31 @@ def test_decomposition_payload(capsys):
     doc = _run_json(capsys, ["decomposition", "--n", "2", "--kind", "p14"])
     assert doc["result"]["ok"]
     assert doc["result"]["exact_mixture"]
+
+
+# Payloads recorded from the implementation, one case per line: each holds
+# argv, the printed payload and the files the run writes, with every float
+# rounded to 12 significant digits.  A difference here is a payload change.
+PINNED_PAYLOADS = json.loads((Path(__file__).parent / "data" / "default_payloads.json").read_text())
+
+
+def _pinned(value):
+    """value with every float rounded to 12 significant digits, key order kept."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _pinned(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_pinned(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("case", PINNED_PAYLOADS, ids=lambda case: case["name"])
+def test_default_payloads_are_pinned(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)  # relative --model-out paths, echoed verbatim
+    doc = _run_json(capsys, case["argv"])
+    # compared as JSON text, so key order and int/float types count too
+    assert json.dumps(_pinned(doc), indent=1) == json.dumps(case["payload"], indent=1)
+    for name, content in case["files"].items():
+        written = json.loads((tmp_path / name).read_text())
+        assert json.dumps(_pinned(written), indent=1) == json.dumps(content, indent=1)

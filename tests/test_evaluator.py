@@ -1,6 +1,7 @@
 """Born-rule evaluation: naive vs chain contraction, closed forms, relabeling."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -86,6 +87,20 @@ def test_chain_matches_naive_on_rotated_scenario():
     a = evaluate_naive(rotated)
     b = evaluate_chain(rotated)
     assert np.abs(a.table - b.table).max() < 1e-13
+
+
+def test_chain_table_peak_allocation_is_about_one_table():
+    # the table is written in place, one block per pair of last-party
+    # inputs, beside a running array a quarter its size (measured 1.25x); a
+    # final tensordot plus a transposed copy would hold two tables (2.25x)
+    scenario = standard_scenario(9, KIND_P22)
+    tracemalloc.start()
+    try:
+        table = evaluate_chain(scenario).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes, peak / table.nbytes
 
 
 def test_naive_size_guard():

@@ -8,7 +8,7 @@ import pytest
 
 from netlocal import hvmodels
 from netlocal.behavior import alphabets, compute_IJ
-from netlocal.errors import DimensionError, RangeError, ScenarioError
+from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError
 from netlocal.hvmodels import (
     NLocalModel,
     behavior_from_weights,
@@ -24,15 +24,14 @@ from netlocal.hvmodels import (
     random_model_blocks,
     sample_random_model,
     strategy_IJ,
-    tightness_model_p14,
-    tightness_model_p22,
+    tightness_model,
     trial_rng,
 )
 from netlocal.network import KIND_P14, KIND_P22
 
 
 def test_model_validation():
-    m = tightness_model_p22(2, 0.5)
+    m = tightness_model(KIND_P22, 2, 0.5)
     with pytest.raises(RangeError):
         NLocalModel(n=2, kind=KIND_P22,
                     source_dists=[np.array([0.7, 0.7])] + m.source_dists[1:],
@@ -99,15 +98,14 @@ def test_behavior_of_model_matches_brute_force():
 
 
 def test_tightness_models_hit_the_boundary():
-    for kind, make in ((KIND_P22, tightness_model_p22),
-                       (KIND_P14, tightness_model_p14)):
-        for n in (2, 3, 4):
-            for r in (0.0, 0.3, 1.0):
-                I, J = model_IJ(make(n, r))
-                assert abs(I - r ** 2) < 1e-12
-                assert abs(J - (1.0 - r) ** 2) < 1e-12
+    for kind, n, r in itertools.product((KIND_P22, KIND_P14), (2, 3, 4), (0.0, 0.3, 1.0)):
+        I, J = model_IJ(tightness_model(kind, n, r))
+        assert abs(I - r ** 2) < 1e-12
+        assert abs(J - (1.0 - r) ** 2) < 1e-12
     with pytest.raises(RangeError):
-        tightness_model_p22(2, 1.5)
+        tightness_model(KIND_P22, 2, 1.5)
+    with pytest.raises(KindError):
+        tightness_model("p33", 2, 0.5)
 
 
 def test_model_IJ_matches_behavior_path():
@@ -117,6 +115,12 @@ def test_model_IJ_matches_behavior_path():
             fast = model_IJ(model)
             slow = compute_IJ(behavior_of_model(model))
             assert np.allclose(fast, slow, atol=1e-12)
+
+
+def test_behavior_of_model_needs_no_hidden_product():
+    # 8**8 joint hidden states, never formed: the table is 512 x 512
+    model = sample_random_model(KIND_P22, 8, 8, 0)
+    assert np.allclose(compute_IJ(behavior_of_model(model)), model_IJ(model), rtol=0, atol=1e-12)
 
 
 def _block_rows(blocks):
@@ -237,7 +241,7 @@ def test_strategy_IJ_agrees_with_point_mass_weights():
 
 
 def test_model_json_round_trip():
-    model = tightness_model_p14(3, 0.3)
+    model = tightness_model(KIND_P14, 3, 0.3)
     doc = model_to_json(model)
     assert doc["schema_version"] == 1
     back = model_from_json(doc)
