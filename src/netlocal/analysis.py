@@ -31,12 +31,11 @@ import numpy as np
 from . import hvmodels
 from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
-from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity
+from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity, werner_IJ
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
-from .network import (KIND_P14, KIND_P22, SourceState, check_kind, standard_scenario,
-                      werner)
+from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
 
 LP_DEFAULT_TOL = 1e-8
 LP_CELL_GUARD = 16 ** 5  # D at n = 4 (8 MB); n = 5 needs 134 MB
@@ -49,6 +48,15 @@ SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
 # two-phase feasibility simplex
 
 _PIVOT_EPS = 1e-10
+
+
+def _pivot(T, r, j):
+    """Pivot the tableau on entry (r, j), updating only the rows with a
+    nonzero in column j: the others would subtract exact zeros."""
+    T[r] /= T[r, j]
+    rows = np.flatnonzero(T[:, j])
+    rows = rows[rows != r]
+    T[rows] -= np.outer(T[rows, j], T[r])
 
 
 def _phase1_simplex(A, b, stop):
@@ -106,10 +114,7 @@ def _phase1_simplex(A, b, stop):
                 if cand.size == 1:
                     break
         r = int(cand[0])
-        piv = T[r, j]
-        T[r] /= piv
-        rows = np.arange(m + 1) != r
-        T[rows] -= np.outer(T[rows, j], T[r])
+        _pivot(T, r, j)
         basis[r] = j
         it += 1
 
@@ -326,9 +331,8 @@ class ThresholdResult:
         }
 
 
-def _bound_at(scenario, alphas, bound):
-    sources = [SourceState(werner(a), alpha=a) for a in alphas]
-    report = bound_values(*chain_IJ(scenario, sources))
+def _bound_at(IJ, alphas, bound):
+    report = bound_values(*IJ(alphas))
     return report.nlocal_value if bound == "nlocal" else report.local_value
 
 
@@ -341,9 +345,10 @@ def visibility_threshold(kind: str, n: int, profile=None,
     fixed; the profile must violate the bound at s = 1, otherwise there is
     no crossing in [0, 1] and NoCrossingError is raised.
 
-    The settings are built and validated once; each bisection step builds
-    only the n sources and evaluates I and J with chain_IJ, so no table is
-    made and any chain length is accepted.
+    The settings are built and validated once, and evaluator.werner_IJ
+    builds the chain's factors once: each bisection step is n axpys and one
+    chain contraction, with no source built or validated and no table made,
+    so any chain length is accepted.
     """
     check_kind(kind)
     if bound not in ("nlocal", "local"):
@@ -361,9 +366,9 @@ def visibility_threshold(kind: str, n: int, profile=None,
         def alphas_at(s):
             return [profile[0] * s] + profile[1:]
 
-    scenario = standard_scenario(n, kind)
+    IJ = werner_IJ(standard_scenario(n, kind))
     lo, hi = 0.0, 1.0
-    value_hi = _bound_at(scenario, alphas_at(hi), bound)
+    value_hi = _bound_at(IJ, alphas_at(hi), bound)
     if value_hi <= 1.0:
         raise NoCrossingError(
             f"configuration does not violate at full visibility (value {value_hi:.6f})"
@@ -371,7 +376,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
     iterations = 0
     while iterations < BISECTION_MAX_ITER and hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2.0
-        if _bound_at(scenario, alphas_at(mid), bound) > 1.0:
+        if _bound_at(IJ, alphas_at(mid), bound) > 1.0:
             hi = mid
         else:
             lo = mid
@@ -382,7 +387,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
         kind=kind, n=n, bound=bound,
         scale=scale, alphas=alphas,
         product=float(np.prod(alphas)),
-        value_at_threshold=_bound_at(scenario, alphas, bound),
+        value_at_threshold=_bound_at(IJ, alphas, bound),
         iterations=iterations, bracket_width=hi - lo,
     )
 

@@ -149,7 +149,8 @@ def ij_factors(kind: str, n: int):
     input 1 for J (p22), or bit 0 for I and bit 1 for J of its string (p14).
     This is the one statement of that rule: compute_IJ reads table rows
     with these factors, chain_IJ_of contracts them along a chain of party
-    tensors for evaluator.chain_IJ and hvmodels.model_IJ, and
+    tensors for hvmodels.model_IJ, evaluator.chain_IJ and werner_IJ stack
+    their party_factors with the norm functional's, and
     hvmodels.strategy_IJ takes the outer product of their party_factors.
     The returned arrays are shared; do not modify them.
     """

@@ -5,6 +5,9 @@ global 2^(2n)-dimensional state and is kept as a small-n oracle.  The
 production route writes the scenario as one transfer tensor per party and
 hands it to the chain kernel in behavior: evaluate_chain builds the table,
 linear in n, and chain_IJ contracts I and J alone in O(n), with no table.
+werner_IJ serves searches over Werner visibilities: it builds the factors
+of the singlet and white-noise chains once, and each profile then costs n
+axpys and one contraction.
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -17,25 +20,32 @@ the discrepancy stays visible.  See the README section on conventions.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
-                       chain_IJ_of, chain_table)
+                       chain_table, ij_factors, party_factors)
 from .errors import KindError, RangeError, ScenarioError, SizeGuardError
-from .network import KIND_P14, KIND_P22, NetworkScenario, measurement_elements
+from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState,
+                      measurement_elements, singlet)
 
 NAIVE_DIM_GUARD = 4096
 _REAL_EPS = 1e-14
 
 
 def evaluate_naive(scenario: NetworkScenario) -> Behavior:
-    """Full-tensor Born rule: kron everything, trace per table entry.
+    """Full-tensor Born rule: kron the sources, then trace out one party at
+    a time against its POVM elements.
 
     Exponential in n; guarded at global dimension 2^(2n) <= 4096 (n <= 6).
     Party-major tensor order coincides with source-major qubit order on a
-    chain, so no qubit permutation is needed.
+    chain, so no qubit permutation is needed.  The global state is split as
+    rho[(i, R), (j, S)] with (i, j) the next party's qubits, and that party's
+    elements E[x, a] leave sum_ij E[x, a][j, i] rho[(i, R), (j, S)], an
+    operator on the remaining qubits.  No transfer tensor or chain kernel is
+    used, so this stays an independent oracle for evaluate_chain.
     """
     n = scenario.n
     dim = 4 ** n
@@ -43,22 +53,16 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
         raise SizeGuardError(
             f"naive evaluation needs dimension {dim} > {NAIVE_DIM_GUARD}; use evaluate_chain"
         )
-    rho = scenario.sources[0].rho
-    for s in scenario.sources[1:]:
-        rho = np.kron(rho, s.rho)
-    elems = [measurement_elements(scenario, p) for p in range(n + 1)]
+    rest = reduce(np.kron, [s.rho for s in scenario.sources])
+    for p in range(n + 1):
+        elems = np.asarray(measurement_elements(scenario, p))
+        d = elems.shape[-1]
+        rest = rest.reshape(rest.shape[:-2] + (d, rest.shape[-1] // d, d, -1))
+        rest = np.einsum("...iRjS,xaji->...xaRS", rest, elems)
+    # axes (x1, a1, x2, a2, ..., 1, 1): inputs first, then outcomes
+    probs = rest[..., 0, 0].real.transpose(*range(0, 2 * n + 2, 2), *range(1, 2 * n + 2, 2))
     ins, outs = alphabets(scenario.kind, n)
-    num_in, num_out = int(np.prod(ins)), int(np.prod(outs))
-    table = np.zeros((num_in, num_out))
-    for xi in range(num_in):
-        xs = np.unravel_index(xi, ins)
-        for oi in range(num_out):
-            av = np.unravel_index(oi, outs)
-            op = elems[0][xs[0]][av[0]]
-            for p in range(1, n + 1):
-                op = np.kron(op, elems[p][xs[p]][av[p]])
-            table[xi, oi] = np.einsum("ij,ji->", rho, op).real
-    return Behavior(scenario.kind, n, table)
+    return Behavior(scenario.kind, n, probs.reshape(math.prod(ins), math.prod(outs)))
 
 
 def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarray]:
@@ -83,15 +87,41 @@ def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarra
     return parties
 
 
+def _real_if_real(parties) -> list[np.ndarray]:
+    """The party tensors in real arithmetic when their imaginary parts are
+    below _REAL_EPS, else as they are."""
+    if all(np.abs(t.imag).max() < _REAL_EPS for t in parties):
+        return [t.real for t in parties]
+    return parties
+
+
 def evaluate_chain(scenario: NetworkScenario) -> Behavior:
     """Transfer-operator Born rule, linear in n: behavior.chain_table over
     the scenario's party tensors, in real arithmetic when they are real."""
-    parties = _transfer_tensors(scenario)
-    if all(np.abs(t.imag).max() < _REAL_EPS for t in parties):
-        table = chain_table([t.real for t in parties])
-    else:
-        table = np.ascontiguousarray(chain_table(parties).real)
+    table = chain_table(_real_if_real(_transfer_tensors(scenario)))
+    if np.iscomplexobj(table):
+        table = np.ascontiguousarray(table.real)
     return Behavior(scenario.kind, scenario.n, table)
+
+
+def _functional_factors(scenario: NetworkScenario, parties) -> list[np.ndarray]:
+    """Per-party factors of the norm, I and J functionals of a chain, each
+    party's three stacked on a leading axis for chain_contract.  The norm
+    functional reads input 0 and sums the outcomes: the product of the
+    source traces."""
+    (wI, sI), (wJ, sJ) = ij_factors(scenario.kind, scenario.n)
+    norm = [t[0].sum(axis=-1) for t in parties]
+    return [np.stack(fs) for fs in zip(norm, party_factors(parties, wI, sI),
+                                       party_factors(parties, wJ, sJ))]
+
+
+def _unit_norm_IJ(factors) -> tuple[float, float]:
+    """I and J from stacked functional factors; the norm must be 1 within
+    NORM_ATOL, as a Behavior's row sums."""
+    norm, I, J = chain_contract(factors).real
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise RangeError(f"sources must have unit trace, product of traces {norm}")
+    return float(I), float(J)
 
 
 def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
@@ -104,12 +134,38 @@ def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
         scenario: supplies the settings, and the sources unless overridden.
         sources: n SourceState objects to use in place of scenario.sources.
     """
-    parties = _transfer_tensors(scenario, sources)
-    norm = chain_contract([t[0].sum(axis=-1) for t in parties]).real
-    if not abs(norm - 1.0) <= NORM_ATOL:
-        raise RangeError(f"sources must have unit trace, product of traces {norm}")
-    I, J = chain_IJ_of(scenario.kind, scenario.n, parties)
-    return float(I.real), float(J.real)
+    parties = _real_if_real(_transfer_tensors(scenario, sources))
+    return _unit_norm_IJ(_functional_factors(scenario, parties))
+
+
+def werner_IJ(scenario: NetworkScenario):
+    """I and J of the scenario's settings on Werner sources, as a function
+    of the n visibilities; scenario.sources are not used.
+
+    werner(a) = a*singlet + (1 - a)*I/4, and each party factor is linear in
+    the source folded into that party, so every factor of the norm, I and J
+    functionals is affine in its party's visibility:
+    F(a) = F(noise) + a*(F(singlet) - F(noise)).  The two end states are
+    validated and both chains' factors built here, once; a call is n axpys
+    and one chain_contract, with chain_IJ's unit-norm check.  A visibility
+    outside [0, 1], or NaN, raises RangeError; one inside gives a convex
+    combination of the two validated states, so no call validates a source.
+    """
+    n = scenario.n
+    noise, pure = (
+        _functional_factors(scenario, _real_if_real(_transfer_tensors(scenario, [s] * n)))
+        for s in (SourceState(ID4 / 4.0, alpha=0.0), SourceState(singlet(), alpha=1.0)))
+    slopes = [p - q for p, q in zip(pure[:n], noise[:n])]
+
+    def IJ(alphas) -> tuple[float, float]:
+        alphas = [float(a) for a in alphas]
+        if len(alphas) != n:
+            raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
+        if not all(0.0 <= a <= 1.0 for a in alphas):
+            raise RangeError(f"visibilities must lie in [0, 1], got {alphas}")
+        return _unit_norm_IJ([f + a * d for f, d, a in zip(noise, slopes, alphas)] + noise[n:])
+
+    return IJ
 
 
 def closed_form_p14(n: int) -> Behavior:

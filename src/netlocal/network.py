@@ -158,7 +158,7 @@ def _check_dichotomic(op, dim):
         raise ScenarioError(f"observable must be {dim}x{dim}, got {op.shape}")
     if not qlin.is_hermitian(op, atol=1e-10):
         raise ScenarioError("observable is not Hermitian")
-    if not np.allclose(op @ op, np.eye(dim), atol=1e-10):
+    if not qlin.close_to(op @ op, np.eye(dim), 1e-10, 1e-5):
         raise ScenarioError("observable is not dichotomic (square != identity)")
 
 
@@ -171,10 +171,10 @@ def _check_projective(ops):
             raise ScenarioError(f"projector must be {dim}x{dim}, got {p.shape}")
         if not qlin.is_hermitian(p, atol=1e-10):
             raise ScenarioError("projector is not Hermitian")
-        if not np.allclose(p @ p, p, atol=1e-10):
+        if not qlin.close_to(p @ p, p, 1e-10, 1e-5):
             raise ScenarioError("projector is not idempotent")
         total = total + p
-    if not np.allclose(total, np.eye(dim), atol=1e-10):
+    if not qlin.close_to(total, np.eye(dim), 1e-10, 1e-5):
         raise ScenarioError("projectors do not sum to the identity")
 
 

@@ -3,7 +3,8 @@
 Operators are plain numpy arrays with dtype complex128 (row-major; each entry
 is a pair of 64-bit floats).  network uses these to coerce a square matrix
 and to check Hermiticity and density operators (Hermitian, unit trace,
-positive semidefinite) within a tolerance.
+positive semidefinite) within a tolerance; close_to is the elementwise
+tolerance test behind them.
 """
 
 from __future__ import annotations
@@ -23,9 +24,20 @@ def as_operator(m) -> np.ndarray:
     return arr
 
 
+def close_to(a, b, atol: float, rtol: float) -> bool:
+    """np.allclose(a, b, atol=atol, rtol=rtol) without its per-call set-up:
+    every |a - b| <= atol + rtol*|b|.  Any NaN or infinite entry in a or b
+    fails, where np.allclose accepts inf == inf."""
+    b = np.asarray(b)
+    # with b finite, a - b is NaN or infinite exactly where a is
+    if not np.isfinite(b).all():
+        return False
+    return bool((np.abs(a - b) <= atol + rtol * np.abs(b)).all())
+
+
 def is_hermitian(m, atol: float = ATOL) -> bool:
     m = as_operator(m)
-    return bool(np.allclose(m, m.conj().T, atol=atol, rtol=0.0))
+    return close_to(m, m.conj().T, atol, 0.0)
 
 
 def is_density_operator(m, atol: float = ATOL) -> bool:

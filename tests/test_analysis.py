@@ -33,7 +33,7 @@ from netlocal.errors import (
     ScenarioError,
     SizeGuardError,
 )
-from netlocal import hvmodels
+from netlocal import evaluator, hvmodels, qlin
 from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
 from netlocal.hvmodels import (behavior_of_model, decomposition_model, party_strategy_table,
                                sample_random_model, trial_rng)
@@ -115,6 +115,38 @@ def test_phase1_stops_at_zero_violation():
     q, objective, iterations = analysis._phase1_simplex(A, np.zeros(len(keep)), 1e-11)
     assert iterations == 0
     assert objective == 0.0 and not q.any()
+
+
+def _full_pivot(T, r, j):
+    """Reference for analysis._pivot: the full-tableau update, every row
+    but r changed."""
+    T[r] /= T[r, j]
+    rows = np.arange(len(T)) != r
+    T[rows] -= np.outer(T[rows, j], T[r])
+
+
+def test_row_sparse_pivot_walks_like_the_full_tableau(monkeypatch):
+    cases = []
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3):
+            pr = chain_pr_behavior(kind, n)
+            noise = uniform_behavior(kind, n)
+            quantum = evaluate_chain(standard_scenario(n, kind))
+            # local and nonlocal: PR box plus white noise is local iff w <= 1/2
+            cases += [quantum, pr, mix_behaviors([0.3, 0.7], [pr, noise]),
+                      mix_behaviors([0.8, 0.2], [pr, noise])]
+    for behavior in cases:
+        kind, n, table = behavior.kind, behavior.n, behavior.table
+        keep = analysis._kept_rows(kind, n)
+        D = strategy_behavior_matrix(kind, n)
+        A, b = D.reshape(D.shape[0], -1).T[keep], table.reshape(-1)[keep]
+        q, objective, iterations = analysis._phase1_simplex(A, b, 1e-11)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_pivot", _full_pivot)
+            q_ref, objective_ref, iterations_ref = analysis._phase1_simplex(A, b, 1e-11)
+        assert iterations == iterations_ref > 0
+        assert objective == objective_ref
+        assert np.array_equal(q, q_ref)
 
 
 def test_lp_size_guard_refuses_before_allocating(monkeypatch):
@@ -285,21 +317,59 @@ def test_threshold_beyond_any_table():
 
 
 def test_threshold_matches_table_route(monkeypatch):
-    def table_IJ(scenario, sources):
-        alphas = [s.alpha for s in sources]
-        return compute_IJ(evaluate_chain(standard_scenario(scenario.n, scenario.kind,
-                                                           alphas)))
+    """The search through werner_IJ against the same search with the table
+    route injected at its seam: one full table per visibility profile."""
+    calls = []
+
+    def table_route(scenario):
+        def IJ(alphas):
+            calls.append(alphas)
+            return compute_IJ(evaluate_chain(standard_scenario(scenario.n, scenario.kind,
+                                                               alphas)))
+        return IJ
 
     configs = [(kind, n, profile)
                for kind in (KIND_P22, KIND_P14) for n in range(2, 6)
                for profile in (None, [0.9] * (n - 1) + [0.8])]
     contracted = [visibility_threshold(kind, n, profile=profile)
                   for kind, n, profile in configs]
-    monkeypatch.setattr(analysis, "chain_IJ", table_IJ)
+    monkeypatch.setattr(analysis, "werner_IJ", table_route)
     for (kind, n, profile), res in zip(configs, contracted):
+        calls.clear()
         ref = visibility_threshold(kind, n, profile=profile)
+        # the bracket ends, every step and the reported value
+        assert len(calls) == ref.iterations + 2
         assert res.iterations == ref.iterations
         assert abs(res.scale - ref.scale) < 1e-9
+        assert abs(res.value_at_threshold - ref.value_at_threshold) < 1e-12
+
+
+def test_threshold_validates_no_source_per_step(monkeypatch):
+    """Sources are validated, and transfer tensors built, a fixed number of
+    times per search, however many bisection steps it takes."""
+    counts = {"density": 0, "transfer": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qlin, "is_density_operator",
+                        counted("density", qlin.is_density_operator))
+    monkeypatch.setattr(evaluator, "_transfer_tensors",
+                        counted("transfer", evaluator._transfer_tensors))
+    default = analysis.BISECTION_WIDTH
+    for kind in (KIND_P22, KIND_P14):
+        seen = set()
+        for width in (1e-2, default):
+            monkeypatch.setattr(analysis, "BISECTION_WIDTH", width)
+            counts.update(density=0, transfer=0)
+            res = visibility_threshold(kind, 6, profile=[0.95] * 6)
+            # n scenario sources and the two end states of werner_IJ
+            assert counts == {"density": 6 + 2, "transfer": 2}
+            seen.add(res.iterations)
+        assert len(seen) == 2
 
 
 def test_figure4_report_contents():

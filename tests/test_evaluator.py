@@ -20,6 +20,7 @@ from netlocal.evaluator import (
     reference_relabeling,
     relabel_outputs,
     to_reference_convention,
+    werner_IJ,
 )
 from netlocal.network import (
     KIND_P14,
@@ -70,20 +71,22 @@ def _haar_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_chain_matches_naive_on_rotated_scenario():
-    # conjugate every party's settings by a random unitary: still a valid
-    # scenario, now with genuinely complex operators
-    rng = np.random.default_rng(7)
-    sc = standard_scenario(3, KIND_P22)
+def _rotated(sc, rng):
+    """sc with every party's settings conjugated by a random unitary: still
+    a valid scenario, now with genuinely complex operators."""
     u_ends = [_haar_unitary(rng, 2) for _ in range(2)]
-    u_mids = [_haar_unitary(rng, 4) for _ in range(2)]
-    rotated = NetworkScenario(
-        n=3, kind=KIND_P22, sources=sc.sources,
+    u_mids = [_haar_unitary(rng, 4) for _ in range(sc.n - 1)]
+    return NetworkScenario(
+        n=sc.n, kind=sc.kind, sources=sc.sources,
         end_settings=[[u @ o @ u.conj().T for o in obs]
                       for u, obs in zip(u_ends, sc.end_settings)],
         intermediate_settings=[[u @ o @ u.conj().T for o in ops]
                                for u, ops in zip(u_mids, sc.intermediate_settings)],
     )
+
+
+def test_chain_matches_naive_on_rotated_scenario():
+    rotated = _rotated(standard_scenario(3, KIND_P22), np.random.default_rng(7))
     a = evaluate_naive(rotated)
     b = evaluate_chain(rotated)
     assert np.abs(a.table - b.table).max() < 1e-13
@@ -202,16 +205,7 @@ def test_chain_IJ_matches_table_route_and_closed_form():
 def test_chain_IJ_matches_table_route_on_rotated_settings():
     rng = np.random.default_rng(11)
     for kind in (KIND_P22, KIND_P14):
-        sc = standard_scenario(3, kind, rng.uniform(0.5, 1.0, size=3))
-        u_ends = [_haar_unitary(rng, 2) for _ in range(2)]
-        u_mids = [_haar_unitary(rng, 4) for _ in range(2)]
-        rotated = NetworkScenario(
-            n=3, kind=kind, sources=sc.sources,
-            end_settings=[[u @ o @ u.conj().T for o in obs]
-                          for u, obs in zip(u_ends, sc.end_settings)],
-            intermediate_settings=[[u @ o @ u.conj().T for o in ops]
-                                   for u, ops in zip(u_mids, sc.intermediate_settings)],
-        )
+        rotated = _rotated(standard_scenario(3, kind, rng.uniform(0.5, 1.0, size=3)), rng)
         assert np.allclose(chain_IJ(rotated), compute_IJ(evaluate_chain(rotated)),
                            rtol=0.0, atol=1e-12)
 
@@ -230,3 +224,33 @@ def test_chain_IJ_sources_override_and_trace_check():
         chain_IJ(sc, sources)
     with pytest.raises(ScenarioError):
         chain_IJ(sc, sources[:2])
+
+
+def test_werner_IJ_matches_chain_IJ_on_werner_sources():
+    rng = np.random.default_rng(5)
+    for kind, ns in ((KIND_P22, range(2, 10)), (KIND_P14, range(2, 9))):
+        for n in ns:
+            sc = standard_scenario(n, kind)
+            IJ = werner_IJ(sc)
+            for alphas in (rng.uniform(0.0, 1.0, size=n), [0.0] * n, [1.0] * n):
+                sources = [SourceState(werner(a), alpha=a) for a in alphas]
+                assert np.abs(np.subtract(IJ(alphas), chain_IJ(sc, sources))).max() < 1e-13
+
+
+def test_werner_IJ_on_complex_settings():
+    rng = np.random.default_rng(12)
+    for kind in (KIND_P22, KIND_P14):
+        rotated = _rotated(standard_scenario(3, kind), rng)
+        alphas = rng.uniform(0.0, 1.0, size=3)
+        sources = [SourceState(werner(a), alpha=a) for a in alphas]
+        assert np.abs(np.subtract(werner_IJ(rotated)(alphas),
+                                  chain_IJ(rotated, sources))).max() < 1e-13
+
+
+def test_werner_IJ_refuses_visibilities_outside_the_unit_interval():
+    IJ = werner_IJ(standard_scenario(3, KIND_P22))
+    for bad in (1.1, -0.1, float("nan")):
+        with pytest.raises(RangeError):
+            IJ([0.9, bad, 0.9])
+    with pytest.raises(ScenarioError):
+        IJ([0.9, 0.9])

@@ -140,6 +140,28 @@ def test_scenario_constructor_checks_operators():
         )
 
 
+def test_operator_checks_keep_a_relative_tolerance():
+    # squares and projector sums are compared with identity at rtol 1e-5
+    # (np.allclose's default), Hermiticity at rtol 0
+    sc = standard_scenario(2, KIND_P22)
+
+    def with_settings(kind, end_obs, mids):
+        return NetworkScenario(n=2, kind=kind, sources=sc.sources,
+                               end_settings=[[end_obs, end_observable(1)], sc.end_settings[1]],
+                               intermediate_settings=[mids])
+
+    for eps, ok in ((2e-6, True), (1e-4, False)):
+        stretched = end_observable(0) * (1.0 + eps)
+        scaled = [p * (1.0 + eps) for p in bsm_projectors()]
+        for build in (lambda: with_settings(KIND_P22, stretched, sc.intermediate_settings[0]),
+                      lambda: with_settings(KIND_P14, end_observable(0), scaled)):
+            if ok:
+                build()
+            else:
+                with pytest.raises(ScenarioError):
+                    build()
+
+
 def test_measurement_elements_are_povms():
     for kind in (KIND_P22, KIND_P14):
         sc = standard_scenario(2, kind)

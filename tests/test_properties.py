@@ -108,9 +108,8 @@ def test_chain_equals_naive_on_random_scenarios(kind, n, seed):
     _chain_equals_naive(kind, n, seed)
 
 
-# the naive oracle takes about a second per n = 4 table
 @pytest.mark.parametrize("kind", [KIND_P22, KIND_P14])
-@settings(SETTINGS, max_examples=1)
+@SETTINGS
 @given(seeds)
 def test_chain_equals_naive_at_n4(kind, seed):
     _chain_equals_naive(kind, 4, seed)
