@@ -449,6 +449,14 @@ def _best_trial(blocks) -> tuple[float, int]:
     return worst, worst_trial
 
 
+def _check_sweep(trials: int, seed: int) -> None:
+    """Refuse a sweep before anything is drawn or any worker starts."""
+    if trials < 1:
+        raise RangeError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise RangeError(f"seed must be non-negative, got {seed}")
+
+
 def _nlocal_block(args):
     kind, n, cardinality, seed, start, stop = args
     blocks = random_model_blocks(kind, n, cardinality, seed, start, stop)
@@ -465,8 +473,7 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     into `workers` jobs, run by at most one process per job and per CPU.
     """
     check_kind(kind)
-    if trials < 1:
-        raise RangeError(f"trials must be positive, got {trials}")
+    _check_sweep(trials, seed)
     # beyond one job per trial, more workers only add empty jobs
     workers = min(max(1, int(workers)), trials)
     if workers == 1:
@@ -495,8 +502,7 @@ def mc_local_mixture_sweep(kind: str, n: int, trials: int, seed: int) -> dict:
     product of its weights with the per-tuple correlator values.
     """
     check_kind(kind)
-    if trials < 1:
-        raise RangeError(f"trials must be positive, got {trials}")
+    _check_sweep(trials, seed)
     vij = np.stack(strategy_IJ(kind, n), axis=1)
     worst, worst_trial = _best_trial((first, np.abs(q @ vij).sum(axis=1))
                                      for first, q in random_mixture_blocks(len(vij), seed, 0, trials))

@@ -69,11 +69,14 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _any_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     try:
-        return int(text)
+        v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {v}")
+    return v
 
 
 def _number(text: str) -> float:
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trials", type=_positive_int, default=10_000,
                    help="random models per sweep")
-    p.add_argument("--seed", type=_any_int, default=0,
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="base seed; trial t uses the stream (seed, t)")
     p.add_argument("--cardinality", type=_positive_int, default=2,
                    help="hidden-variable values per source")

@@ -9,13 +9,17 @@ left, a model is a chain for the kernel in behavior: behavior_of_model takes
 its table from chain_table and model_IJ its I and J from chain_IJ_of.
 
 Random models for Monte-Carlo sweeps are drawn a block of trials at a time:
-random_model_blocks gives each trial t one flat exponential draw from
-trial_rng(seed, t), splits and normalises the block's draws into arrays with
-a leading trial axis, validates them as NLocalModel does, and models_IJ
-contracts the whole block at once.  A block holds at most MC_BLOCK_CELLS
-drawn cells.  Row t of a block holds exactly the arrays of
+random_model_blocks gives each trial t one flat exponential draw from the
+stream of trial_rng(seed, t), splits and normalises the block's draws into
+arrays with a leading trial axis, validates them as NLocalModel does, and
+models_IJ contracts the whole block at once.  A block holds at most
+MC_BLOCK_CELLS drawn cells.  Row t of a block holds exactly the arrays of
 sample_random_model(kind, n, K, trial_rng(seed, t)); random_mixture_blocks
-draws strategy-tuple weights the same way.
+draws strategy-tuple weights the same way.  trial_rng stays the reference
+definition of a trial's stream; the blocks reach the same PCG64 states
+without a SeedSequence per trial, by a vectorised copy of numpy's
+SeedSequence hash (_trial_words, pinned against numpy by the tests) that
+derives the seeds of a run of whole blocks at once.
 
 Deterministic strategy weights: enumerating, per party, all deterministic
 input->output maps, any model induces a weight for each strategy tuple by
@@ -28,7 +32,9 @@ marginals; check_factorization measures them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -50,13 +56,25 @@ _DIST_ATOL = 1e-10
 _XOR = np.array([[0, 1], [1, 0]])  # _XOR[lam, mu] = lam ^ mu
 
 
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1), bit for bit.  Below 8 entries numpy adds them left to
+    right, so a short axis is summed slice by slice, which costs a few
+    array operations instead of a strided reduction per row."""
+    if not 1 <= a.shape[-1] < 8:
+        return a.sum(axis=-1)
+    total = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
+        total += a[..., i]
+    return total
+
+
 def _check_rows(a, what):
     """Every entry nonnegative and every slice over the last axis summing
     to 1; any leading axes are checked at once."""
     # written so that NaN fails: every comparison with NaN is False
     if not a.min() >= -1e-12:
         raise RangeError(f"{what} has negative entries")
-    worst = np.abs(a.sum(axis=-1) - 1.0).max()
+    worst = np.abs(_sum_last(a) - 1.0).max()
     if not worst <= _DIST_ATOL:
         raise RangeError(f"{what} rows must sum to 1, worst deviation {worst}")
 
@@ -226,12 +244,126 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(trial)))))
 
 
-def _trial_draws(seed: int, start: int, stop: int, cells: int) -> np.ndarray:
-    """(stop - start, cells) exponential draws; row t - start is the one
-    flat draw of trial t from trial_rng(seed, t)."""
-    draws = np.empty((stop - start, cells))
-    for row, trial in enumerate(range(start, stop)):
-        draws[row] = trial_rng(seed, trial).exponential(size=cells)
+# numpy's SeedSequence hash (numpy.random.bit_generator): uint32 arithmetic
+# with constants that do not depend on the data
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_walk(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of `calls` hash steps and after the
+    last, as a column: step j xors with walk[j] and multiplies by walk[j+1]."""
+    walk = [init]
+    for _ in range(calls):
+        walk.append(walk[-1] * mult & _MASK32)
+    return np.array(walk, dtype=np.uint32)[:, None]
+
+
+_WALK_B = _hash_walk(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, walk: np.ndarray, j: int, steps: int) -> np.ndarray:
+    """Hash steps j .. j+steps-1, one to each row of the result; values
+    holds one row per step or a single row that every step hashes."""
+    v = values ^ walk[j:j + steps]
+    v *= walk[j + 1:j + steps + 1]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two pool words, elementwise."""
+    v = x * np.uint32(_MIX_MULT_L)
+    v -= y * np.uint32(_MIX_MULT_R)
+    v ^= v >> 16
+    return v
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence
+    splits its entropy: one word for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for each column of
+    entropy, a (words, trials) uint32 array of at least 4 words (an empty
+    pool slot is hashed as a zero word), as a (trials, 4) array."""
+    # 4 steps to fill the pool, 3 per pool word to mix it, 4 per extra word
+    walk = _hash_walk(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], walk, 0, _POOL_SIZE)
+    j = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], walk, j, _POOL_SIZE - 1))
+        j += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, walk, j, _POOL_SIZE))
+        j += _POOL_SIZE
+    # eight uint32 state words cycle twice through the pool; as numpy does,
+    # uint64 word k is state words 2k (low) and 2k + 1
+    state = np.empty((entropy.shape[1], 2 * _POOL_SIZE), dtype="<u4")
+    for j in (0, _POOL_SIZE):
+        state[:, j:j + _POOL_SIZE] = _hashmix(pool, _WALK_B, j, _POOL_SIZE).T
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def _trial_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 4) uint64 array whose row t - start equals
+    SeedSequence((seed, t)).generate_state(4, np.uint64), the words PCG64
+    seeds trial_rng(seed, t) from.  The entropy is the seed's 32-bit words
+    then t's: one word below 2**32, two from there up."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise RangeError(f"seed must be non-negative, got {seed}")
+    seed_entropy = _uint32_words(seed)
+    k = len(seed_entropy)
+    runs = []
+    for a, b, t_words in ((start, min(stop, 2 ** 32), 1), (max(start, 2 ** 32), stop, 2)):
+        if a < b:
+            entropy = np.zeros((max(_POOL_SIZE, k + t_words), b - a), dtype=np.uint32)
+            entropy[:k] = np.array(seed_entropy, dtype=np.uint32)[:, None]
+            t = np.arange(a, b, dtype=np.uint64)
+            entropy[k] = t & np.uint64(_MASK32)
+            if t_words == 2:
+                entropy[k + 1] = t >> np.uint64(32)
+            runs.append(_hash_entropy(entropy))
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """Seed material that hands PCG64 one trial's precomputed state words.
+    Defined on first use: numpy imports numpy.random only when asked, and
+    only the sweeps need it."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _trial_draws(words: np.ndarray, cells: int) -> np.ndarray:
+    """(len(words), cells) exponential draws; row i is the one flat draw of
+    the PCG64 stream seeded from words[i], so rows of _trial_words(seed, ...)
+    give the draws of trial_rng(seed, t)."""
+    SeedWords = _seed_words_type()
+    draws = np.empty((len(words), cells))
+    for row, w in enumerate(words):
+        draws[row] = np.random.Generator(np.random.PCG64(SeedWords(w))).exponential(size=cells)
     return draws
 
 
@@ -245,7 +377,7 @@ def _simplex_split(draws: np.ndarray, shapes) -> list[np.ndarray]:
     for shape in shapes:
         stop = start + math.prod(shape)
         e = draws[..., start:stop].reshape(lead + shape)
-        e /= e.sum(axis=-1, keepdims=True)
+        e /= _sum_last(e)[..., None]
         arrays.append(e)
         start = stop
     return arrays
@@ -285,11 +417,19 @@ def sample_random_model(kind: str, n: int, cardinality: int, rng) -> NLocalModel
                        note=f"random K={int(cardinality)}")
 
 
-def _block_bounds(start: int, stop: int, cells: int):
-    """Consecutive [a, b) blocks of trials start..stop-1 holding at most
-    MC_BLOCK_CELLS drawn cells each (one trial at the least)."""
+def _draw_blocks(seed: int, start: int, stop: int, cells: int):
+    """(first_trial, draws) for consecutive blocks of trials start..stop-1,
+    each holding at most MC_BLOCK_CELLS drawn cells (one trial at the
+    least); row i of draws is trial first_trial + i's flat draw.  The seed
+    words are derived a run of whole blocks at a time: hashing holds about
+    100 bytes per trial, so a run of at most MC_BLOCK_CELLS // 16 trials (or
+    one block) stays within a block's budget."""
     step = max(1, MC_BLOCK_CELLS // cells)
-    return ((a, min(a + step, stop)) for a in range(start, stop, step))
+    run = max(1, MC_BLOCK_CELLS // 16 // step) * step
+    for r in range(start, stop, run):
+        words = _trial_words(seed, r, min(r + run, stop))
+        for a in range(0, len(words), step):
+            yield r + a, _trial_draws(words[a:a + step], cells)
 
 
 def random_model_blocks(kind: str, n: int, cardinality: int, seed: int, start: int, stop: int):
@@ -303,8 +443,8 @@ def random_model_blocks(kind: str, n: int, cardinality: int, seed: int, start: i
     """
     shapes = _random_model_shapes(kind, n, cardinality)
     cells = sum(map(math.prod, shapes))
-    for a, b in _block_bounds(start, stop, cells):
-        arrays = _simplex_split(_trial_draws(seed, a, b, cells), shapes)
+    for a, draws in _draw_blocks(seed, start, stop, cells):
+        arrays = _simplex_split(draws, shapes)
         for i, arr in enumerate(arrays):
             _check_rows(arr, f"source {i}" if i < n else f"response {i - n}")
         yield a, arrays[:n], arrays[n:]
@@ -314,8 +454,8 @@ def random_mixture_blocks(size: int, seed: int, start: int, stop: int):
     """Uniform random weights over `size` strategy tuples for trials
     start..stop-1, a block at a time: yields (first_trial, q) with one row
     of q per trial, from one flat draw of trial_rng(seed, t) each."""
-    for a, b in _block_bounds(start, stop, size):
-        (q,) = _simplex_split(_trial_draws(seed, a, b, size), [(size,)])
+    for a, draws in _draw_blocks(seed, start, stop, size):
+        (q,) = _simplex_split(draws, [(size,)])
         yield a, q
 
 

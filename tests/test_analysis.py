@@ -447,6 +447,20 @@ def test_mc_sweeps_do_not_depend_on_the_block_size(monkeypatch, budget):
         assert res["argmax_trial"] == ref["argmax_trial"]
 
 
+def test_mc_sweeps_refuse_a_negative_seed_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be hashed, drawn or started")
+
+    monkeypatch.setattr(hvmodels, "_trial_words", refuse)
+    monkeypatch.setattr(hvmodels, "_trial_draws", refuse)
+    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", refuse)
+    for sweep in (lambda: mc_nlocal_sweep(KIND_P22, 2, 2, 10, seed=-1),
+                  lambda: mc_nlocal_sweep(KIND_P14, 3, 2, 10, seed=-1, workers=2),
+                  lambda: mc_local_mixture_sweep(KIND_P22, 2, 10, seed=-1)):
+        with pytest.raises(RangeError):
+            sweep()
+
+
 def test_best_trial_ties_go_to_the_earliest_trial():
     blocks = [(0, np.array([1.0, 3.0, 3.0])), (3, np.array([3.0, 2.0]))]
     assert analysis._best_trial(blocks) == (3.0, 1)

@@ -56,6 +56,8 @@ def test_usage_errors_exit_2(capsys):
         ["simulate", "--n", "2", "--format", "csv"],  # csv needs --out
         ["tightness", "--r", "1.5"],
         ["montecarlo", "--trials", "0"],
+        ["montecarlo", "--seed", "-1"],
+        ["montecarlo", "--mixture", "--seed", "-1"],
         ["lp", "--tol", "-1"],
         ["lp", "--tol", "0"],
         ["figure4", "--grid-step", "0"],
@@ -97,6 +99,7 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     # strategy table is built; so are oversized tables, models and mixtures
     monkeypatch.setattr(netlocal.analysis, "party_strategy_table", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "party_strategy_table", _refuse)
+    monkeypatch.setattr(netlocal.hvmodels, "_trial_words", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "_trial_draws", _refuse)
     monkeypatch.setattr(netlocal.cli, "evaluate_chain", _refuse)
     for argv in (

@@ -179,6 +179,53 @@ def test_mixture_blocks_draw_one_row_per_trial(monkeypatch):
         assert np.array_equal(q[0], e / e.sum())
 
 
+# seeds of one to five 32-bit words, and trial ranges from 0 and across 2**32
+PINNED_SEEDS = [0, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 5, 2 ** 130]
+PINNED_RANGES = [(0, 6), (2 ** 32 - 3, 2 ** 32 + 3)]
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_trial_words_equal_numpy_seed_sequence(seed):
+    for start, stop in PINNED_RANGES + [(2 ** 64 - 2, 2 ** 64)]:
+        words = hvmodels._trial_words(seed, start, stop)
+        want = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+                for t in range(start, stop)]
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, want), (seed, start)
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_block_rows_are_the_trial_rng_draws(monkeypatch, seed):
+    cells = 11
+    want = {t: trial_rng(seed, t).exponential(size=cells)
+            for start, stop in PINNED_RANGES for t in range(start, stop)}
+    # the blocks reach each stream without trial_rng
+    monkeypatch.setattr(hvmodels, "trial_rng", None)
+    for start, stop in PINNED_RANGES:
+        draws = hvmodels._trial_draws(hvmodels._trial_words(seed, start, stop), cells)
+        for row, t in enumerate(range(start, stop)):
+            assert np.array_equal(draws[row], want[t]), (seed, t)
+        rows = [(first + i, q[i]) for first, q in random_mixture_blocks(cells, seed, start, stop)
+                for i in range(len(q))]
+        assert [t for t, _ in rows] == list(range(start, stop))
+        for t, q in rows:
+            assert np.array_equal(q, want[t] / want[t].sum()), (seed, t)
+
+
+def test_trial_words_refuse_a_negative_seed():
+    with pytest.raises(RangeError):
+        hvmodels._trial_words(-1, 0, 3)
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_sum_last_equals_numpy_sum(length):
+    # strided views cut from a block of flat draws as _simplex_split cuts them
+    draws = np.random.default_rng(length).exponential(size=(37, 5 + 6 * length))
+    for shape in [(length,), (3, 2, length), (6, length)]:
+        e = draws[:, 5:5 + math.prod(shape)].reshape((37,) + shape)
+        assert np.array_equal(hvmodels._sum_last(e), e.sum(axis=-1)), shape
+
+
 def test_trial_rng_is_reproducible_and_distinct():
     a = trial_rng(10, 3).random(5)
     b = trial_rng(10, 3).random(5)
