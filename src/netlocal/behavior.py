@@ -296,7 +296,8 @@ def correlator_report(b: Behavior) -> CorrelatorReport:
     return bound_values(I, J)
 
 
-def behavior_to_json(b: Behavior) -> dict:
+def _behavior_header(b: Behavior) -> dict:
+    """Every key of the behavior document but the table, which comes last."""
     return {
         "schema_version": BEHAVIOR_SCHEMA_VERSION,
         "kind": b.kind,
@@ -304,8 +305,11 @@ def behavior_to_json(b: Behavior) -> dict:
         "input_sizes": list(b.input_sizes),
         "output_sizes": list(b.output_sizes),
         "row_order": "inputs-major, outcomes-minor, party 1 most significant",
-        "table": b.table.reshape(-1).tolist(),
     }
+
+
+def behavior_to_json(b: Behavior) -> dict:
+    return {**_behavior_header(b), "table": b.table.reshape(-1).tolist()}
 
 
 def behavior_from_json(doc: dict) -> Behavior:
@@ -332,9 +336,42 @@ def behavior_from_json(doc: dict) -> Behavior:
     return Behavior(kind, n, table.reshape(math.prod(ins), math.prod(outs)))
 
 
+# cells the file writers format at a time, so no temporary grows with a row
+_RUN_CELLS = 4096
+
+
+def _runs(b: Behavior):
+    """(lead, tail, rows): the table as rows over the last outcome parties that
+    fit in _RUN_CELLS, and the alphabets of the digits fixed and varying along a row."""
+    ins, outs = alphabets(b.kind, b.n)
+    k = next(k for k in range(len(outs) + 1) if math.prod(outs[k:]) <= _RUN_CELLS)
+    return ins + outs[:k], outs[k:], b.table.reshape(-1, math.prod(outs[k:]))
+
+
+def _row_texts(rows: np.ndarray):
+    """The repr of each cell of a float table, one row at a time.  Each distinct
+    value is formatted once, keyed by its bits so that -0.0 and 0.0 stay apart,
+    unless their texts would outweigh the table: then each cell is formatted."""
+    table = np.ascontiguousarray(rows)
+    bits = table.view(np.int64)
+    # sorted, not np.unique: its hash table (numpy >= 2.3) is 10-50x slower here
+    keys = np.sort(bits, axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    if 8 * keys.size > bits.size:
+        yield from (map(repr, row.tolist()) for row in table)
+        return
+    texts = [repr(v) for v in keys.view(np.float64).tolist()]
+    for row in bits:
+        yield map(texts.__getitem__, np.searchsorted(keys, row).tolist())
+
+
 def save_behavior_json(b: Behavior, path) -> None:
+    """behavior_to_json(b) as json.dump writes it, streamed run by run."""
     with open(path, "w") as fh:
-        json.dump(behavior_to_json(b), fh)
+        fh.write(json.dumps(_behavior_header(b))[:-1] + ', "table": [')
+        for i, texts in enumerate(_row_texts(_runs(b)[2])):
+            fh.write((", " if i else "") + ", ".join(texts))
+        fh.write("]}")
 
 
 def load_behavior_json(path) -> Behavior:
@@ -351,19 +388,15 @@ def load_behavior_json(path) -> Behavior:
 
 def save_behavior_csv(b: Behavior, path) -> None:
     """One row per (input tuple, outcome tuple): x1..xN, a1..aN, p."""
-    ins, outs = alphabets(b.kind, b.n)
-    num_parties = b.n + 1
-    header = [f"x{i + 1}" for i in range(num_parties)] + \
-             [f"a{i + 1}" for i in range(num_parties)] + ["p"]
+    parties = range(1, b.n + 2)
+    header = [*(f"x{i}" for i in parties), *(f"a{i}" for i in parties), "p"]
+    lead, tail, rows = _runs(b)
+    tails = ["".join(f"{d}," for d in digits) for digits in product(*map(range, tail))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi in range(b.table.shape[0]):
-            xs = np.unravel_index(xi, ins)
-            for oi in range(b.table.shape[1]):
-                outs_t = np.unravel_index(oi, outs)
-                writer.writerow([*map(int, xs), *map(int, outs_t),
-                                 repr(float(b.table[xi, oi]))])
+        fh.write(",".join(header) + "\r\n")
+        for digits, texts in zip(product(*map(range, lead)), _row_texts(rows)):
+            head = "".join(f"{d}," for d in digits)
+            fh.write("".join([head + t + text + "\r\n" for t, text in zip(tails, texts)]))
 
 
 def load_behavior_csv(path, kind: str, n: int) -> Behavior:

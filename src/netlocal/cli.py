@@ -200,6 +200,7 @@ def cmd_lp(args) -> dict:
         else:
             b = evaluate_chain(standard_scenario(args.n, args.kind))
     elif args.behavior.endswith(".csv"):
+        check_lp_size(args.kind, args.n)  # --kind and --n fix the scenario: refuse unread
         b = load_behavior_csv(args.behavior, args.kind, args.n)
     else:
         b = load_behavior_json(args.behavior)

@@ -1,7 +1,10 @@
 """Behavior tables: validation, correlators, bounds, serialization."""
 
+import csv
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +25,8 @@ from netlocal.behavior import (
     uniform_behavior,
 )
 from netlocal.errors import DimensionError, KindError, RangeError
-from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity
-from netlocal.network import KIND_P14, KIND_P22
+from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
+from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
 
 def test_alphabets():
@@ -231,3 +234,95 @@ def test_csv_rejects_an_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DimensionError, match="b.csv: empty file"):
         load_behavior_csv(path, KIND_P22, 2)
+
+
+# The writers that the streamed ones replaced, kept as the reference for
+# their bytes: json.dump of the whole document, and csv.writer cell by cell.
+def _reference_json(b, path):
+    with open(path, "w") as fh:
+        json.dump(behavior_to_json(b), fh)
+
+
+def _reference_csv(b, path):
+    ins, outs = alphabets(b.kind, b.n)
+    num_parties = b.n + 1
+    header = [f"x{i + 1}" for i in range(num_parties)] + \
+             [f"a{i + 1}" for i in range(num_parties)] + ["p"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for xi in range(b.table.shape[0]):
+            xs = np.unravel_index(xi, ins)
+            for oi in range(b.table.shape[1]):
+                outs_t = np.unravel_index(oi, outs)
+                writer.writerow([*map(int, xs), *map(int, outs_t),
+                                 repr(float(b.table[xi, oi]))])
+
+
+def _edge_values(kind, n):
+    """The uniform behavior with -0.0 beside 0.0, a subnormal and -1e-13 in
+    row 0, rows still normalized within tolerance."""
+    table = uniform_behavior(kind, n).table.copy()
+    u = table[0, 0]
+    table[0, :6] = [-0.0, 0.0, 5e-324, -1e-13, 3 * u, 3 * u + 1e-13]
+    return Behavior(kind, n, table)
+
+
+def _random_rows(kind, n, seed=3):
+    """Every cell distinct: normalized uniform random rows."""
+    table = np.random.default_rng(seed).random(uniform_behavior(kind, n).table.shape)
+    return Behavior(kind, n, table / table.sum(axis=1, keepdims=True))
+
+
+def _writer_cases():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 4):
+            evaluated = evaluate_chain(standard_scenario(n, kind, [0.9] * n))
+            fortran = Behavior(kind, n, np.asfortranarray(evaluated.table))
+            assert not fortran.table.flags.c_contiguous
+            yield pytest.param(evaluated, id=f"{kind}-n{n}-evaluated")
+            yield pytest.param(fortran, id=f"{kind}-n{n}-fortran")
+            yield pytest.param(_random_rows(kind, n), id=f"{kind}-n{n}-random")
+            yield pytest.param(uniform_behavior(kind, n), id=f"{kind}-n{n}-uniform")
+            yield pytest.param(_edge_values(kind, n), id=f"{kind}-n{n}-edges")
+    # rows longer than one formatting run
+    yield pytest.param(evaluate_chain(standard_scenario(6, KIND_P14)), id="p14-n6-evaluated")
+    yield pytest.param(_random_rows(KIND_P22, 6), id="p22-n6-random")
+
+
+@pytest.mark.parametrize("b", list(_writer_cases()))
+def test_writers_match_the_reference_byte_for_byte(tmp_path, b):
+    for save, reference in ((save_behavior_json, _reference_json),
+                            (save_behavior_csv, _reference_csv)):
+        save(b, tmp_path / "new")
+        reference(b, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), save
+
+
+def test_negative_zero_survives_both_file_formats(tmp_path):
+    b = _edge_values(KIND_P22, 2)
+    save_behavior_json(b, tmp_path / "b.json")
+    save_behavior_csv(b, tmp_path / "b.csv")
+    for back in (load_behavior_json(tmp_path / "b.json"),
+                 load_behavior_csv(tmp_path / "b.csv", KIND_P22, 2)):
+        assert back.table[0, 0] == 0.0 and np.signbit(back.table[0, 0])
+        assert np.array_equal(back.table, b.table)
+
+
+@pytest.mark.parametrize("b", [
+    pytest.param(evaluate_chain(standard_scenario(8, KIND_P22)), id="p22-n8"),
+    pytest.param(evaluate_chain(standard_scenario(8, KIND_P14)), id="p14-n8"),
+    pytest.param(_random_rows(KIND_P22, 8), id="p22-n8-random"),
+])
+def test_writers_peak_allocation_stays_near_the_table(tmp_path, b):
+    # p22 n=8 is 512 rows of 512 cells, p14 n=8 4 rows of 65,536: the
+    # writers format fixed-size runs of cells, so long rows cost no more,
+    # and a table of all-distinct values is not turned into a list of texts
+    for save in (save_behavior_json, save_behavior_csv):
+        tracemalloc.start()
+        try:
+            save(b, tmp_path / "b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * b.table.nbytes + 2 ** 20, (save, peak / b.table.nbytes)

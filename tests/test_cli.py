@@ -1,5 +1,6 @@
 """CLI contract: exit codes, payload schema, file round trips, determinism."""
 
+import hashlib
 import json
 import math
 import time
@@ -142,6 +143,16 @@ def test_simulate_refuses_oversized_tables(capsys, monkeypatch):
     for kind in ("p22", "p14"):
         with pytest.raises(SizeGuardError):
             evaluate_chain(standard_scenario(14, kind))
+
+
+def test_lp_csv_is_refused_before_the_file_is_read(capsys, monkeypatch, tmp_path):
+    import netlocal.cli
+    monkeypatch.setattr(netlocal.cli, "load_behavior_csv", _refuse)
+    for kind in ("p22", "p14"):
+        code = main(["lp", "--behavior", str(tmp_path / "x.csv"), "--n", "5", "--kind", kind])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "LP strategy matrix needs" in captured.err
 
 
 def test_malformed_behavior_csv_exits_3(capsys, tmp_path):
@@ -312,3 +323,18 @@ def test_default_payloads_are_pinned(capsys, monkeypatch, tmp_path, case):
     for name, content in case["files"].items():
         written = json.loads((tmp_path / name).read_text())
         assert json.dumps(_pinned(written), indent=1) == json.dumps(content, indent=1)
+
+
+# SHA-256 of the files `simulate --out` writes, recorded from the json.dump
+# and csv.writer writers that the streamed ones replaced: p22 and p14,
+# n = 2..6, JSON and CSV, at fixed visibilities.  A difference is a change
+# in the bytes of a behavior file.
+PINNED_FILES = json.loads((Path(__file__).parent / "data" / "simulate_files.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_FILES, ids=lambda case: case["name"])
+def test_simulate_files_are_pinned(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)
+    _run_json(capsys, case["argv"])
+    written = (tmp_path / case["argv"][-1]).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == case["sha256"]
