@@ -51,12 +51,28 @@ _PIVOT_EPS = 1e-10
 
 
 def _pivot(T, r, j):
-    """Pivot the tableau on entry (r, j), updating only the rows with a
-    nonzero in column j: the others would subtract exact zeros."""
+    """Pivot the tableau on entry (r, j): over every row in one pass when more than a quarter
+    of the others are nonzero in column j, else over those only (the rest subtract zeros)."""
     T[r] /= T[r, j]
-    rows = np.flatnonzero(T[:, j])
-    rows = rows[rows != r]
-    T[rows] -= np.outer(T[rows, j], T[r])
+    c = T[:, j].copy()
+    c[r] = 0.0
+    rows = np.flatnonzero(c)
+    sel = slice(None) if 4 * rows.size > len(T) - 1 else rows
+    T[sel] -= np.outer(c[sel], T[r])
+
+
+def _lexicographic_row(T, cand, col):
+    """Lexicographic tie-break: filter cand column by column (from 0, within 1e-12) on its
+    scaled rows T[i] / col[i], formed once, jumping to each column that splits them."""
+    V = T[cand] / col[cand, None]
+    while cand.size > 1:
+        keep = V <= V.min(axis=0) + 1e-12
+        split = np.flatnonzero(~keep.all(axis=0))
+        if not split.size:
+            break
+        c = split[0]
+        cand, V = cand[keep[:, c]], V[keep[:, c], c + 1:]
+    return int(cand[0])
 
 
 def _phase1_simplex(A, b, stop):
@@ -105,15 +121,7 @@ def _phase1_simplex(A, b, stop):
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:m, ncols][pos] / col[pos]
         cand = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
-        if cand.size > 1:
-            # break degenerate ties by the lexicographically smallest
-            # scaled row; scans stop as soon as one row remains
-            for c in range(ncols + 1):
-                v = T[cand, c] / col[cand]
-                cand = cand[v <= v.min() + 1e-12]
-                if cand.size == 1:
-                    break
-        r = int(cand[0])
+        r = int(cand[0]) if cand.size == 1 else _lexicographic_row(T, cand, col)
         _pivot(T, r, j)
         basis[r] = j
         it += 1

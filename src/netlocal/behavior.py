@@ -401,8 +401,11 @@ def save_behavior_csv(b: Behavior, path) -> None:
 
 def load_behavior_csv(path, kind: str, n: int) -> Behavior:
     """Read the save_behavior_csv format; every (inputs, outcomes) row at
-    most once, with exactly 2*(n+1) + 1 columns."""
+    most once, with exactly 2*(n+1) + 1 columns.  Tables larger than any
+    simulate writes are refused before anything is allocated or read."""
     ins, outs = alphabets(kind, n)
+    if 4 ** (n + 1) > OUTPUT_CELL_GUARD:
+        raise SizeGuardError(f"{path}: behavior table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
     shape = (int(np.prod(ins)), int(np.prod(outs)))
     table = np.zeros(shape)
     seen = np.zeros(shape, dtype=bool)

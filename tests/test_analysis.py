@@ -70,13 +70,16 @@ def test_lp_chain_pr_is_nonlocal():
 
 def test_lp_matches_scipy_verdicts():
     # walk the segment uniform -> chain-PR; feasibility flips along the way
-    for kind in (KIND_P22, KIND_P14):
-        for n in (2, 3):
-            u = uniform_behavior(kind, n)
-            pr = chain_pr_behavior(kind, n)
-            for w in (0.0, 0.4, 0.8, 1.0):
-                b = mix_behaviors([1.0 - w, w], [u, pr])
-                assert lp_local_membership(b).feasible == _scipy_feasible(b), (kind, n, w)
+    cases = [(kind, n, (0.0, 0.4, 0.8, 1.0)) for kind in (KIND_P22, KIND_P14) for n in (2, 3)]
+    # p14 n = 4 solves in about 0.1 s; p22 n = 4 takes seconds, too slow here
+    for kind, n, ws in cases + [(KIND_P14, 4, (0.4, 0.8))]:
+        u = uniform_behavior(kind, n)
+        pr = chain_pr_behavior(kind, n)
+        for w in ws:
+            b = mix_behaviors([1.0 - w, w], [u, pr])
+            assert lp_local_membership(b).feasible == _scipy_feasible(b), (kind, n, w)
+    quantum = evaluate_chain(standard_scenario(4, KIND_P14))
+    assert lp_local_membership(quantum).feasible == _scipy_feasible(quantum)
 
 
 def test_kept_rows_span_the_equality_system():
@@ -125,7 +128,18 @@ def _full_pivot(T, r, j):
     T[rows] -= np.outer(T[rows, j], T[r])
 
 
-def test_row_sparse_pivot_walks_like_the_full_tableau(monkeypatch):
+def _column_scan_row(T, cand, col):
+    """Reference for analysis._lexicographic_row: the column-by-column scan
+    it replaced, one column's scaled entries at a time."""
+    for c in range(T.shape[1]):
+        v = T[cand, c] / col[cand]
+        cand = cand[v <= v.min() + 1e-12]
+        if cand.size == 1:
+            break
+    return int(cand[0])
+
+
+def _walk_cases():
     cases = []
     for kind in (KIND_P22, KIND_P14):
         for n in (2, 3):
@@ -135,18 +149,73 @@ def test_row_sparse_pivot_walks_like_the_full_tableau(monkeypatch):
             # local and nonlocal: PR box plus white noise is local iff w <= 1/2
             cases += [quantum, pr, mix_behaviors([0.3, 0.7], [pr, noise]),
                       mix_behaviors([0.8, 0.2], [pr, noise])]
+    return cases
+
+
+def _assert_same_walk(monkeypatch, behavior, name, reference):
+    """Phase 1 on the behavior's kept rows, with analysis.<name> and with
+    the reference in its place, walks the same pivots to the same point."""
+    kind, n, table = behavior.kind, behavior.n, behavior.table
+    keep = analysis._kept_rows(kind, n)
+    D = strategy_behavior_matrix(kind, n)
+    A, b = D.reshape(D.shape[0], -1).T[keep], table.reshape(-1)[keep]
+    q, objective, iterations = analysis._phase1_simplex(A, b, 1e-11)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, name, reference)
+        q_ref, objective_ref, iterations_ref = analysis._phase1_simplex(A, b, 1e-11)
+    assert iterations == iterations_ref > 0
+    assert objective == objective_ref
+    assert np.array_equal(q, q_ref)
+
+
+def test_row_sparse_pivot_walks_like_the_full_tableau(monkeypatch):
+    for behavior in _walk_cases():
+        _assert_same_walk(monkeypatch, behavior, "_pivot", _full_pivot)
+
+
+@pytest.mark.parametrize("dense", [0, 10, 11, 40])
+def test_pivot_matches_the_full_update_on_both_sides_of_a_quarter(dense):
+    # 41 rows: a column with more than 10 other nonzero rows takes the
+    # whole-tableau update, one with at most 10 the row-gathered one
+    rng = np.random.default_rng(dense)
+    T = rng.standard_normal((41, 30))
+    r, j = 7, 12
+    others = np.delete(np.arange(41), r)
+    T[rng.permutation(others)[dense:], j] = 0.0
+    assert np.count_nonzero(T[others, j]) == dense
+    ref = T.copy()
+    analysis._pivot(T, r, j)
+    _full_pivot(ref, r, j)
+    assert np.array_equal(T, ref)
+
+
+def test_lexicographic_tie_break_walks_like_the_column_scan(monkeypatch):
+    cases = _walk_cases() + [evaluate_chain(standard_scenario(4, KIND_P14)),
+                             chain_pr_behavior(KIND_P14, 4)]
     for behavior in cases:
-        kind, n, table = behavior.kind, behavior.n, behavior.table
-        keep = analysis._kept_rows(kind, n)
-        D = strategy_behavior_matrix(kind, n)
-        A, b = D.reshape(D.shape[0], -1).T[keep], table.reshape(-1)[keep]
-        q, objective, iterations = analysis._phase1_simplex(A, b, 1e-11)
-        with monkeypatch.context() as m:
-            m.setattr(analysis, "_pivot", _full_pivot)
-            q_ref, objective_ref, iterations_ref = analysis._phase1_simplex(A, b, 1e-11)
-        assert iterations == iterations_ref > 0
-        assert objective == objective_ref
-        assert np.array_equal(q, q_ref)
+        _assert_same_walk(monkeypatch, behavior, "_lexicographic_row", _column_scan_row)
+
+
+def test_lexicographic_tie_break_on_hand_built_tableaux():
+    col = np.array([1.0, 2.0, 0.5, 4.0, 1.0])
+    # scaled rows T[i] / col[i]: the candidates tie on columns 0-2 (row 3
+    # within 1e-12), then column 3 drops row 1 and column 5 picks row 3
+    scaled = np.array([
+        [9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0],
+        [1.0, 0.0, 2.0, 5.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 2.0, 3.0, 7.0, 1.0, 0.0],
+        [1.0, 1e-13, 2.0, 3.0, 7.0, 0.5, 9.0],
+        [1.0, 0.0, 2.0, 3.0, 7.0, 2.0, 0.0],
+    ])
+    T = scaled * col[:, None]
+    cand = np.array([1, 2, 3, 4])
+    assert analysis._lexicographic_row(T, cand, col) == 3
+    assert _column_scan_row(T, cand, col) == 3
+    # rows equal after scaling on every column: the first candidate wins
+    T = np.outer(col, [1.0, -2.0, 0.0, 3.5])
+    for cand in (np.array([1, 2, 4]), np.array([0, 3])):
+        assert analysis._lexicographic_row(T, cand, col) == cand[0]
+        assert _column_scan_row(T, cand, col) == cand[0]
 
 
 def test_lp_size_guard_refuses_before_allocating(monkeypatch):

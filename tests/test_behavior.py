@@ -24,7 +24,7 @@ from netlocal.behavior import (
     save_behavior_json,
     uniform_behavior,
 )
-from netlocal.errors import DimensionError, KindError, RangeError
+from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
 from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
 from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
@@ -234,6 +234,21 @@ def test_csv_rejects_an_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DimensionError, match="b.csv: empty file"):
         load_behavior_csv(path, KIND_P22, 2)
+
+
+def test_csv_size_guard_refuses_before_allocating(monkeypatch, tmp_path):
+    # n = 12 would need 576 MB and n = 40 is beyond any array; the guard
+    # is simulate's largest table, and it comes before any allocation
+    def refuse(*args, **kwargs):
+        raise AssertionError("the guard must come before any table")
+
+    path = tmp_path / "b.csv"
+    path.write_text("x1,a1,p\n")
+    monkeypatch.setattr(np, "zeros", refuse)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (12, 40):
+            with pytest.raises(SizeGuardError, match="b.csv: behavior table over"):
+                load_behavior_csv(path, kind, n)
 
 
 # The writers that the streamed ones replaced, kept as the reference for
