@@ -37,6 +37,9 @@ VIOLATION_ATOL = 1e-9
 CHAIN_CELL_GUARD = 4 ** 14
 # decomposition holds three tables and simulate prints one as text: n <= 11
 OUTPUT_CELL_GUARD = 4 ** 12
+# cells that chain_table sweeps, and Behavior validates, at a time: a block
+# and its temporaries stay in cache instead of streaming through DRAM
+TABLE_BLOCK_CELLS = 2 ** 16
 
 
 def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -47,6 +50,19 @@ def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if kind == KIND_P22:
         return (2,) * (n + 1), (2,) * (n + 1)
     return (2,) + (1,) * (n - 1) + (2,), (2,) + (4,) * (n - 1) + (2,)
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raise RangeError unless every entry lies in [0, 1] and every row sums
+    to 1, within ENTRY_ATOL and NORM_ATOL."""
+    lo = float(rows.min())
+    hi = float(rows.max())
+    # written so that NaN fails: every comparison with NaN is False
+    if not (lo >= -ENTRY_ATOL and hi <= 1.0 + ENTRY_ATOL):
+        raise RangeError(f"table entries outside [0, 1]: min={lo}, max={hi}")
+    worst = float(np.abs(rows.sum(axis=1) - 1.0).max())
+    if not worst <= NORM_ATOL:
+        raise RangeError(f"rows must sum to 1, worst deviation {worst}")
 
 
 @dataclass(eq=False)
@@ -67,15 +83,15 @@ class Behavior:
                 f"table shape {self.table.shape} does not match {shape} for "
                 f"kind={self.kind}, n={self.n}"
             )
-        lo = float(self.table.min())
-        hi = float(self.table.max())
-        # written so that NaN fails: every comparison with NaN is False
-        if not (lo >= -ENTRY_ATOL and hi <= 1.0 + ENTRY_ATOL):
-            raise RangeError(f"table entries outside [0, 1]: min={lo}, max={hi}")
-        sums = self.table.sum(axis=1)
-        worst = float(np.abs(sums - 1.0).max())
-        if not worst <= NORM_ATOL:
-            raise RangeError(f"rows must sum to 1, worst deviation {worst}")
+        # one block of rows at a time, so the table is read once; a block
+        # that fails is reported over the whole table, as one read would be
+        step = max(1, TABLE_BLOCK_CELLS // shape[1])
+        try:
+            for r in range(0, shape[0], step):
+                _check_rows(self.table[r:r + step])
+        except RangeError:
+            _check_rows(self.table)
+            raise
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -176,28 +192,66 @@ def ij_factors(kind: str, n: int):
 # T[x, trials..., bonds..., a] with the same trial axes right after the input
 # axis give factors, and values, with those trial axes leading.
 
+def _fold(arr: np.ndarray, mids) -> np.ndarray:
+    """A running array (packed inputs, packed outcomes, bond) contracted with
+    each intermediate party tensor of mids in turn, party order kept."""
+    for t in mids:
+        arr = np.tensordot(arr, t, axes=([2], [1])).transpose(0, 2, 1, 4, 3)  # (X, x, A, a, r)
+        arr = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2] * arr.shape[3], -1)
+    return arr
+
+
 def chain_table(parties) -> np.ndarray:
     """P(a|x) of a chain in table order, refused beyond CHAIN_CELL_GUARD cells.
 
-    The running array holds (packed inputs, packed outcomes, bond) so far;
-    the last intermediate is folded into the closing party, and the final
-    products are written straight into the table, one block per input pair
-    of those two parties, so no second full-size array is made.
+    The chain is contracted left to right.  The running array holds
+    (packed inputs, packed outcomes, bond) so far; the last intermediate is
+    folded into the closing party, and the final products are written
+    straight into the table, one matmul per input pair of those two
+    parties, so no second full-size array is made.
+
+    The sweep works in blocks of at most TABLE_BLOCK_CELLS cells, so that a
+    block and its temporaries stay in cache.  The head (the first parties,
+    as many as keep the running array within the budget) is folded once.
+    A head prefix row is one (input, outcome) prefix of those parties.  A
+    block of prefix rows is then swept through the remaining parties and
+    closed straight into its part of the table; it holds as many rows as
+    stay within the budget at the end of the sweep, but never fewer than
+    two.  With one row BLAS takes its matrix-vector path, which rounds
+    differently; with two or more every cell is the same dot product, taken
+    in the same order, as in one unblocked sweep, so the table is the same
+    bit for bit.  A chain whose whole running array fits the budget is one
+    block and makes exactly the calls of an unblocked sweep.
     """
     cells = math.prod(t.shape[0] * t.shape[-1] for t in parties)
     if cells > CHAIN_CELL_GUARD:
         raise SizeGuardError(f"chain table needs {cells} cells, over {CHAIN_CELL_GUARD} (n <= 13)")
     first, *mids, last, closing = parties
-    arr = first.transpose(0, 2, 1)  # (X, A, bond)
-    for t in mids:
-        arr = np.tensordot(arr, t, axes=([2], [1])).transpose(0, 2, 1, 4, 3)  # (X, x, A, a, r)
-        arr = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2] * arr.shape[3], -1)
     closing = np.tensordot(last, closing, axes=([2], [1]))  # (xi, l, ai, xe, ae)
     xi, bond, ai, xe, ae = closing.shape
-    table = np.empty((arr.shape[0], xi, xe, arr.shape[1], ai * ae), np.result_type(arr, closing))
-    for i, e in product(range(xi), range(xe)):
-        np.matmul(arr, closing[i, :, :, e].reshape(bond, -1), out=table[:, i, e])
-    return table.reshape(arr.shape[0] * xi * xe, -1)
+    # prefix rows and bond of the running array after each number of mids
+    rows, bonds = [first.shape[0] * first.shape[2]], [first.shape[1]]
+    for t in mids:
+        rows.append(rows[-1] * t.shape[0] * t.shape[3])
+        bonds.append(t.shape[2])
+    depth = max([0] + [k for k in range(len(rows)) if rows[k] * bonds[k] <= TABLE_BLOCK_CELLS])
+    head, rest = _fold(first.transpose(0, 2, 1), mids[:depth]), mids[depth:]
+    # prefix rows per block, rounded down to a power of two: both kinds'
+    # input and outcome prefix counts are powers of two, so blocks tile them
+    step = max(2, TABLE_BLOCK_CELLS * rows[depth] // (rows[-1] * bond))
+    step = 1 << (step.bit_length() - 1)
+    X, A = head.shape[:2]
+    Xs, As = math.prod(t.shape[0] for t in rest), math.prod(t.shape[3] for t in rest)
+    table = np.empty((X, Xs, xi, xe, A, As, ai * ae), np.result_type(head, *rest, closing))
+    kx, ka = max(1, step // A), min(A, step)  # a block: kx input prefixes by ka outcome prefixes
+    for x0, a0 in product(range(0, X, kx), range(0, A, ka)):
+        arr = _fold(head[x0:x0 + kx, a0:a0 + ka], rest)  # (kx * Xs, ka * As, bond)
+        # a view: each sliced axis merges with the whole axis after it
+        out = table[x0:x0 + kx, :, :, :, a0:a0 + ka].reshape(
+            arr.shape[0], xi, xe, arr.shape[1], ai * ae)
+        for i, e in product(range(xi), range(xe)):
+            np.matmul(arr, closing[i, :, :, e].reshape(bond, -1), out=out[:, i, e])
+    return table.reshape(X * Xs * xi * xe, -1)
 
 
 def party_factors(parties, weights, signs) -> list[np.ndarray]:
@@ -296,7 +350,7 @@ def correlator_report(b: Behavior) -> CorrelatorReport:
     return bound_values(I, J)
 
 
-def _behavior_header(b: Behavior) -> dict:
+def behavior_header(b: Behavior) -> dict:
     """Every key of the behavior document but the table, which comes last."""
     return {
         "schema_version": BEHAVIOR_SCHEMA_VERSION,
@@ -309,7 +363,7 @@ def _behavior_header(b: Behavior) -> dict:
 
 
 def behavior_to_json(b: Behavior) -> dict:
-    return {**_behavior_header(b), "table": b.table.reshape(-1).tolist()}
+    return {**behavior_header(b), "table": b.table.reshape(-1).tolist()}
 
 
 def behavior_from_json(doc: dict) -> Behavior:
@@ -365,12 +419,18 @@ def _row_texts(rows: np.ndarray):
         yield map(texts.__getitem__, np.searchsorted(keys, row).tolist())
 
 
+def write_json_cells(b: Behavior, fh, sep: str) -> None:
+    """The cells of b's table in row order as json writes the items of a list
+    of floats, joined by sep, one run of cells at a time."""
+    for i, texts in enumerate(_row_texts(_runs(b)[2])):
+        fh.write((sep if i else "") + sep.join(texts))
+
+
 def save_behavior_json(b: Behavior, path) -> None:
     """behavior_to_json(b) as json.dump writes it, streamed run by run."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(_behavior_header(b))[:-1] + ', "table": [')
-        for i, texts in enumerate(_row_texts(_runs(b)[2])):
-            fh.write((", " if i else "") + ", ".join(texts))
+        fh.write(json.dumps(behavior_header(b))[:-1] + ', "table": [')
+        write_json_cells(b, fh, ", ")
         fh.write("]}")
 
 

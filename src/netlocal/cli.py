@@ -13,6 +13,7 @@ no threshold crossing, malformed behavior file, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,13 +31,15 @@ from .analysis import (
 )
 from .behavior import (
     OUTPUT_CELL_GUARD,
-    behavior_to_json,
+    Behavior,
+    behavior_header,
     bound_values,
     correlator_report,
     load_behavior_csv,
     load_behavior_json,
     save_behavior_csv,
     save_behavior_json,
+    write_json_cells,
 )
 from .errors import NetlocalError, SizeGuardError
 from .evaluator import evaluate_chain
@@ -154,7 +157,7 @@ def cmd_simulate(args) -> dict:
     })
     doc["report"] = report.to_json()
     if args.out is None:
-        doc["behavior"] = behavior_to_json(b)
+        doc["behavior"] = b  # main streams its table
     else:
         doc["behavior_path"] = args.out
     return doc
@@ -270,9 +273,34 @@ def cmd_decomposition(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# output
+
+_TABLE_MARK = "table cells go here"
+
+
+def _print_payload(payload: dict, fh) -> None:
+    """print(json.dumps(payload, indent=2), file=fh), except that a Behavior
+    under "behavior" is written as its behavior_to_json document with the
+    table streamed run by run, never built as a list of floats."""
+    b = payload.get("behavior")
+    if not isinstance(b, Behavior):
+        print(json.dumps(payload, indent=2), file=fh)
+        return
+    doc = {**payload, "behavior": {**behavior_header(b), "table": _TABLE_MARK}}
+    head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_TABLE_MARK))
+    # the table is two objects deep: its items are indented by six spaces
+    fh.write(head + "[\n      ")
+    write_json_cells(b, fh, ",\n      ")
+    fh.write("\n    ]" + tail + "\n")
+
+
+# ---------------------------------------------------------------------------
 # parser assembly
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The netlocal argument parser, built once per process: parse_args
+    leaves no state in it, and building it costs about 1.5 ms."""
     parser = argparse.ArgumentParser(
         prog="netlocal",
         description="Chain-network correlations: simulation, bounds, models, LP.",
@@ -364,7 +392,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if payload is not None:
-        print(json.dumps(payload, indent=2))
+        _print_payload(payload, sys.stdout)
     return 0
 
 

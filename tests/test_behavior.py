@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+from itertools import product
 import json
 import math
 import tracemalloc
@@ -9,12 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from netlocal import behavior as behavior_module
 from netlocal.behavior import (
+    TABLE_BLOCK_CELLS,
     Behavior,
     alphabets,
     behavior_from_json,
     behavior_to_json,
     bound_values,
+    chain_table,
     compute_IJ,
     correlator_report,
     load_behavior_csv,
@@ -25,8 +29,10 @@ from netlocal.behavior import (
     uniform_behavior,
 )
 from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
-from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
-from netlocal.network import KIND_P14, KIND_P22, standard_scenario
+from netlocal.evaluator import (_real_if_real, _transfer_tensors, closed_form_p14,
+                                closed_form_p22_end_parity, evaluate_chain)
+from netlocal.hvmodels import _model_parties, behavior_of_model, sample_random_model
+from netlocal.network import KIND_P14, KIND_P22, NetworkScenario, standard_scenario
 
 
 def test_alphabets():
@@ -55,6 +61,51 @@ def test_behavior_validation():
         one_bad[3, 5] = value
         with pytest.raises(RangeError):
             Behavior(KIND_P22, 2, one_bad)
+
+
+def _spanning_table():
+    """A valid p22 n = 9 table that spans several validation blocks, and
+    the rows of its first and of its last block."""
+    table = uniform_behavior(KIND_P22, 9).table.copy()
+    step = TABLE_BLOCK_CELLS // table.shape[1]
+    assert table.shape[0] >= 3 * step
+    return table, (0, step - 1), (table.shape[0] - step, table.shape[0] - 1)
+
+
+@pytest.mark.parametrize("block", ["first", "last"])
+@pytest.mark.parametrize("fault", ["nan", "negative", "row-sum"])
+def test_validation_covers_every_block(block, fault):
+    table, first, last = _spanning_table()
+    row = (first if block == "first" else last)[1 if fault == "row-sum" else 0]
+    if fault == "nan":
+        table[row, 7] = np.nan
+    elif fault == "negative":
+        table[row, 7] = -1e-9
+    else:
+        table[row, 7] += 1e-9
+    with pytest.raises(RangeError):
+        Behavior(KIND_P22, 9, table)
+
+
+def test_validation_reports_over_the_whole_table():
+    # the first block fails on its maximum; the message still names the
+    # minimum in the last block, as a check of the whole table would
+    table, first, last = _spanning_table()
+    table[first[0], 0] = 1.5
+    table[last[1], 0] = -0.25
+    with pytest.raises(RangeError, match=r"^table entries outside \[0, 1\]: min=-0.25, max=1.5$"):
+        Behavior(KIND_P22, 9, table)
+    # a row-sum fault before a range fault: the range fault is reported
+    table, first, last = _spanning_table()
+    table[first[0], 0] += 1e-6
+    table[last[0], 0] = np.nan
+    with pytest.raises(RangeError, match="min=nan, max=nan"):
+        Behavior(KIND_P22, 9, table)
+    table, first, last = _spanning_table()
+    table[first[0], 0] += 1e-6
+    table[last[0], 0] += 2e-6
+    with pytest.raises(RangeError, match=r"worst deviation 2\.0\d*e-06"):
+        Behavior(KIND_P22, 9, table)
 
 
 def test_indexing_round_trip():
@@ -341,3 +392,89 @@ def test_writers_peak_allocation_stays_near_the_table(tmp_path, b):
         finally:
             tracemalloc.stop()
         assert peak <= 2 * b.table.nbytes + 2 ** 20, (save, peak / b.table.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# the chain kernel, blocked and unblocked
+
+def _unblocked_chain_table(parties):
+    """chain_table before blocking, kept as the reference for its bytes: the
+    whole running array is swept through every intermediate party, and the
+    closing products are written into the table one input pair at a time."""
+    first, *mids, last, closing = parties
+    arr = first.transpose(0, 2, 1)  # (X, A, bond)
+    for t in mids:
+        arr = np.tensordot(arr, t, axes=([2], [1])).transpose(0, 2, 1, 4, 3)  # (X, x, A, a, r)
+        arr = arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2] * arr.shape[3], -1)
+    closing = np.tensordot(last, closing, axes=([2], [1]))  # (xi, l, ai, xe, ae)
+    xi, bond, ai, xe, ae = closing.shape
+    table = np.empty((arr.shape[0], xi, xe, arr.shape[1], ai * ae), np.result_type(arr, closing))
+    for i, e in product(range(xi), range(xe)):
+        np.matmul(arr, closing[i, :, :, e].reshape(bond, -1), out=table[:, i, e])
+    return table.reshape(arr.shape[0] * xi * xe, -1)
+
+
+def _unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _chain_parties(kind, n, rotated=False):
+    """The party tensors evaluate_chain contracts for a standard chain at
+    uneven visibilities; rotated conjugates every setting by a random
+    unitary, which makes them complex."""
+    sc = standard_scenario(n, kind, [0.95 - 0.03 * i for i in range(n)])
+    if rotated:
+        rng = np.random.default_rng(n)
+        turn = [_unitary(rng, 2) for _ in range(2)] + [_unitary(rng, 4) for _ in range(n - 1)]
+        sc = NetworkScenario(
+            n=n, kind=kind, sources=sc.sources,
+            end_settings=[[u @ o @ u.conj().T for o in obs]
+                          for u, obs in zip(turn[:2], sc.end_settings)],
+            intermediate_settings=[[u @ o @ u.conj().T for o in ops]
+                                   for u, ops in zip(turn[2:], sc.intermediate_settings)])
+    parties = _real_if_real(_transfer_tensors(sc))
+    assert np.iscomplexobj(parties[0]) == rotated
+    return parties
+
+
+def _assert_bit_identical(parties):
+    table = chain_table(parties)
+    assert table.flags.c_contiguous
+    assert np.array_equal(table, _unblocked_chain_table(parties))
+
+
+_SIZES = [(KIND_P22, n) for n in range(2, 12)] + [(KIND_P14, n) for n in range(2, 11)]
+
+
+@pytest.mark.parametrize("kind,n", _SIZES, ids=lambda v: str(v))
+def test_blocked_chain_table_is_bit_identical(kind, n):
+    # p22 and p14 n >= 9 are blocked at the module's budget
+    _assert_bit_identical(_chain_parties(kind, n))
+    if n <= 8:
+        _assert_bit_identical(_chain_parties(kind, n, rotated=True))
+
+
+@pytest.mark.parametrize("kind", [KIND_P22, KIND_P14])
+def test_blocked_model_tables_are_bit_identical(kind):
+    # K = 3 hidden values per source: bonds of 3, not 4
+    for n in range(2, 10):
+        model = sample_random_model(kind, n, 3, n)
+        parties = _model_parties(model.source_dists, model.responses)
+        assert parties[0].shape[1] == 3
+        _assert_bit_identical(parties)
+        assert np.array_equal(behavior_of_model(model).table, _unblocked_chain_table(parties))
+
+
+@pytest.mark.parametrize("budget", [1, 64, 1024])
+def test_every_block_size_is_bit_identical(monkeypatch, budget):
+    # budget 1 sweeps blocks of two prefix rows at every size, the least
+    # that keeps every BLAS call a matrix-matrix product
+    monkeypatch.setattr(behavior_module, "TABLE_BLOCK_CELLS", budget)
+    for kind in (KIND_P22, KIND_P14):
+        for n in range(2, 9):
+            _assert_bit_identical(_chain_parties(kind, n))
+            if n <= 5:
+                _assert_bit_identical(_chain_parties(kind, n, rotated=True))
+        model = sample_random_model(kind, 5, 3, 11)
+        _assert_bit_identical(_model_parties(model.source_dists, model.responses))

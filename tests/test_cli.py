@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netlocal.behavior import compute_IJ, load_behavior_csv, load_behavior_json
-from netlocal.cli import main
+from netlocal.behavior import (Behavior, behavior_to_json, compute_IJ, load_behavior_csv,
+                               load_behavior_json, uniform_behavior)
+from netlocal.cli import _print_payload, build_parser, main
 from netlocal.errors import SizeGuardError
 from netlocal.evaluator import evaluate_chain
 from netlocal.network import KIND_P22, standard_scenario
@@ -338,3 +339,56 @@ def test_simulate_files_are_pinned(capsys, monkeypatch, tmp_path, case):
     _run_json(capsys, case["argv"])
     written = (tmp_path / case["argv"][-1]).read_bytes()
     assert hashlib.sha256(written).hexdigest() == case["sha256"]
+
+
+# SHA-256 of what `simulate --n N` prints, recorded from the json.dumps
+# printer that the streamed one replaced: p22 and p14, n = 2..6, noiseless
+# and at fixed visibilities.  A difference is a change in the printed bytes.
+PINNED_STDOUT = json.loads((Path(__file__).parent / "data" / "simulate_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_STDOUT, ids=lambda case: case["name"])
+def test_simulate_stdout_is_pinned(capsys, case):
+    code, out = _run(capsys, case["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def test_streamed_payload_matches_json_dumps(tmp_path):
+    # -0.0 beside 0.0 and a subnormal, and rows of all-distinct values
+    edges = uniform_behavior(KIND_P22, 3).table.copy()
+    edges[0, :4] = [-0.0, 0.0, 5e-324, 0.25]
+    distinct = np.random.default_rng(5).random((4, 64))
+    for b in (Behavior(KIND_P22, 3, edges),
+              Behavior("p14", 3, distinct / distinct.sum(axis=1, keepdims=True))):
+        payload = {"command": "simulate", "report": {"I": 0.5}, "behavior": b}
+        with open(tmp_path / "out", "w") as fh:
+            _print_payload(payload, fh)
+        expected = json.dumps({**payload, "behavior": behavior_to_json(b)}, indent=2) + "\n"
+        assert (tmp_path / "out").read_text() == expected
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    doc = _run_json(capsys, ["simulate", "--n", "2", "--alphas", "0.5,0.5"])
+    assert doc["config"]["alphas"] == [0.5, 0.5]
+    doc = _run_json(capsys, ["simulate", "--n", "2"])
+    assert doc["config"]["alphas"] == [1.0, 1.0]
+    assert doc["report"]["abs_I"] == pytest.approx(0.5)
+    # a usage error after a successful call still exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "2", "--alphas", "0.5"])
+    assert exc.value.code == 2
+    assert "--alphas needs exactly 2 entries" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["montecarlo", "--trials", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv, shown in ((["--help"], "decomposition"), (["simulate", "--help"], "--alphas")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: netlocal") and shown in out
+    # a call after help is unaffected
+    assert _run_json(capsys, ["simulate", "--n", "2"])["config"]["alphas"] == [1.0, 1.0]
