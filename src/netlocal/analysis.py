@@ -31,7 +31,8 @@ import numpy as np
 from . import hvmodels
 from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
-from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity, werner_IJ
+from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
+                        standard_werner_IJ)
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
@@ -39,6 +40,9 @@ from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
 
 LP_DEFAULT_TOL = 1e-8
 LP_CELL_GUARD = 16 ** 5  # D at n = 4 (8 MB); n = 5 needs 134 MB
+# threshold and figure4 cost is linear in n: at n = 1000, 0.11 s for a threshold
+# search and 1.4-1.6 s for figure4 at its default grid (one BLAS thread, 2 vCPUs)
+CHAIN_LENGTH_GUARD = 1000
 BISECTION_MAX_ITER = 60
 BISECTION_WIDTH = 1e-7
 SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
@@ -339,6 +343,12 @@ class ThresholdResult:
         }
 
 
+def _check_chain_length(n: int) -> None:
+    """Refuse, before anything is built, a chain longer than CHAIN_LENGTH_GUARD."""
+    if n > CHAIN_LENGTH_GUARD:
+        raise SizeGuardError(f"chain of {n} sources, over {CHAIN_LENGTH_GUARD}")
+
+
 def _bound_at(IJ, alphas, bound):
     report = bound_values(*IJ(alphas))
     return report.nlocal_value if bound == "nlocal" else report.local_value
@@ -353,12 +363,16 @@ def visibility_threshold(kind: str, n: int, profile=None,
     fixed; the profile must violate the bound at s = 1, otherwise there is
     no crossing in [0, 1] and NoCrossingError is raised.
 
-    The settings are built and validated once, and evaluator.werner_IJ
-    builds the chain's factors once: each bisection step is n axpys and one
-    chain contraction, with no source built or validated and no table made,
-    so any chain length is accepted.
+    No scenario is built: evaluator.standard_werner_IJ widens the cached
+    factors of a standard chain's three distinct parties (left end, one
+    intermediate, right end; built and validated once per kind and process)
+    to length n, so the set-up does not grow with n.  Each bisection step is
+    n axpys and one chain contraction, with no source built or validated
+    and no table made.  Chains longer than CHAIN_LENGTH_GUARD are refused
+    before anything is built.
     """
     check_kind(kind)
+    _check_chain_length(n)
     if bound not in ("nlocal", "local"):
         raise RangeError(f"bound must be 'nlocal' or 'local', got {bound}")
     if profile is None:
@@ -374,7 +388,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
         def alphas_at(s):
             return [profile[0] * s] + profile[1:]
 
-    IJ = werner_IJ(standard_scenario(n, kind))
+    IJ = standard_werner_IJ(kind, n)
     lo, hi = 0.0, 1.0
     value_hi = _bound_at(IJ, alphas_at(hi), bound)
     if value_hi <= 1.0:
@@ -411,9 +425,11 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
     model_IJ of the two decomposition models), the tightness-model curve
     (I, J) = (r**2, (1-r)**2) evaluated from actual models, and the two
     boundary loci |I| + |J| = 1 and sqrt|I| + sqrt|J| = 1 sampled in the
-    first quadrant.  No table is built, so any n is accepted.
+    first quadrant.  No table is built; chains longer than CHAIN_LENGTH_GUARD
+    are refused before anything is.
     """
     check_kind(kind)
+    _check_chain_length(n)
     if not 0.0 < grid_step <= 0.5:
         raise RangeError(f"grid step must lie in (0, 0.5], got {grid_step}")
     qrep = bound_values(*chain_IJ(standard_scenario(n, kind)))

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 import numpy as np
 
@@ -459,6 +460,19 @@ def save_behavior_csv(b: Behavior, path) -> None:
             fh.write("".join([head + t + text + "\r\n" for t, text in zip(tails, texts)]))
 
 
+def _csv_digits(path, line: int, row, radices) -> list[int]:
+    """A CSV row's input and outcome digits, each parsed by int() and
+    checked against its range; DimensionError names the line."""
+    try:
+        digits = [int(v) for v in row[:len(radices)]]
+    except ValueError as exc:
+        raise DimensionError(f"{path}, line {line}: {exc}") from None
+    for d, r in zip(digits, radices):
+        if not 0 <= d < r:
+            raise DimensionError(f"{path}, line {line}: digit {d} out of range 0..{r - 1}")
+    return digits
+
+
 def load_behavior_csv(path, kind: str, n: int) -> Behavior:
     """Read the save_behavior_csv format; every (inputs, outcomes) row at
     most once, with exactly 2*(n+1) + 1 columns.  Tables larger than any
@@ -466,31 +480,30 @@ def load_behavior_csv(path, kind: str, n: int) -> Behavior:
     ins, outs = alphabets(kind, n)
     if 4 ** (n + 1) > OUTPUT_CELL_GUARD:
         raise SizeGuardError(f"{path}: behavior table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
-    shape = (int(np.prod(ins)), int(np.prod(outs)))
-    table = np.zeros(shape)
-    seen = np.zeros(shape, dtype=bool)
-    num_parties = n + 1
+    # a row's digits x1..xN, a1..aN index the flat table row-major
+    radices = ins + outs
+    strides = [math.prod(radices[i + 1:]) for i in range(len(radices))]
+    table = np.zeros(math.prod(radices))
+    seen = bytearray(table.size)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise DimensionError(f"{path}: empty file, expected a header row")
         for row in reader:
             line = reader.line_num
-            if len(row) != 2 * num_parties + 1:
+            if len(row) != len(radices) + 1:
                 raise DimensionError(
-                    f"{path}, line {line}: expected {2 * num_parties + 1} columns, "
-                    f"got {len(row)}")
+                    f"{path}, line {line}: expected {len(radices) + 1} columns, got {len(row)}")
+            digits = _csv_digits(path, line, row, radices)
+            cell = sum(map(mul, digits, strides))
             try:
-                xs = tuple(int(v) for v in row[:num_parties])
-                outs_t = tuple(int(v) for v in row[num_parties:2 * num_parties])
-                xi = int(np.ravel_multi_index(xs, ins))
-                oi = int(np.ravel_multi_index(outs_t, outs))
                 value = float(row[-1])
             except ValueError as exc:
                 raise DimensionError(f"{path}, line {line}: {exc}") from None
-            if seen[xi, oi]:
+            if seen[cell]:
                 raise DimensionError(
-                    f"{path}, line {line}: duplicate row for inputs {xs}, outcomes {outs_t}")
-            seen[xi, oi] = True
-            table[xi, oi] = value
-    return Behavior(kind, n, table)
+                    f"{path}, line {line}: duplicate row for inputs {tuple(digits[:n + 1])}, "
+                    f"outcomes {tuple(digits[n + 1:])}")
+            seen[cell] = 1
+            table[cell] = value
+    return Behavior(kind, n, table.reshape(math.prod(ins), -1))

@@ -7,7 +7,10 @@ hands it to the chain kernel in behavior: evaluate_chain builds the table,
 linear in n, and chain_IJ contracts I and J alone in O(n), with no table.
 werner_IJ serves searches over Werner visibilities: it builds the factors
 of the singlet and white-noise chains once, and each profile then costs n
-axpys and one contraction.
+axpys and one contraction.  standard_werner_IJ gives the same function for
+the standard settings with no scenario built: a standard chain has only
+three distinct parties (left end, intermediate, right end), whose factors
+are built and validated once per kind and process and widened to any n.
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -21,15 +24,15 @@ the discrepancy stays visible.  See the README section on conventions.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
                        chain_table, ij_factors, party_factors)
 from .errors import KindError, RangeError, ScenarioError, SizeGuardError
-from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState,
-                      measurement_elements, singlet)
+from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_kind,
+                      measurement_elements, singlet, standard_scenario)
 
 NAIVE_DIM_GUARD = 4096
 _REAL_EPS = 1e-14
@@ -138,6 +141,33 @@ def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
     return _unit_norm_IJ(_functional_factors(scenario, parties))
 
 
+def _werner_factors(scenario: NetworkScenario):
+    """The factors werner_IJ interpolates: the norm, I and J factors of the
+    scenario's settings on white noise (n + 1 parties), and each sourced
+    party's slope towards the singlet (n parties)."""
+    n = scenario.n
+    noise, pure = (
+        _functional_factors(scenario, _real_if_real(_transfer_tensors(scenario, [s] * n)))
+        for s in (SourceState(ID4 / 4.0, alpha=0.0), SourceState(singlet(), alpha=1.0)))
+    return noise, [p - q for p, q in zip(pure[:n], noise[:n])]
+
+
+def _affine_IJ(noise, slopes):
+    """alphas -> (I, J) of the chain whose party p has factor
+    noise[p] + alphas[p]*slopes[p] (the last party has no source)."""
+    n = len(slopes)
+
+    def IJ(alphas) -> tuple[float, float]:
+        alphas = [float(a) for a in alphas]
+        if len(alphas) != n:
+            raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
+        if not all(0.0 <= a <= 1.0 for a in alphas):
+            raise RangeError(f"visibilities must lie in [0, 1], got {alphas}")
+        return _unit_norm_IJ([f + a * d for f, d, a in zip(noise, slopes, alphas)] + noise[n:])
+
+    return IJ
+
+
 def werner_IJ(scenario: NetworkScenario):
     """I and J of the scenario's settings on Werner sources, as a function
     of the n visibilities; scenario.sources are not used.
@@ -151,21 +181,33 @@ def werner_IJ(scenario: NetworkScenario):
     outside [0, 1], or NaN, raises RangeError; one inside gives a convex
     combination of the two validated states, so no call validates a source.
     """
-    n = scenario.n
-    noise, pure = (
-        _functional_factors(scenario, _real_if_real(_transfer_tensors(scenario, [s] * n)))
-        for s in (SourceState(ID4 / 4.0, alpha=0.0), SourceState(singlet(), alpha=1.0)))
-    slopes = [p - q for p, q in zip(pure[:n], noise[:n])]
+    return _affine_IJ(*_werner_factors(scenario))
 
-    def IJ(alphas) -> tuple[float, float]:
-        alphas = [float(a) for a in alphas]
-        if len(alphas) != n:
-            raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
-        if not all(0.0 <= a <= 1.0 for a in alphas):
-            raise RangeError(f"visibilities must lie in [0, 1], got {alphas}")
-        return _unit_norm_IJ([f + a * d for f, d, a in zip(noise, slopes, alphas)] + noise[n:])
 
-    return IJ
+@cache
+def _standard_parties(kind: str):
+    """The three distinct parties of a standard chain on Werner sources:
+    ((left, middle, right) noise factors, (left, middle) slopes), taken from
+    the n = 2 chain, whose settings, end states and unit norms are checked
+    here, once per kind and process.  The arrays are read-only."""
+    noise, slopes = _werner_factors(standard_scenario(2, kind))
+    IJ = _affine_IJ(noise, slopes)
+    for alphas in ([0.0, 0.0], [1.0, 1.0]):  # unit norm on white noise and on the singlet
+        IJ(alphas)
+    for f in noise + slopes:
+        f.setflags(write=False)
+    return tuple(noise), tuple(slopes)
+
+
+def standard_werner_IJ(kind: str, n: int):
+    """werner_IJ(standard_scenario(n, kind)) with no scenario built: every
+    intermediate party of a standard chain has the same settings, so its
+    factors are the cached middle party's, and the set-up does not grow
+    with n.  The factors, and so every value, are the same bit for bit."""
+    if n < 2:
+        raise ScenarioError(f"chain needs at least two sources, got n={n}")
+    (left, mid, right), (s_left, s_mid) = _standard_parties(check_kind(kind))
+    return _affine_IJ([left] + [mid] * (n - 1) + [right], [s_left] + [s_mid] * (n - 1))
 
 
 def closed_form_p14(n: int) -> Behavior:

@@ -373,6 +373,10 @@ def test_threshold_validation():
         visibility_threshold(KIND_P22, 3, profile=[0.9, 0.9])
     with pytest.raises(RangeError):
         visibility_threshold(KIND_P22, 2, profile=[0.9, 1.1])
+    for kind in (KIND_P22, KIND_P14):
+        for profile in (None, [0.9]):
+            with pytest.raises(ScenarioError):
+                visibility_threshold(kind, 1, profile=profile)
 
 
 def test_threshold_beyond_any_table():
@@ -386,15 +390,15 @@ def test_threshold_beyond_any_table():
 
 
 def test_threshold_matches_table_route(monkeypatch):
-    """The search through werner_IJ against the same search with the table
-    route injected at its seam: one full table per visibility profile."""
+    """The search through standard_werner_IJ against the same search with
+    the table route injected at its seam: one full table per visibility
+    profile."""
     calls = []
 
-    def table_route(scenario):
+    def table_route(kind, n):
         def IJ(alphas):
             calls.append(alphas)
-            return compute_IJ(evaluate_chain(standard_scenario(scenario.n, scenario.kind,
-                                                               alphas)))
+            return compute_IJ(evaluate_chain(standard_scenario(n, kind, alphas)))
         return IJ
 
     configs = [(kind, n, profile)
@@ -402,7 +406,7 @@ def test_threshold_matches_table_route(monkeypatch):
                for profile in (None, [0.9] * (n - 1) + [0.8])]
     contracted = [visibility_threshold(kind, n, profile=profile)
                   for kind, n, profile in configs]
-    monkeypatch.setattr(analysis, "werner_IJ", table_route)
+    monkeypatch.setattr(analysis, "standard_werner_IJ", table_route)
     for (kind, n, profile), res in zip(configs, contracted):
         calls.clear()
         ref = visibility_threshold(kind, n, profile=profile)
@@ -414,9 +418,10 @@ def test_threshold_matches_table_route(monkeypatch):
 
 
 def test_threshold_validates_no_source_per_step(monkeypatch):
-    """Sources are validated, and transfer tensors built, a fixed number of
-    times per search, however many bisection steps it takes."""
-    counts = {"density": 0, "transfer": 0}
+    """A kind's sources and settings are validated, and its transfer tensors
+    built, once per process; after that a search at any n and any bracket
+    width validates no source, builds no transfer tensor and no scenario."""
+    counts = {"density": 0, "transfer": 0, "scenario": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -428,17 +433,48 @@ def test_threshold_validates_no_source_per_step(monkeypatch):
                         counted("density", qlin.is_density_operator))
     monkeypatch.setattr(evaluator, "_transfer_tensors",
                         counted("transfer", evaluator._transfer_tensors))
+    for module in (evaluator, analysis):
+        monkeypatch.setattr(module, "standard_scenario",
+                            counted("scenario", module.standard_scenario))
+    evaluator._standard_parties.cache_clear()
     default = analysis.BISECTION_WIDTH
     for kind in (KIND_P22, KIND_P14):
+        counts.update(density=0, transfer=0, scenario=0)
+        visibility_threshold(kind, 3)
+        # the n = 2 scenario's two singlets and the two end states, once
+        assert counts == {"density": 2 + 2, "transfer": 2, "scenario": 1}
         seen = set()
-        for width in (1e-2, default):
-            monkeypatch.setattr(analysis, "BISECTION_WIDTH", width)
-            counts.update(density=0, transfer=0)
-            res = visibility_threshold(kind, 6, profile=[0.95] * 6)
-            # n scenario sources and the two end states of werner_IJ
-            assert counts == {"density": 6 + 2, "transfer": 2}
-            seen.add(res.iterations)
+        for n in (2, 6, 40):
+            for width in (1e-2, default):
+                monkeypatch.setattr(analysis, "BISECTION_WIDTH", width)
+                counts.update(density=0, transfer=0, scenario=0)
+                res = visibility_threshold(kind, n, profile=[0.99] * n)
+                assert counts == {"density": 0, "transfer": 0, "scenario": 0}
+                seen.add(res.iterations)
         assert len(seen) == 2
+
+
+def test_long_chains_are_refused_before_anything_is_built(monkeypatch):
+    guard = analysis.CHAIN_LENGTH_GUARD
+    # n = 40 and the guard itself pass
+    for kind in (KIND_P22, KIND_P14):
+        assert abs(visibility_threshold(kind, guard).value_at_threshold - 1.0) < 1e-4
+        assert figure4_report(kind, 40)["n"] == 40
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain-length guard must come first")
+
+    for name in ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
+        monkeypatch.setattr(analysis, name, refuse)
+    monkeypatch.setattr(hvmodels, "tightness_model", refuse)
+    monkeypatch.setattr(hvmodels, "decomposition_model", refuse)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (guard + 1, 10 ** 9):
+            for call in (visibility_threshold, figure4_report):
+                with pytest.raises(SizeGuardError, match=f"chain of {n} sources"):
+                    call(kind, n)
+        with pytest.raises(SizeGuardError):
+            visibility_threshold(kind, guard + 1, profile=[0.9] * (guard + 1))
 
 
 def test_figure4_report_contents():

@@ -248,6 +248,49 @@ def test_csv_rejects_wrong_column_count(tmp_path):
         load_behavior_csv(path, KIND_P22, 2)
 
 
+def test_csv_round_trip_for_both_kinds(tmp_path):
+    path = tmp_path / "b.csv"
+    for kind in (KIND_P22, KIND_P14):
+        for n in range(2, 7):
+            b = evaluate_chain(standard_scenario(n, kind, np.linspace(0.7, 1.0, n)))
+            save_behavior_csv(b, path)
+            assert np.array_equal(load_behavior_csv(path, kind, n).table, b.table), (kind, n)
+
+
+def test_csv_reads_digits_as_int_does(tmp_path):
+    # digits written otherwise than save_behavior_csv writes them still parse
+    path, lines = _csv_lines(tmp_path)
+    lines[1:3] = [",".join(f" 0{d}" if i < 6 else d for i, d in enumerate(line.split(",")))
+                  for line in lines[1:3]]
+    path.write_text("\n".join(lines) + "\n")
+    back = load_behavior_csv(path, KIND_P22, 2)
+    assert np.array_equal(back.table, closed_form_p22_end_parity(2).table)
+
+
+def test_csv_rejects_bad_rows_naming_the_line(tmp_path):
+    for kind, row, error in (
+        (KIND_P22, "0,0,0,0,2,0,0.5", "digit 2 out of range 0..1"),
+        (KIND_P22, "0,0,1,-1,0,0,0.5", "digit -1 out of range 0..1"),
+        (KIND_P22, "0,0,0,0,x,0,0.5", "invalid literal for int"),
+        (KIND_P22, "0,0,0,0,0.0,0,0.5", "invalid literal for int"),
+        (KIND_P22, "0,0,0,0,0,0,half", "could not convert string to float"),
+        (KIND_P14, "1,0,0,0,4,1,0.5", "digit 4 out of range 0..3"),
+        (KIND_P14, "0,1,0,0,1,1,0.5", "digit 1 out of range 0..0"),
+    ):
+        path = tmp_path / "b.csv"
+        save_behavior_csv(uniform_behavior(kind, 2), path)
+        lines = path.read_text().splitlines()
+        for k in (1, 9, len(lines) - 1):
+            bad = lines[:k] + [row] + lines[k + 1:]
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(DimensionError, match=f"b.csv, line {k + 1}: {error}"):
+                load_behavior_csv(path, kind, 2)
+        # the same row appended again, now in range, is a duplicate
+        path.write_text("\n".join(lines + [lines[9]]) + "\n")
+        with pytest.raises(DimensionError, match=f"line {len(lines) + 1}: duplicate row"):
+            load_behavior_csv(path, kind, 2)
+
+
 def test_behavior_json_schema_check():
     doc = behavior_to_json(uniform_behavior(KIND_P22, 2))
     assert doc["schema_version"] == 1

@@ -146,6 +146,29 @@ def test_simulate_refuses_oversized_tables(capsys, monkeypatch):
             evaluate_chain(standard_scenario(14, kind))
 
 
+def test_threshold_and_figure4_refuse_long_chains(capsys, monkeypatch):
+    import netlocal.analysis
+    import netlocal.hvmodels
+    for kind in ("p22", "p14"):
+        # n = 40 still runs: the product at the threshold is 1/2
+        doc = _run_json(capsys, ["threshold", "--n", "40", "--kind", kind])
+        assert abs(doc["result"]["product"] - 0.5) < 1e-6
+        assert _run_json(capsys, ["figure4", "--n", "40", "--kind", kind])["result"]["n"] == 40
+    for name in ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
+        monkeypatch.setattr(netlocal.analysis, name, _refuse)
+    monkeypatch.setattr(netlocal.hvmodels, "tightness_model", _refuse)
+    too_long = str(netlocal.analysis.CHAIN_LENGTH_GUARD + 1)
+    for kind in ("p22", "p14"):
+        for argv in (["threshold", "--n", too_long], ["threshold", "--n", "10000"],
+                     ["threshold", "--n", "10000", "--bound", "local"],
+                     ["figure4", "--n", too_long], ["figure4", "--n", "10000"],
+                     ["figure4", "--n", too_long, "--format", "csv"]):
+            code = main(argv + ["--kind", kind])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", argv
+            assert "sources, over" in captured.err
+
+
 def test_lp_csv_is_refused_before_the_file_is_read(capsys, monkeypatch, tmp_path):
     import netlocal.cli
     monkeypatch.setattr(netlocal.cli, "load_behavior_csv", _refuse)
@@ -318,6 +341,11 @@ def _pinned(value):
 @pytest.mark.parametrize("case", PINNED_PAYLOADS, ids=lambda case: case["name"])
 def test_default_payloads_are_pinned(capsys, monkeypatch, tmp_path, case):
     monkeypatch.chdir(tmp_path)  # relative --model-out paths, echoed verbatim
+    if "exit" in case:
+        # a refusal: the exit code and the message, with nothing on stdout
+        code = main(case["argv"])
+        assert (code, *capsys.readouterr()) == (case["exit"], "", case["stderr"])
+        return
     doc = _run_json(capsys, case["argv"])
     # compared as JSON text, so key order and int/float types count too
     assert json.dumps(_pinned(doc), indent=1) == json.dumps(case["payload"], indent=1)

@@ -19,9 +19,11 @@ from netlocal.evaluator import (
     reduce_p14_to_p22,
     reference_relabeling,
     relabel_outputs,
+    standard_werner_IJ,
     to_reference_convention,
     werner_IJ,
 )
+from netlocal import evaluator
 from netlocal.network import (
     KIND_P14,
     KIND_P22,
@@ -248,6 +250,65 @@ def test_werner_IJ_on_complex_settings():
         sources = [SourceState(werner(a), alpha=a) for a in alphas]
         assert np.abs(np.subtract(werner_IJ(rotated)(alphas),
                                   chain_IJ(rotated, sources))).max() < 1e-13
+
+
+def _affine_arguments(monkeypatch, make):
+    """The (noise, slopes) factor lists that make() hands to the closure last
+    (a cache fill checks its own factors through the closure first)."""
+    seen = []
+
+    def recording(noise, slopes):
+        seen.append((noise, slopes))
+        return affine(noise, slopes)
+
+    affine = evaluator._affine_IJ
+    monkeypatch.setattr(evaluator, "_affine_IJ", recording)
+    make()
+    monkeypatch.setattr(evaluator, "_affine_IJ", affine)
+    return seen[-1]
+
+
+def test_standard_factors_equal_the_scenario_route(monkeypatch):
+    # the cached parties, widened to n, against the factors werner_IJ builds
+    # from the whole scenario, party by party and bit for bit
+    for kind in (KIND_P22, KIND_P14):
+        for n in range(2, 13):
+            widened = _affine_arguments(monkeypatch, lambda: standard_werner_IJ(kind, n))
+            built = _affine_arguments(
+                monkeypatch, lambda: werner_IJ(standard_scenario(n, kind)))
+            for got, want in zip(widened, built):
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (kind, n)
+            alphas = np.linspace(0.5, 1.0, n)
+            assert standard_werner_IJ(kind, n)(alphas) == werner_IJ(
+                standard_scenario(n, kind))(alphas)
+
+
+def test_standard_factors_are_read_only(monkeypatch):
+    for kind in (KIND_P22, KIND_P14):
+        noise, slopes = _affine_arguments(monkeypatch, lambda: standard_werner_IJ(kind, 5))
+        for f in noise + slopes:
+            with pytest.raises(ValueError):
+                f[...] = 0.0
+        # a search after the attempts still reads the cached values
+        alphas = [1.0, 0.9, 0.8, 0.9, 1.0]
+        assert standard_werner_IJ(kind, 5)(alphas) == werner_IJ(standard_scenario(5, kind))(alphas)
+
+
+def test_standard_werner_IJ_validation():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (1, 0, -3):
+            with pytest.raises(ScenarioError):
+                standard_werner_IJ(kind, n)
+        IJ = standard_werner_IJ(kind, 3)
+        for bad in (1.1, -0.1, float("nan")):
+            with pytest.raises(RangeError):
+                IJ([0.9, bad, 0.9])
+        with pytest.raises(ScenarioError):
+            IJ([0.9, 0.9])
+    with pytest.raises(KindError):
+        standard_werner_IJ("p13", 3)
 
 
 def test_werner_IJ_refuses_visibilities_outside_the_unit_interval():
