@@ -33,16 +33,14 @@ from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
 from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
                         standard_werner_IJ)
-from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
+from .hvmodels import (CHAIN_LENGTH_GUARD, _check_chain_length, check_factorization,
+                       correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
 from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
 
 LP_DEFAULT_TOL = 1e-8
 LP_CELL_GUARD = 16 ** 5  # D at n = 4 (8 MB); n = 5 needs 134 MB
-# threshold and figure4 cost is linear in n: at n = 1000, 0.11 s for a threshold
-# search and 1.4-1.6 s for figure4 at its default grid (one BLAS thread, 2 vCPUs)
-CHAIN_LENGTH_GUARD = 1000
 BISECTION_MAX_ITER = 60
 BISECTION_WIDTH = 1e-7
 SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
@@ -343,14 +341,8 @@ class ThresholdResult:
         }
 
 
-def _check_chain_length(n: int) -> None:
-    """Refuse, before anything is built, a chain longer than CHAIN_LENGTH_GUARD."""
-    if n > CHAIN_LENGTH_GUARD:
-        raise SizeGuardError(f"chain of {n} sources, over {CHAIN_LENGTH_GUARD}")
-
-
-def _bound_at(IJ, alphas, bound):
-    report = bound_values(*IJ(alphas))
+def _bound_at(IJ_at, s, bound):
+    report = bound_values(*IJ_at(s))
     return report.nlocal_value if bound == "nlocal" else report.local_value
 
 
@@ -366,9 +358,15 @@ def visibility_threshold(kind: str, n: int, profile=None,
     No scenario is built: evaluator.standard_werner_IJ widens the cached
     factors of a standard chain's three distinct parties (left end, one
     intermediate, right end; built and validated once per kind and process)
-    to length n, so the set-up does not grow with n.  Each bisection step is
-    n axpys and one chain contraction, with no source built or validated
-    and no table made.  Chains longer than CHAIN_LENGTH_GUARD are refused
+    to length n, so the set-up does not grow with n.  The search walks one
+    line, alphas(s) = base + s*step, through that closure's line form: the
+    line's ends are validated once, the parties past the last moving source
+    are contracted once into a right environment, and a bisection step
+    builds each distinct moving factor once (one with a profile, where only
+    source 1 moves; two, the left end and the middle, with none) and sweeps
+    the moving prefix into that environment.  With a profile a step so
+    costs the same at any n.  No step builds or validates a source, and no
+    table is made.  Chains longer than CHAIN_LENGTH_GUARD are refused
     before anything is built.
     """
     check_kind(kind)
@@ -376,21 +374,18 @@ def visibility_threshold(kind: str, n: int, profile=None,
     if bound not in ("nlocal", "local"):
         raise RangeError(f"bound must be 'nlocal' or 'local', got {bound}")
     if profile is None:
-        def alphas_at(s):
-            return [s] * n
+        base, step = [0.0] * n, [1.0] * n
     else:
         profile = [float(a) for a in profile]
         if len(profile) != n:
             raise ScenarioError(f"profile needs {n} entries, got {len(profile)}")
         if any(not 0.0 <= a <= 1.0 for a in profile):
             raise RangeError("profile visibilities must lie in [0, 1]")
+        base, step = [0.0] + profile[1:], [profile[0]] + [0.0] * (n - 1)
 
-        def alphas_at(s):
-            return [profile[0] * s] + profile[1:]
-
-    IJ = standard_werner_IJ(kind, n)
+    IJ_at = standard_werner_IJ(kind, n).line(base, step)
     lo, hi = 0.0, 1.0
-    value_hi = _bound_at(IJ, alphas_at(hi), bound)
+    value_hi = _bound_at(IJ_at, hi, bound)
     if value_hi <= 1.0:
         raise NoCrossingError(
             f"configuration does not violate at full visibility (value {value_hi:.6f})"
@@ -398,18 +393,18 @@ def visibility_threshold(kind: str, n: int, profile=None,
     iterations = 0
     while iterations < BISECTION_MAX_ITER and hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2.0
-        if _bound_at(IJ, alphas_at(mid), bound) > 1.0:
+        if _bound_at(IJ_at, mid, bound) > 1.0:
             hi = mid
         else:
             lo = mid
         iterations += 1
     scale = (lo + hi) / 2.0
-    alphas = alphas_at(scale)
+    alphas = [b + scale * d for b, d in zip(base, step)]
     return ThresholdResult(
         kind=kind, n=n, bound=bound,
         scale=scale, alphas=alphas,
         product=float(np.prod(alphas)),
-        value_at_threshold=_bound_at(IJ, alphas, bound),
+        value_at_threshold=_bound_at(IJ_at, scale, bound),
         iterations=iterations, bracket_width=hi - lo,
     )
 
@@ -425,26 +420,33 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
     model_IJ of the two decomposition models), the tightness-model curve
     (I, J) = (r**2, (1-r)**2) evaluated from actual models, and the two
     boundary loci |I| + |J| = 1 and sqrt|I| + sqrt|J| = 1 sampled in the
-    first quadrant.  No table is built; chains longer than CHAIN_LENGTH_GUARD
-    are refused before anything is.
+    first quadrant.  No table is built.  Chains longer than
+    CHAIN_LENGTH_GUARD are refused before anything is, and so is a grid whose
+    cost, n x grid points, exceeds that of the default grid (21 points) at
+    the longest chain.
     """
     check_kind(kind)
     _check_chain_length(n)
     if not 0.0 < grid_step <= 0.5:
         raise RangeError(f"grid step must lie in (0, 0.5], got {grid_step}")
+    # the np.arange below makes ceil(span) grid points, as numpy computes it;
+    # a subnormal step makes span infinite, refused before it is rounded
+    span = (1.0 + grid_step / 2) / grid_step
+    if span > CHAIN_LENGTH_GUARD * 21 or n * math.ceil(span) > CHAIN_LENGTH_GUARD * 21:
+        raise SizeGuardError(f"figure4 of {n} sources at grid step {grid_step:g}: "
+                             f"n x grid points over {CHAIN_LENGTH_GUARD} x 21")
     qrep = bound_values(*chain_IJ(standard_scenario(n, kind)))
     pi, pj = (model_IJ(hvmodels.decomposition_model(kind, n, which)) for which in (0, 1))
 
-    rs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     tight = []
-    for r in rs:
+    for r in grid:
         I, J = model_IJ(hvmodels.tightness_model(kind, n, float(r)))
         tight.append({"r": float(r), "I": I, "J": J})
 
-    ts = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     nlocal_boundary = [{"t": float(t), "I": float(t ** 2), "J": float((1 - t) ** 2)}
-                       for t in ts]
-    local_boundary = [{"t": float(t), "I": float(t), "J": float(1 - t)} for t in ts]
+                       for t in grid]
+    local_boundary = [{"t": float(t), "I": float(t), "J": float(1 - t)} for t in grid]
 
     return {
         "kind": kind,

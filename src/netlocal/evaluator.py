@@ -11,6 +11,12 @@ axpys and one contraction.  standard_werner_IJ gives the same function for
 the standard settings with no scenario built: a standard chain has only
 three distinct parties (left end, intermediate, right end), whose factors
 are built and validated once per kind and process and widened to any n.
+Both functions have a line form, IJ.line(base, step), for a search along
+alphas(s) = base + s*step: the line's ends are validated once, the parties
+past the last moving source are contracted once into a right environment,
+and a point then builds each distinct moving factor once and sweeps only
+the moving prefix, so a point on a line that moves source 1 alone costs
+one factor and one small contraction at any n.
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -121,10 +127,10 @@ def _functional_factors(scenario: NetworkScenario, parties) -> list[np.ndarray]:
 def _unit_norm_IJ(factors) -> tuple[float, float]:
     """I and J from stacked functional factors; the norm must be 1 within
     NORM_ATOL, as a Behavior's row sums."""
-    norm, I, J = chain_contract(factors).real
+    norm, I, J = chain_contract(factors).real.tolist()
     if not abs(norm - 1.0) <= NORM_ATOL:
         raise RangeError(f"sources must have unit trace, product of traces {norm}")
-    return float(I), float(J)
+    return I, J
 
 
 def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
@@ -152,19 +158,76 @@ def _werner_factors(scenario: NetworkScenario):
     return noise, [p - q for p, q in zip(pure[:n], noise[:n])]
 
 
+def _werner_factor(noise, slope, alpha):
+    """A party's factor on a Werner source of visibility alpha."""
+    return noise + alpha * slope
+
+
+def _fold_right(factors) -> np.ndarray:
+    """factors, (left, right) matrices and then a vector, contracted from the
+    right into a vector over the first one's left bond: the right
+    environment that a prefix of the chain is swept into."""
+    env = factors[-1][..., None]
+    for m in reversed(factors[:-1]):
+        env = m @ env
+    return env[..., 0]
+
+
 def _affine_IJ(noise, slopes):
     """alphas -> (I, J) of the chain whose party p has factor
-    noise[p] + alphas[p]*slopes[p] (the last party has no source)."""
+    noise[p] + alphas[p]*slopes[p] (the last party has no source).
+
+    IJ.line(base, step) is the same function along one line of visibility
+    space, s -> IJ(base + s*step) for s in [0, 1], as a search walks it.
+    The line's two ends are checked once: any s in [0, 1] gives a convex
+    combination of them.  The parties past the last one that moves
+    (step != 0) are contracted once into a right environment.  A call
+    builds each distinct factor of the prefix up to the last moving party
+    once (parties with the same factors on the same line share one) and
+    sweeps only that prefix into the environment.  When every source moves,
+    the environment is the last party's factor and a value equals IJ's bit
+    for bit; otherwise the product is associated differently and may differ
+    in the last bits.
+    """
     n = len(slopes)
 
-    def IJ(alphas) -> tuple[float, float]:
+    def visibilities(alphas) -> list[float]:
         alphas = [float(a) for a in alphas]
         if len(alphas) != n:
             raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
         if not all(0.0 <= a <= 1.0 for a in alphas):
             raise RangeError(f"visibilities must lie in [0, 1], got {alphas}")
-        return _unit_norm_IJ([f + a * d for f, d, a in zip(noise, slopes, alphas)] + noise[n:])
+        return alphas
 
+    def IJ(alphas) -> tuple[float, float]:
+        factors = [_werner_factor(f, d, a) for f, d, a in zip(noise, slopes, visibilities(alphas))]
+        return _unit_norm_IJ(factors + noise[n:])
+
+    def line(base, step):
+        base, step = visibilities(base), [float(d) for d in step]
+        if len(step) != n:
+            raise ScenarioError(f"expected {n} steps, got {len(step)}")
+        visibilities([b + d for b, d in zip(base, step)])
+        # the prefix keeps party 0, so the environment is never the whole chain
+        k = max((p + 1 for p in range(n) if step[p]), default=1)
+        env = _fold_right([_werner_factor(noise[p], slopes[p], base[p]) for p in range(k, n)]
+                          + noise[n:])
+        # prefix party p reads the factor of party slot[p], the first with its factors and line
+        first = {}
+        slot = [first.setdefault((id(noise[p]), id(slopes[p]), base[p], step[p]), p)
+                for p in range(k)]
+
+        def IJ_at(s) -> tuple[float, float]:
+            s = float(s)
+            if not 0.0 <= s <= 1.0:
+                raise RangeError(f"line parameter must lie in [0, 1], got {s}")
+            built = {p: _werner_factor(noise[p], slopes[p], base[p] + s * step[p])
+                     for p in first.values()}
+            return _unit_norm_IJ([built[p] for p in slot] + [env])
+
+        return IJ_at
+
+    IJ.line = line
     return IJ
 
 

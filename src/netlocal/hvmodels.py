@@ -51,6 +51,10 @@ PRNG_ALGORITHM = "numpy-pcg64"
 # drawn cells per block of Monte-Carlo trials: 128 KiB of float64.  A sweep
 # holds about three blocks' worth at once; larger blocks are no faster
 MC_BLOCK_CELLS = 2 ** 14
+# threshold, figure4 and tightness cost is linear in n: at n = 1000, 0.05-0.07 s
+# for an equal-profile threshold search, 0.04 s for a tightness model and its I
+# and J, and 1.4-1.6 s for figure4 at its default grid (one BLAS thread, 2 vCPUs)
+CHAIN_LENGTH_GUARD = 1000
 
 _DIST_ATOL = 1e-10
 _XOR = np.array([[0, 1], [1, 0]])  # _XOR[lam, mu] = lam ^ mu
@@ -180,6 +184,12 @@ def _end_flip_response(r: float) -> np.ndarray:
     return table
 
 
+def _check_chain_length(n: int) -> None:
+    """Refuse, before anything is built, a chain longer than CHAIN_LENGTH_GUARD."""
+    if n > CHAIN_LENGTH_GUARD:
+        raise SizeGuardError(f"chain of {n} sources, over {CHAIN_LENGTH_GUARD}")
+
+
 def tightness_model(kind: str, n: int, r: float) -> NLocalModel:
     """Boundary model hitting I = r**2, J = (1-r)**2 (so sqrt|I|+sqrt|J| = 1).
 
@@ -190,9 +200,11 @@ def tightness_model(kind: str, n: int, r: float) -> NLocalModel:
     XOR, string 0 or 3 (p14).  Announcing instead a uniform choice among all
     strings whose bit-AND matches the XOR fails to reach the boundary (it
     damps I and J by 2/3 per party), so the diagonal rule is the one used;
-    the choice is recorded in the p14 model note.
+    the choice is recorded in the p14 model note.  Chains longer than
+    CHAIN_LENGTH_GUARD are refused before anything is built.
     """
     check_kind(kind)
+    _check_chain_length(n)
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"r must lie in [0, 1], got {r}")
     if kind == KIND_P22:

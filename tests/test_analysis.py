@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -391,15 +392,18 @@ def test_threshold_beyond_any_table():
 
 def test_threshold_matches_table_route(monkeypatch):
     """The search through standard_werner_IJ against the same search with
-    the table route injected at its seam: one full table per visibility
-    profile."""
+    the table route injected at its seam, the line the search walks: one
+    full table per visibility profile."""
     calls = []
 
     def table_route(kind, n):
-        def IJ(alphas):
-            calls.append(alphas)
-            return compute_IJ(evaluate_chain(standard_scenario(n, kind, alphas)))
-        return IJ
+        def line(base, step):
+            def IJ_at(s):
+                alphas = [b + s * d for b, d in zip(base, step)]
+                calls.append(alphas)
+                return compute_IJ(evaluate_chain(standard_scenario(n, kind, alphas)))
+            return IJ_at
+        return SimpleNamespace(line=line)
 
     configs = [(kind, n, profile)
                for kind in (KIND_P22, KIND_P14) for n in range(2, 6)
@@ -415,6 +419,81 @@ def test_threshold_matches_table_route(monkeypatch):
         assert res.iterations == ref.iterations
         assert abs(res.scale - ref.scale) < 1e-9
         assert abs(res.value_at_threshold - ref.value_at_threshold) < 1e-12
+
+
+def _uneven_profile(rng, n):
+    # alpha_i = 0.5 ** (u_i / n), u_i < 0.95: the product stays above 1/2, so
+    # the profile violates the bound at full scale
+    return list(0.5 ** (rng.uniform(0.0, 0.95, size=n) / n))
+
+
+def test_line_search_matches_the_full_contraction_per_step(monkeypatch):
+    """The search along its line against the same search with the route it
+    replaced injected: every factor built and all n + 1 parties contracted
+    at each step.  Equal profiles move every source and agree bit for bit;
+    uneven ones fold the fixed sources into the right environment, a
+    different association of the same product."""
+    rng = np.random.default_rng(17)
+    configs = [(kind, n, profile)
+               for kind in (KIND_P22, KIND_P14) for n in (2, 3, 5, 9, 40, 200)
+               for profile in (None, _uneven_profile(rng, n), _uneven_profile(rng, n))]
+    along_line = [visibility_threshold(kind, n, profile=profile)
+                  for kind, n, profile in configs]
+    standard = evaluator.standard_werner_IJ
+
+    def full_route(kind, n):
+        IJ = standard(kind, n)
+        return SimpleNamespace(
+            line=lambda base, step: lambda s: IJ([b + s * d for b, d in zip(base, step)]))
+
+    monkeypatch.setattr(analysis, "standard_werner_IJ", full_route)
+    for (kind, n, profile), res in zip(configs, along_line):
+        ref = visibility_threshold(kind, n, profile=profile)
+        if profile is None:
+            assert res == ref, (kind, n)
+            continue
+        assert (res.iterations, res.bracket_width) == (ref.iterations, ref.bracket_width)
+        assert abs(res.scale - ref.scale) < 1e-12
+        assert abs(res.value_at_threshold - ref.value_at_threshold) < 1e-12
+        assert res.alphas[1:] == ref.alphas[1:] == profile[1:]
+
+
+def test_threshold_search_builds_fixed_factors_once(monkeypatch):
+    """With a profile the n - 1 fixed sources' factors are built once per
+    search and every evaluation after that builds one factor: the bracket
+    end, each step and the reported value."""
+    built = []
+    factor = evaluator._werner_factor
+
+    def counted(noise, slope, alpha):
+        built.append(alpha)
+        return factor(noise, slope, alpha)
+
+    monkeypatch.setattr(evaluator, "_werner_factor", counted)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 40, 1000):
+            built.clear()
+            res = visibility_threshold(kind, n, profile=[0.5 ** (0.5 / n)] * n)
+            assert len(built) == (n - 1) + res.iterations + 2
+            built.clear()
+            res = visibility_threshold(kind, n)
+            assert len(built) == 2 * (res.iterations + 2)
+
+
+def test_threshold_edge_profiles():
+    for kind in (KIND_P22, KIND_P14):
+        # n = 2, the bilocal chain, with and without a profile
+        for profile in (None, [0.95, 0.9]):
+            res = visibility_threshold(kind, 2, profile=profile)
+            assert abs(res.product - 0.5) < 1e-6
+            assert abs(res.value_at_threshold - 1.0) < 1e-6
+        # source 1 at visibility 0: nothing moves along the line, I = J = 0
+        with pytest.raises(NoCrossingError, match="value 0.000000"):
+            visibility_threshold(kind, 3, profile=[0.0, 1.0, 1.0])
+        # an entry above 1 is refused, wherever it stands
+        for profile in ([1.0 + 1e-12, 0.9, 0.9], [0.9, 0.9, 1.5]):
+            with pytest.raises(RangeError):
+                visibility_threshold(kind, 3, profile=profile)
 
 
 def test_threshold_validates_no_source_per_step(monkeypatch):
@@ -475,6 +554,47 @@ def test_long_chains_are_refused_before_anything_is_built(monkeypatch):
                     call(kind, n)
         with pytest.raises(SizeGuardError):
             visibility_threshold(kind, guard + 1, profile=[0.9] * (guard + 1))
+
+
+def test_long_tightness_models_are_refused_before_anything_is_built(monkeypatch):
+    guard = analysis.CHAIN_LENGTH_GUARD
+    assert guard == hvmodels.CHAIN_LENGTH_GUARD
+    assert len(hvmodels.tightness_model(KIND_P14, guard, 0.5).responses) == guard + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain-length guard must come first")
+
+    monkeypatch.setattr(hvmodels, "NLocalModel", refuse)
+    monkeypatch.setattr(hvmodels, "_end_flip_response", refuse)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (guard + 1, 10 ** 9):
+            with pytest.raises(SizeGuardError, match=f"chain of {n} sources"):
+                hvmodels.tightness_model(kind, n, 0.5)
+
+
+def test_figure4_grid_cost_is_bounded_before_anything_is_built(monkeypatch):
+    # the count the guard reads is the grid's length
+    for step in (0.5, 0.3, 0.05, 0.0476, 0.025, 1e-3, 1 / 3, 0.1, 7e-5):
+        assert math.ceil((1.0 + step / 2) / step) == len(np.arange(0.0, 1.0 + step / 2, step))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a builder")
+
+    for name in ("standard_scenario", "chain_IJ", "model_IJ"):
+        monkeypatch.setattr(analysis, name, refuse)
+    monkeypatch.setattr(hvmodels, "tightness_model", refuse)
+    monkeypatch.setattr(hvmodels, "decomposition_model", refuse)
+    guard = analysis.CHAIN_LENGTH_GUARD
+    # n x grid points up to the default grid's 21 at the longest chain pass
+    # the guard and reach the builders; one point more is refused
+    for n, step in ((guard, 0.05), (guard // 2, 0.025), (2, 1e-4)):
+        with pytest.raises(AssertionError, match="reached a builder"):
+            figure4_report(KIND_P22, n, step)
+    for n, step in ((guard, 0.0476), (guard // 2 + 13, 0.025), (2, 9e-5), (2, 1e-9),
+                    (1, 5e-324)):
+        for kind in (KIND_P22, KIND_P14):
+            with pytest.raises(SizeGuardError, match="grid points over"):
+                figure4_report(kind, n, step)
 
 
 def test_figure4_report_contents():

@@ -169,6 +169,40 @@ def test_threshold_and_figure4_refuse_long_chains(capsys, monkeypatch):
             assert "sources, over" in captured.err
 
 
+def test_tightness_and_figure4_grids_are_refused_before_any_model(capsys, monkeypatch):
+    import netlocal.analysis
+    import netlocal.cli
+    import netlocal.hvmodels
+    for name in ("standard_scenario", "chain_IJ", "model_IJ"):
+        monkeypatch.setattr(netlocal.analysis, name, _refuse)
+    monkeypatch.setattr(netlocal.cli, "model_IJ", _refuse)
+    for name in ("NLocalModel", "_end_flip_response", "decomposition_model"):
+        monkeypatch.setattr(netlocal.hvmodels, name, _refuse)
+    too_long = str(netlocal.analysis.CHAIN_LENGTH_GUARD + 1)
+    for kind in ("p22", "p14"):
+        for argv, message in ((["tightness", "--n", too_long], "sources, over"),
+                              (["tightness", "--n", "10000", "--model-out", "m.json"],
+                               "sources, over"),
+                              (["figure4", "--grid-step", "1e-9"], "grid points over"),
+                              (["figure4", "--n", "1000", "--grid-step", "0.04"],
+                               "grid points over"),
+                              (["figure4", "--grid-step", "1e-9", "--format", "csv"],
+                               "grid points over")):
+            code = main(argv + ["--kind", kind])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", argv
+            assert message in captured.err
+
+
+def test_threshold_with_nothing_moving_exits_3(capsys):
+    # source 1 at visibility 0: the line the search walks is one point, I = J = 0
+    for kind in ("p22", "p14"):
+        code = main(["threshold", "--n", "3", "--kind", kind, "--alphas", "0,1,1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "does not violate at full visibility" in captured.err
+
+
 def test_lp_csv_is_refused_before_the_file_is_read(capsys, monkeypatch, tmp_path):
     import netlocal.cli
     monkeypatch.setattr(netlocal.cli, "load_behavior_csv", _refuse)

@@ -318,3 +318,86 @@ def test_werner_IJ_refuses_visibilities_outside_the_unit_interval():
             IJ([0.9, bad, 0.9])
     with pytest.raises(ScenarioError):
         IJ([0.9, 0.9])
+
+
+def test_line_matches_the_closure_on_its_points():
+    # equal lines move every source, so a value is the closure's bit for bit;
+    # uneven ones fold the fixed parties from the right, a different association
+    rng = np.random.default_rng(21)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 7):
+            IJ = standard_werner_IJ(kind, n)
+            equal = IJ.line([0.0] * n, [1.0] * n)
+            profile = rng.uniform(0.6, 1.0, size=n)
+            uneven = IJ.line([0.0] + list(profile[1:]), [profile[0]] + [0.0] * (n - 1))
+            for s in (0.0, 0.3, 0.8125, 1.0):
+                assert equal(s) == IJ([s] * n)
+                want = IJ([profile[0] * s] + list(profile[1:]))
+                assert np.abs(np.subtract(uneven(s), want)).max() < 1e-15
+        # complex settings, whose middle factors do not commute, on a line
+        # that folds four parties into the environment
+        IJ = werner_IJ(_rotated(standard_scenario(4, kind), rng))
+        profile = rng.uniform(0.6, 1.0, size=4)
+        uneven = IJ.line([0.0] + list(profile[1:]), [profile[0]] + [0.0] * 3)
+        for s in (0.3, 1.0):
+            want = IJ([profile[0] * s] + list(profile[1:]))
+            assert np.abs(np.subtract(uneven(s), want)).max() < 1e-14
+        # a line that moves a middle source only, and one that moves nothing
+        IJ = standard_werner_IJ(kind, 5)
+        base, step = [0.9, 0.8, 0.1, 0.95, 0.9], [0.0, 0.0, 0.85, 0.0, 0.0]
+        for s in (0.0, 0.5, 1.0):
+            want = IJ([b + s * d for b, d in zip(base, step)])
+            assert np.abs(np.subtract(IJ.line(base, step)(s), want)).max() < 1e-15
+            assert IJ.line(base, [0.0] * 5)(s) == IJ.line(base, [0.0] * 5)(0.0)
+
+
+def test_line_checks_its_ends_and_its_parameter():
+    IJ = standard_werner_IJ(KIND_P22, 3)
+    for base, step in (([0.0, 0.9, 1.1], [1.0, 0.0, 0.0]),   # an end above 1
+                       ([0.5, 0.9, 0.9], [0.6, 0.0, 0.0]),   # the far end above 1
+                       ([0.5, 0.9, 0.9], [-0.6, 0.0, 0.0]),  # the far end below 0
+                       ([0.5, 0.9, 0.9], [float("nan"), 0.0, 0.0])):
+        with pytest.raises(RangeError):
+            IJ.line(base, step)
+    for base, step in (([0.0, 0.9], [1.0, 0.0]), ([0.0, 0.9, 0.9], [1.0, 0.0, 0.0, 0.0])):
+        with pytest.raises(ScenarioError):
+            IJ.line(base, step)
+    at = IJ.line([0.0, 0.9, 0.9], [1.0, 0.0, 0.0])
+    for bad in (1.0 + 1e-12, -0.1, float("nan")):
+        with pytest.raises(RangeError):
+            at(bad)
+    # the ends themselves are points of the line
+    for s, alphas in ((0.0, [0.0, 0.9, 0.9]), (1.0, [1.0, 0.9, 0.9])):
+        assert np.abs(np.subtract(at(s), IJ(alphas))).max() < 1e-15
+
+
+def test_line_step_builds_each_distinct_moving_factor_once(monkeypatch):
+    """Per step: one factor and one contraction of two factors with an
+    uneven profile at any n; two factors, the left end and the middle, and
+    a sweep of every party with an equal one."""
+    built, swept = [], []
+    factor, contract = evaluator._werner_factor, evaluator.chain_contract
+
+    def counted_factor(noise, slope, alpha):
+        built.append(alpha)
+        return factor(noise, slope, alpha)
+
+    def counted_contract(factors):
+        swept.append(len(factors))
+        return contract(factors)
+
+    for kind in (KIND_P22, KIND_P14):
+        for n in (3, 40, 1000):
+            IJ = standard_werner_IJ(kind, n)
+            uneven = IJ.line([0.0] + [0.99] * (n - 1), [0.95] + [0.0] * (n - 1))
+            equal = IJ.line([0.0] * n, [1.0] * n)
+            monkeypatch.setattr(evaluator, "_werner_factor", counted_factor)
+            monkeypatch.setattr(evaluator, "chain_contract", counted_contract)
+            for s in (1.0, 0.5, 0.75):
+                built.clear(), swept.clear()
+                uneven(s)
+                assert (built, swept) == ([0.95 * s], [2])
+                built.clear(), swept.clear()
+                equal(s)
+                assert (built, swept) == ([s, s], [n + 1])
+            monkeypatch.undo()
