@@ -278,26 +278,24 @@ def chain_IJ_of(kind: str, n: int, parties) -> tuple:
     return tuple(chain_contract(party_factors(parties, w, s)) for w, s in ij_factors(kind, n))
 
 
-def _row_correlator(row: np.ndarray, signs) -> float:
-    """sum_a prod_p signs[p][a_p] * row[a], contracted one party at a time
-    from the last, so no temporary is larger than the row."""
-    v = row
-    for s in reversed(signs):
-        v = v.reshape(-1, s.size) @ s
-    return float(v[0])
-
-
 def compute_IJ(b: Behavior) -> tuple[float, float]:
     """Signed values of the two correlator averages for a behavior.
 
-    Reads only the four table rows each functional weighs.
+    Reads only the four table rows each functional weighs, as one view
+    (each party's nonzero weights are one run of its inputs), and signs
+    their outcomes one matmul per party from the last, over the stacked
+    rows; each row keeps the dot products a row-by-row loop takes.
     """
     values = []
     for weights, signs in ij_factors(b.kind, b.n):
+        picks = [np.flatnonzero(w) for w in weights]
+        v = b.table.reshape(b.input_sizes + (-1,))[tuple(slice(p[0], p[-1] + 1) for p in picks)]
+        lead = v.shape[:-1]
+        for s in reversed(signs):
+            v = v.reshape(lead + (-1, s.size)) @ s
         total = 0.0
-        for xs in product(*(np.flatnonzero(w) for w in weights)):
-            coeff = math.prod(float(w[x]) for w, x in zip(weights, xs))
-            total += coeff * _row_correlator(b.table[b.input_index(xs)], signs)
+        for xs, corr in zip(product(*picks), v.reshape(-1).tolist()):
+            total += math.prod(float(w[x]) for w, x in zip(weights, xs)) * corr
         values.append(total)
     return values[0], values[1]
 
@@ -334,7 +332,7 @@ def bound_values(I: float, J: float) -> CorrelatorReport:
     """
     if not (abs(I) <= 1.0 + VIOLATION_ATOL and abs(J) <= 1.0 + VIOLATION_ATOL):
         raise RangeError(f"|I| and |J| must not exceed 1, got I={I}, J={J}")
-    nlocal = np.sqrt(abs(I)) + np.sqrt(abs(J))
+    nlocal = math.sqrt(abs(I)) + math.sqrt(abs(J))
     local = abs(I) + abs(J)
     return CorrelatorReport(
         I=float(I),
@@ -422,8 +420,10 @@ def _row_texts(rows: np.ndarray):
 
 def write_json_cells(b: Behavior, fh, sep: str) -> None:
     """The cells of b's table in row order as json writes the items of a list
-    of floats, joined by sep, one run of cells at a time."""
-    for i, texts in enumerate(_row_texts(_runs(b)[2])):
+    of floats, joined by sep, one write per run of up to _RUN_CELLS cells of
+    the flat table (JSON items, unlike CSV lines, carry no row digits)."""
+    cells = b.table.reshape(-1)
+    for i, texts in enumerate(_row_texts(cells.reshape(-1, min(cells.size, _RUN_CELLS)))):
         fh.write((sep if i else "") + sep.join(texts))
 
 

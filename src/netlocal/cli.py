@@ -42,9 +42,9 @@ from .behavior import (
     write_json_cells,
 )
 from .errors import NetlocalError, SizeGuardError
-from .evaluator import evaluate_chain
+from .evaluator import standard_behavior
 from .hvmodels import model_IJ, model_to_json, tightness_model
-from .network import KIND_P14, KIND_P22, standard_scenario
+from .network import KIND_P14, KIND_P22
 
 CLI_SCHEMA_VERSION = 1
 
@@ -143,7 +143,7 @@ def cmd_simulate(args) -> dict:
         args.parser.error("--format csv requires --out (stdout stays JSON)")
     if 4 ** (args.n + 1) > OUTPUT_CELL_GUARD:
         raise SizeGuardError(f"simulate table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
-    b = evaluate_chain(standard_scenario(args.n, args.kind, alphas))
+    b = standard_behavior(args.kind, args.n, alphas)
     report = correlator_report(b)
     if args.out is not None:
         if args.format == "csv":
@@ -201,7 +201,7 @@ def cmd_lp(args) -> dict:
         if args.source == "chain-pr":
             b = chain_pr_behavior(args.kind, args.n)
         else:
-            b = evaluate_chain(standard_scenario(args.n, args.kind))
+            b = standard_behavior(args.kind, args.n)
     elif args.behavior.endswith(".csv"):
         check_lp_size(args.kind, args.n)  # --kind and --n fix the scenario: refuse unread
         b = load_behavior_csv(args.behavior, args.kind, args.n)

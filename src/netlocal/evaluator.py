@@ -7,11 +7,13 @@ hands it to the chain kernel in behavior: evaluate_chain builds the table,
 linear in n, and chain_IJ contracts I and J alone in O(n), with no table.
 werner_IJ serves searches over Werner visibilities: it builds the factors
 of the singlet and white-noise chains once, and each profile then costs n
-axpys and one contraction.  standard_werner_IJ gives the same function for
-the standard settings with no scenario built: a standard chain has only
-three distinct parties (left end, intermediate, right end), whose factors
-are built and validated once per kind and process and widened to any n.
-Both functions have a line form, IJ.line(base, step), for a search along
+axpys and one contraction.  A standard chain has only three distinct
+parties (left end, intermediate, right end), whose element arrays, with the
+singlet and white-noise states, are validated once per kind and process
+(_standard_settings) and widened to any n, so two functions build no
+scenario: standard_behavior gives evaluate_chain's table bit for bit, and
+standard_werner_IJ gives werner_IJ's function from factors cached per kind.
+Both IJ functions have a line form, IJ.line(base, step), for a search along
 alphas(s) = base + s*step: the line's ends are validated once, the parties
 past the last moving source are contracted once into a right environment,
 and a point then builds each distinct moving factor once and sweeps only
@@ -38,7 +40,8 @@ from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_co
                        chain_table, ij_factors, party_factors)
 from .errors import KindError, RangeError, ScenarioError, SizeGuardError
 from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_kind,
-                      measurement_elements, singlet, standard_scenario)
+                      measurement_elements, singlet, standard_scenario, standard_visibilities,
+                      werner)
 
 NAIVE_DIM_GUARD = 4096
 _REAL_EPS = 1e-14
@@ -74,17 +77,13 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
     return Behavior(scenario.kind, n, probs.reshape(math.prod(ins), math.prod(outs)))
 
 
-def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarray]:
-    """The scenario as a chain of party tensors T[x, bonds..., a], with
-    sources (n SourceState objects) in place of scenario.sources if given.
+def _party_tensors(elems, rhos) -> list[np.ndarray]:
+    """A chain of party tensors T[x, bonds..., a] from the n + 1 parties'
+    POVM element arrays E[x, a] and the n sources' 4x4 density operators.
     A bond is the 2x2 operator left on the right qubit of the latest
     source, flattened row-major."""
-    n = scenario.n
-    sources = scenario.sources if sources is None else list(sources)
-    if len(sources) != n:
-        raise ScenarioError(f"expected {n} sources, got {len(sources)}")
-    elems = [np.asarray(measurement_elements(scenario, p)) for p in range(n + 1)]
-    rho4 = [s.rho.reshape(2, 2, 2, 2) for s in sources]
+    n = len(rhos)
+    rho4 = [r.reshape(2, 2, 2, 2) for r in rhos]
     nx, na = elems[0].shape[:2]
     parties = [np.einsum("xaqc,ctqs->xtsa", elems[0], rho4[0]).reshape(nx, 4, na)]
     for p in range(1, n):
@@ -96,6 +95,20 @@ def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarra
     return parties
 
 
+def _elements(scenario: NetworkScenario) -> list[np.ndarray]:
+    """Each party's POVM elements as one array E[x, a], party order."""
+    return [np.asarray(measurement_elements(scenario, p)) for p in range(scenario.n + 1)]
+
+
+def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarray]:
+    """The scenario as a chain of party tensors (see _party_tensors), with
+    sources (n SourceState objects) in place of scenario.sources if given."""
+    sources = scenario.sources if sources is None else list(sources)
+    if len(sources) != scenario.n:
+        raise ScenarioError(f"expected {scenario.n} sources, got {len(sources)}")
+    return _party_tensors(_elements(scenario), [s.rho for s in sources])
+
+
 def _real_if_real(parties) -> list[np.ndarray]:
     """The party tensors in real arithmetic when their imaginary parts are
     below _REAL_EPS, else as they are."""
@@ -104,21 +117,26 @@ def _real_if_real(parties) -> list[np.ndarray]:
     return parties
 
 
-def evaluate_chain(scenario: NetworkScenario) -> Behavior:
-    """Transfer-operator Born rule, linear in n: behavior.chain_table over
-    the scenario's party tensors, in real arithmetic when they are real."""
-    table = chain_table(_real_if_real(_transfer_tensors(scenario)))
+def _chain_behavior(kind: str, parties) -> Behavior:
+    """chain_table's Behavior, in real arithmetic when the tensors are real."""
+    table = chain_table(_real_if_real(parties))
     if np.iscomplexobj(table):
         table = np.ascontiguousarray(table.real)
-    return Behavior(scenario.kind, scenario.n, table)
+    return Behavior(kind, len(parties) - 1, table)
 
 
-def _functional_factors(scenario: NetworkScenario, parties) -> list[np.ndarray]:
+def evaluate_chain(scenario: NetworkScenario) -> Behavior:
+    """Transfer-operator Born rule, linear in n: behavior.chain_table over
+    the scenario's party tensors."""
+    return _chain_behavior(scenario.kind, _transfer_tensors(scenario))
+
+
+def _functional_factors(kind: str, parties) -> list[np.ndarray]:
     """Per-party factors of the norm, I and J functionals of a chain, each
     party's three stacked on a leading axis for chain_contract.  The norm
     functional reads input 0 and sums the outcomes: the product of the
     source traces."""
-    (wI, sI), (wJ, sJ) = ij_factors(scenario.kind, scenario.n)
+    (wI, sI), (wJ, sJ) = ij_factors(kind, len(parties) - 1)
     norm = [t[0].sum(axis=-1) for t in parties]
     return [np.stack(fs) for fs in zip(norm, party_factors(parties, wI, sI),
                                        party_factors(parties, wJ, sJ))]
@@ -144,17 +162,16 @@ def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
         sources: n SourceState objects to use in place of scenario.sources.
     """
     parties = _real_if_real(_transfer_tensors(scenario, sources))
-    return _unit_norm_IJ(_functional_factors(scenario, parties))
+    return _unit_norm_IJ(_functional_factors(scenario.kind, parties))
 
 
-def _werner_factors(scenario: NetworkScenario):
-    """The factors werner_IJ interpolates: the norm, I and J factors of the
-    scenario's settings on white noise (n + 1 parties), and each sourced
-    party's slope towards the singlet (n parties)."""
-    n = scenario.n
-    noise, pure = (
-        _functional_factors(scenario, _real_if_real(_transfer_tensors(scenario, [s] * n)))
-        for s in (SourceState(ID4 / 4.0, alpha=0.0), SourceState(singlet(), alpha=1.0)))
+def _werner_factors(kind: str, elems):
+    """The factors werner_IJ interpolates for parties with POVM element
+    arrays elems: the norm, I and J factors on white noise (n + 1 parties),
+    and each sourced party's slope towards the singlet (n parties)."""
+    n = len(elems) - 1
+    noise, pure = (_functional_factors(kind, _real_if_real(_party_tensors(elems, [rho] * n)))
+                   for rho in _standard_settings(kind)[1])
     return noise, [p - q for p, q in zip(pure[:n], noise[:n])]
 
 
@@ -244,16 +261,30 @@ def werner_IJ(scenario: NetworkScenario):
     outside [0, 1], or NaN, raises RangeError; one inside gives a convex
     combination of the two validated states, so no call validates a source.
     """
-    return _affine_IJ(*_werner_factors(scenario))
+    return _affine_IJ(*_werner_factors(scenario.kind, _elements(scenario)))
+
+
+@cache
+def _standard_settings(kind: str):
+    """The one place where a kind's standard settings are validated, once
+    per kind and process: the POVM element arrays of the left end,
+    intermediate and right end parties, from the n = 2 standard scenario,
+    and the (white noise, singlet) states whose convex combinations are the
+    Werner sources, each checked as a SourceState.  Read-only arrays."""
+    elems = _elements(standard_scenario(2, kind))
+    states = [SourceState(rho).rho for rho in (ID4 / 4.0, singlet())]
+    for a in elems + states:
+        a.setflags(write=False)
+    return tuple(elems), tuple(states)
 
 
 @cache
 def _standard_parties(kind: str):
-    """The three distinct parties of a standard chain on Werner sources:
-    ((left, middle, right) noise factors, (left, middle) slopes), taken from
-    the n = 2 chain, whose settings, end states and unit norms are checked
-    here, once per kind and process.  The arrays are read-only."""
-    noise, slopes = _werner_factors(standard_scenario(2, kind))
+    """werner_IJ's factors for the three distinct parties of a standard
+    chain, ((left, middle, right) noise factors, (left, middle) slopes),
+    from _standard_settings(kind); the n = 2 chain's unit norms on white
+    noise and on the singlet are checked once.  The arrays are read-only."""
+    noise, slopes = _werner_factors(kind, _standard_settings(kind)[0])
     IJ = _affine_IJ(noise, slopes)
     for alphas in ([0.0, 0.0], [1.0, 1.0]):  # unit norm on white noise and on the singlet
         IJ(alphas)
@@ -271,6 +302,19 @@ def standard_werner_IJ(kind: str, n: int):
         raise ScenarioError(f"chain needs at least two sources, got n={n}")
     (left, mid, right), (s_left, s_mid) = _standard_parties(check_kind(kind))
     return _affine_IJ([left] + [mid] * (n - 1) + [right], [s_left] + [s_mid] * (n - 1))
+
+
+def standard_behavior(kind: str, n: int, alphas=None) -> Behavior:
+    """evaluate_chain(standard_scenario(n, kind, alphas)) bit for bit, with
+    no scenario built: the three element arrays of _standard_settings(kind)
+    widened to n, and werner(a) per source, which checks only its
+    visibility (one in [0, 1] gives a convex combination of the two
+    validated states).  Bad arguments raise standard_scenario's errors
+    before any tensor is built."""
+    alphas = standard_visibilities(n, kind, alphas)
+    rhos = [werner(a) for a in alphas]
+    left, mid, right = _standard_settings(kind)[0]
+    return _chain_behavior(kind, _party_tensors([left] + [mid] * (n - 1) + [right], rhos))
 
 
 def closed_form_p14(n: int) -> Behavior:

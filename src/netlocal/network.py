@@ -178,6 +178,18 @@ def _check_projective(ops):
         raise ScenarioError("projectors do not sum to the identity")
 
 
+def standard_visibilities(n: int, kind: str, alphas=None) -> list[float]:
+    """standard_scenario's visibilities as floats, all ones by default, with
+    kind, n and their count checked; each one's range is werner's to check."""
+    check_kind(kind)
+    if n < 2:
+        raise ScenarioError(f"chain needs at least two sources, got n={n}")
+    alphas = [1.0] * n if alphas is None else [float(a) for a in alphas]
+    if len(alphas) != n:
+        raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
+    return alphas
+
+
 def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
     """The reference scenario: Werner sources, standard settings everywhere.
 
@@ -186,14 +198,7 @@ def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
         kind: "p22" or "p14".
         alphas: per-source visibilities; defaults to all ones (pure singlets).
     """
-    check_kind(kind)
-    if n < 2:
-        raise ScenarioError(f"chain needs at least two sources, got n={n}")
-    if alphas is None:
-        alphas = [1.0] * n
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != n:
-        raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
+    alphas = standard_visibilities(n, kind, alphas)
     sources = [SourceState(werner(a), alpha=a) for a in alphas]
     ends = [[end_observable(0), end_observable(1)] for _ in range(2)]
     if kind == KIND_P22:

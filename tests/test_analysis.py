@@ -510,11 +510,12 @@ def test_threshold_validates_no_source_per_step(monkeypatch):
 
     monkeypatch.setattr(qlin, "is_density_operator",
                         counted("density", qlin.is_density_operator))
-    monkeypatch.setattr(evaluator, "_transfer_tensors",
-                        counted("transfer", evaluator._transfer_tensors))
+    monkeypatch.setattr(evaluator, "_party_tensors",
+                        counted("transfer", evaluator._party_tensors))
     for module in (evaluator, analysis):
         monkeypatch.setattr(module, "standard_scenario",
                             counted("scenario", module.standard_scenario))
+    evaluator._standard_settings.cache_clear()
     evaluator._standard_parties.cache_clear()
     default = analysis.BISECTION_WIDTH
     for kind in (KIND_P22, KIND_P14):

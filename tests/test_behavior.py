@@ -13,6 +13,7 @@ import pytest
 from netlocal import behavior as behavior_module
 from netlocal.behavior import (
     TABLE_BLOCK_CELLS,
+    VIOLATION_ATOL,
     Behavior,
     alphabets,
     behavior_from_json,
@@ -21,6 +22,7 @@ from netlocal.behavior import (
     chain_table,
     compute_IJ,
     correlator_report,
+    ij_factors,
     load_behavior_csv,
     load_behavior_json,
     mix_behaviors,
@@ -30,7 +32,7 @@ from netlocal.behavior import (
 )
 from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
 from netlocal.evaluator import (_real_if_real, _transfer_tensors, closed_form_p14,
-                                closed_form_p22_end_parity, evaluate_chain)
+                                closed_form_p22_end_parity, evaluate_chain, standard_behavior)
 from netlocal.hvmodels import _model_parties, behavior_of_model, sample_random_model
 from netlocal.network import KIND_P14, KIND_P22, NetworkScenario, standard_scenario
 
@@ -171,6 +173,58 @@ def test_compute_IJ_reads_p14_string_bits():
         echo = _deterministic(KIND_P14, 2, lambda x1, x2, x3: (x1, m, x3))
         assert compute_IJ(fixed) == ((-1.0) ** b0, 0.0)
         assert compute_IJ(echo) == (0.0, (-1.0) ** b1)
+
+
+def _row_correlator(row, signs):
+    """sum_a prod_p signs[p][a_p] * row[a], contracted one party at a time
+    from the last."""
+    v = row
+    for s in reversed(signs):
+        v = v.reshape(-1, s.size) @ s
+    return float(v[0])
+
+
+def _row_by_row_IJ(b):
+    """compute_IJ as a loop over the weighed rows, one row at a time, kept
+    as the reference for its bits."""
+    values = []
+    for weights, signs in ij_factors(b.kind, b.n):
+        total = 0.0
+        for xs in product(*(np.flatnonzero(w) for w in weights)):
+            coeff = math.prod(float(w[x]) for w, x in zip(weights, xs))
+            total += coeff * _row_correlator(b.table[b.input_index(xs)], signs)
+        values.append(total)
+    return values[0], values[1]
+
+
+def test_compute_IJ_matches_the_row_by_row_loop():
+    rng = np.random.default_rng(42)
+    cases = [closed_form_p14(3), closed_form_p22_end_parity(4),
+             _deterministic(KIND_P22, 3, lambda x1, x2, x3, x4: (x1 & x3, x2, 0, x4 & x3))]
+    for kind, ns in ((KIND_P22, range(2, 10)), (KIND_P14, range(2, 10))):
+        for n in ns:
+            cases.append(standard_behavior(kind, n, rng.uniform(0.0, 1.0, size=n)))
+            cases.append(_random_rows(kind, min(n, 6), seed=n))
+    cases.append(Behavior(KIND_P14, 4, np.asfortranarray(_random_rows(KIND_P14, 4).table)))
+    for b in cases:
+        got, want = compute_IJ(b), _row_by_row_IJ(b)
+        assert all(type(v) is float for v in got)
+        assert got == want, (b.kind, b.n, got, want)
+
+
+def test_bound_values_match_the_numpy_formula():
+    values = (0.0, 5e-324, 0.25, 1.0, 1.0 + VIOLATION_ATOL)
+    for I, J in product([v * sign for v in values for sign in (1.0, -1.0)], repeat=2):
+        report = bound_values(I, J)
+        nlocal = np.sqrt(np.abs(np.float64(I))) + np.sqrt(np.abs(np.float64(J)))
+        local = np.abs(np.float64(I)) + np.abs(np.float64(J))
+        assert report.nlocal_value == float(nlocal) and type(report.nlocal_value) is float
+        assert report.local_value == float(local)
+        assert report.violates_nlocal is bool(nlocal > 1.0 + VIOLATION_ATOL)
+        assert report.violates_local is bool(local > 1.0 + VIOLATION_ATOL)
+    for bad in ((np.nan, 0.25), (0.25, np.nan), (float("nan"), float("nan"))):
+        with pytest.raises(RangeError):
+            bound_values(*bad)
 
 
 def test_closed_form_correlators():

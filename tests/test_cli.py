@@ -103,7 +103,7 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(netlocal.hvmodels, "party_strategy_table", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "_trial_words", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "_trial_draws", _refuse)
-    monkeypatch.setattr(netlocal.cli, "evaluate_chain", _refuse)
+    monkeypatch.setattr(netlocal.cli, "standard_behavior", _refuse)
     for argv in (
         ["decomposition", "--n", "12"],                     # three 4**13-cell tables
         ["decomposition", "--n", "12", "--kind", "p14"],
@@ -282,6 +282,23 @@ def test_tightness_model_file(capsys, tmp_path):
 
 def _refuse(*args, **kwargs):
     raise AssertionError("this route must not be taken")
+
+
+def test_simulate_builds_no_scenario_once_warm(capsys, monkeypatch, tmp_path):
+    # the per-kind settings are validated once; after that a request checks
+    # only its visibilities and builds no scenario and no source state
+    import netlocal.network
+    for kind in ("p22", "p14"):
+        _run_json(capsys, ["simulate", "--n", "2", "--kind", kind])
+    for cls in (netlocal.network.NetworkScenario, netlocal.network.SourceState):
+        monkeypatch.setattr(cls, "__post_init__", _refuse)
+    for kind in ("p22", "p14"):
+        for argv in (["simulate", "--n", "5", "--kind", kind, "--alphas", "0.9,0.8,1,0,0.7"],
+                     ["simulate", "--n", "4", "--kind", kind, "--out", str(tmp_path / "b.csv"),
+                      "--format", "csv"],
+                     ["lp", "--n", "2", "--kind", kind]):
+            assert main(argv) == 0, argv
+            capsys.readouterr()
 
 
 @pytest.mark.parametrize("kind", ["p22", "p14"])

@@ -288,12 +288,16 @@ def test_standard_factors_equal_the_scenario_route(monkeypatch):
 def test_standard_factors_are_read_only(monkeypatch):
     for kind in (KIND_P22, KIND_P14):
         noise, slopes = _affine_arguments(monkeypatch, lambda: standard_werner_IJ(kind, 5))
-        for f in noise + slopes:
+        elems, states = evaluator._standard_settings(kind)
+        assert len(elems) == 3 and len(states) == 2
+        for f in noise + slopes + list(elems + states):
             with pytest.raises(ValueError):
                 f[...] = 0.0
-        # a search after the attempts still reads the cached values
+        # a search or a table after the attempts still reads the cached values
         alphas = [1.0, 0.9, 0.8, 0.9, 1.0]
         assert standard_werner_IJ(kind, 5)(alphas) == werner_IJ(standard_scenario(5, kind))(alphas)
+        assert np.array_equal(evaluator.standard_behavior(kind, 5, alphas).table,
+                              evaluate_chain(standard_scenario(5, kind, alphas)).table)
 
 
 def test_standard_werner_IJ_validation():
@@ -309,6 +313,49 @@ def test_standard_werner_IJ_validation():
             IJ([0.9, 0.9])
     with pytest.raises(KindError):
         standard_werner_IJ("p13", 3)
+
+
+def _profiles(rng, n):
+    """Visibility profiles for standard_behavior: the default, seeded uneven
+    ones, and ones holding exact 0.0 and 1.0 entries."""
+    edges = rng.uniform(0.3, 1.0, size=n)
+    edges[0], edges[-1] = 0.0, 1.0
+    return [None, list(rng.uniform(0.0, 1.0, size=n)), [0.0] * n, [1.0] * n, list(edges)]
+
+
+def test_standard_behavior_equals_the_scenario_route():
+    rng = np.random.default_rng(18)
+    for kind in (KIND_P22, KIND_P14):
+        for n in range(2, 10):
+            for alphas in _profiles(rng, n):
+                got = evaluator.standard_behavior(kind, n, alphas)
+                want = evaluate_chain(standard_scenario(n, kind, alphas))
+                assert (got.kind, got.n) == (kind, n)
+                assert got.table.dtype == want.table.dtype and got.table.flags.c_contiguous
+                assert np.array_equal(got.table, want.table), (kind, n, alphas)
+                # the same bits, -0.0 included
+                assert got.table.tobytes() == want.table.tobytes(), (kind, n, alphas)
+
+
+def test_standard_behavior_refuses_before_building_tensors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("arguments must be checked before any party tensor is built")
+
+    for kind in (KIND_P22, KIND_P14):
+        evaluator.standard_behavior(kind, 3)  # a warm cache: only the request is checked
+    monkeypatch.setattr(evaluator, "_party_tensors", refuse)
+    for kind in (KIND_P22, KIND_P14):
+        for alphas in ([0.9, 0.9], [0.9] * 4, []):
+            with pytest.raises(ScenarioError):
+                evaluator.standard_behavior(kind, 3, alphas)
+        for bad in (float("nan"), -0.1, 1.1):
+            with pytest.raises(RangeError):
+                evaluator.standard_behavior(kind, 3, [0.9, bad, 0.9])
+        for n in (1, 0, -3):
+            with pytest.raises(ScenarioError):
+                evaluator.standard_behavior(kind, n)
+    with pytest.raises(KindError):
+        evaluator.standard_behavior("p13", 3)
 
 
 def test_werner_IJ_refuses_visibilities_outside_the_unit_interval():
