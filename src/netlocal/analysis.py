@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 import numpy as np
@@ -33,8 +33,8 @@ from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
 from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
 from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
                         standard_werner_IJ)
-from .hvmodels import (CHAIN_LENGTH_GUARD, _check_chain_length, check_factorization,
-                       correlated_sources_example, model_IJ, models_IJ,
+from .hvmodels import (CHAIN_LENGTH_GUARD, SWEEP_CELL_GUARD, _check_chain_length,
+                       check_factorization, correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
 from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
@@ -52,27 +52,34 @@ SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
 _PIVOT_EPS = 1e-10
 
 
-def _pivot(T, r, j):
-    """Pivot the tableau on entry (r, j): over every row in one pass when more than a quarter
-    of the others are nonzero in column j, else over those only (the rest subtract zeros)."""
-    T[r] /= T[r, j]
-    c = T[:, j].copy()
+def _pivot(T, r, col):
+    """Pivot on entry (r, col[r]) of the entering column col, stored or derived: over every
+    row in one pass when more than a quarter of the others are nonzero in col, else over those
+    only (the rest subtract zeros).  einsum forms np.outer's products at about half its cost."""
+    T[r] /= col[r]
+    c = col.copy()
     c[r] = 0.0
-    rows = np.flatnonzero(c)
+    rows = c.nonzero()[0]
     sel = slice(None) if 4 * rows.size > len(T) - 1 else rows
-    T[sel] -= np.outer(c[sel], T[r])
+    T[sel] -= np.einsum("i,j->ij", c[sel], T[r])
 
 
 def _lexicographic_row(T, cand, col):
     """Lexicographic tie-break: filter cand column by column (from 0, within 1e-12) on its
-    scaled rows T[i] / col[i], formed once, jumping to each column that splits them."""
+    scaled rows T[i] / col[i], jumping to each column that splits them (two rows at once)."""
+    if cand.size == 2:
+        i, k = cand
+        a, b = T[i] / col[i], T[k] / col[k]
+        split = (a > b + 1e-12) | (b > a + 1e-12)
+        c = split.argmax()
+        return int(k if split[c] and a[c] > b[c] else i)
     V = T[cand] / col[cand, None]
     while cand.size > 1:
         keep = V <= V.min(axis=0) + 1e-12
-        split = np.flatnonzero(~keep.all(axis=0))
-        if not split.size:
+        tied = keep.all(axis=0)
+        c = int(tied.argmin())
+        if tied[c]:
             break
-        c = split[0]
         cand, V = cand[keep[:, c]], V[keep[:, c], c + 1:]
     return int(cand[0])
 
@@ -81,58 +88,51 @@ def _phase1_simplex(A, b, stop):
     """Minimize the L1 violation of A q = b over q >= 0.
 
     Columns are [q, s+, s-] with A q + s+ - s- = b; the starting basis is s+
-    after flipping rows to make b nonnegative.  Entering column: most
-    negative reduced cost.  Leaving row: lexicographic ratio test, which
-    keeps the walk finite on the heavily degenerate facet instances these
-    polytopes produce.  The walk returns as soon as the violation is at
-    most `stop`; without that test a zero violation is followed by
-    degenerate pivots until every reduced cost is nonnegative.
+    after flipping rows to make b nonnegative.  Only the rows [q | s+ | rhs]
+    are stored: pivots keep s- the exact negation of s+ (IEEE negation
+    commutes with them), so an entering s- column is derived as -T[:, s+].
+    The reduced costs [q, s+, s-] and the objective are their own row R,
+    started from the full tableau's column sums and updated with the same
+    products, never recomputed from s+.  Entering column: most negative
+    reduced cost.  Leaving row: lexicographic ratio test, which keeps the
+    walk finite on these heavily degenerate polytopes.  The walk returns
+    once the violation is at most `stop`.
 
     Returns (q, objective, iterations).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     m, nv = A.shape
     flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-
-    ncols = nv + 2 * m
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :nv] = A
-    T[:m, nv:nv + m] = np.eye(m)
-    T[:m, nv + m:ncols] = -np.eye(m)
-    T[:m, ncols] = b
+    T = np.zeros((m, nv + m + 1))
+    T[:, :nv] = np.where(flip[:, None], -A, A)
+    T[:, nv:-1] = np.eye(m)
+    T[:, -1] = np.where(flip, -b, b)
     basis = np.arange(nv, nv + m)
-    # reduced costs for min sum(s+ + s-) with the s+ block basic
-    T[m] = -T[:m].sum(axis=0)
-    T[m, nv:ncols] += 1.0
-
-    max_iter = 2000 * (m + nv)
-    it = 0
-    while it < max_iter and -T[m, ncols] > stop:
-        red = T[m, :ncols]
-        j = int(np.argmin(red))
-        if red[j] >= -_PIVOT_EPS:
+    # minus the column sums plus the unit costs: 0 on s+ (sums 1), 2 on s- (sums -1)
+    sums = -T.sum(axis=0)
+    R = np.concatenate([sums[:nv], np.zeros(m), np.full(m, 2.0), sums[-1:]])
+    max_iter, it = 2000 * (m + nv), 0
+    while it < max_iter and -R[-1] > stop:
+        j = int(R[:-1].argmin())
+        if R[j] >= -_PIVOT_EPS:
             break
-        col = T[:m, j]
+        col = T[:, j] if j < nv + m else -T[:, j - m]
         pos = col > _PIVOT_EPS
         if not pos.any():
             # phase 1 is bounded below by 0, so this is numerical breakdown
             break
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, ncols][pos] / col[pos]
-        cand = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
+        ratios = np.divide(T[:, -1], col, out=np.full(m, np.inf), where=pos)
+        cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
         r = int(cand[0]) if cand.size == 1 else _lexicographic_row(T, cand, col)
-        _pivot(T, r, j)
+        _pivot(T, r, col)
+        # R takes R[j] times the whole pivot row [q, s+, s-, rhs]
+        R -= R[j] * np.concatenate([T[r, :-1], -T[r, nv:-1], T[r, -1:]])
         basis[r] = j
         it += 1
 
     q = np.zeros(nv)
-    in_q = basis < nv
-    q[basis[in_q]] = T[:m, ncols][in_q]
-    objective = float(-T[m, ncols])
-    return q, objective, it
+    q[basis[basis < nv]] = T[basis < nv, -1]
+    return q, float(-R[-1]), it
 
 
 @dataclass(eq=False)
@@ -190,23 +190,40 @@ def _kept_rows(kind: str, n: int) -> np.ndarray:
     return np.flatnonzero(reduce(np.kron, masks))
 
 
+@cache
+def _lp_matrices(kind: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, A[keep], keep) of the (kind, n) membership LP, built once per
+    process and read-only: A is the strategy matrix D as (table cells,
+    strategy tuples) and keep is _kept_rows.  LP_CELL_GUARD refuses a size
+    before anything is built or cached and admits n <= 4 only, so at most
+    six entries are kept, about 25 MB in all at n = 4."""
+    D = strategy_behavior_matrix(kind, n)
+    D.setflags(write=False)
+    A = D.reshape(D.shape[0], -1).T
+    keep = _kept_rows(kind, n)
+    A_kept = A[keep]
+    for a in (A_kept, keep):
+        a.setflags(write=False)
+    return A, A_kept, keep
+
+
 def lp_local_membership(b: Behavior, tol: float = LP_DEFAULT_TOL) -> LPResult:
     """Decide whether a behavior is a mixture of deterministic strategies.
 
     The simplex sees only the rows _kept_rows selects; the reported residual
-    is still the max over the full table.  Feasible means that residual is
-    <= tol, in which case the witness weights are returned.  Infeasibility
-    is certified by a strictly positive L1 optimum, or, for a signalling
-    behavior, by a dropped row showing up in the residual.
+    is still the max over the full table.  Both matrices come from
+    _lp_matrices, built once per (kind, n) and process.  Feasible means
+    that residual is <= tol, in which case the witness weights are
+    returned.  Infeasibility is certified by a strictly positive L1 optimum,
+    or, for a signalling behavior, by a dropped row showing up in the
+    residual.
     """
     if not tol > 0:
         raise RangeError(f"tol must be positive, got {tol}")
-    D = strategy_behavior_matrix(b.kind, b.n)
-    A = D.reshape(D.shape[0], -1).T
+    A, A_kept, keep = _lp_matrices(b.kind, b.n)
     rhs = b.table.reshape(-1)
-    keep = _kept_rows(b.kind, b.n)
     # a dropped cell's residual sums at most 3**(n+1) <= 243 (n <= 4) kept ones
-    q, objective, iterations = _phase1_simplex(A[keep], rhs[keep], tol / 1000)
+    q, objective, iterations = _phase1_simplex(A_kept, rhs[keep], tol / 1000)
     residual = float(np.abs(A @ q - rhs).max())
     feasible = residual <= tol
     return LPResult(
@@ -475,12 +492,16 @@ def _best_trial(blocks) -> tuple[float, int]:
     return worst, worst_trial
 
 
-def _check_sweep(trials: int, seed: int) -> None:
-    """Refuse a sweep before anything is drawn or any worker starts."""
+def _check_sweep(trials: int, seed: int, cells: int) -> None:
+    """Refuse a sweep of `cells` drawn cells per trial before anything is
+    drawn or any worker starts; trials x cells is bounded by SWEEP_CELL_GUARD."""
     if trials < 1:
         raise RangeError(f"trials must be positive, got {trials}")
     if seed < 0:
         raise RangeError(f"seed must be non-negative, got {seed}")
+    if trials * cells > SWEEP_CELL_GUARD:
+        raise SizeGuardError(f"{trials} trials of {cells} drawn cells each, over "
+                             f"{SWEEP_CELL_GUARD} cells")
 
 
 def _nlocal_block(args):
@@ -497,9 +518,11 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     Trial t uses the PRNG derived from (seed, t), so the result does not
     depend on how trials are split across workers.  The trials are split
     into `workers` jobs, run by at most one process per job and per CPU.
+    Trials x drawn cells per model over SWEEP_CELL_GUARD are refused before
+    anything is drawn or any worker starts.
     """
-    check_kind(kind)
-    _check_sweep(trials, seed)
+    shapes = hvmodels._random_model_shapes(kind, n, cardinality)
+    _check_sweep(trials, seed, sum(map(math.prod, shapes)))
     # beyond one job per trial, more workers only add empty jobs
     workers = min(max(1, int(workers)), trials)
     if workers == 1:
@@ -525,10 +548,12 @@ def mc_local_mixture_sweep(kind: str, n: int, trials: int, seed: int) -> dict:
     """Sample mixtures of deterministic strategy tuples; track max |I|+|J|.
 
     I and J are linear in the mixture, so a block of trials is one matrix
-    product of its weights with the per-tuple correlator values.
+    product of its weights with the per-tuple correlator values.  Trials x
+    strategy tuples over SWEEP_CELL_GUARD are refused before anything is
+    built or drawn.
     """
     check_kind(kind)
-    _check_sweep(trials, seed)
+    _check_sweep(trials, seed, math.prod(strategy_counts(kind, n)))
     vij = np.stack(strategy_IJ(kind, n), axis=1)
     worst, worst_trial = _best_trial((first, np.abs(q @ vij).sum(axis=1))
                                      for first, q in random_mixture_blocks(len(vij), seed, 0, trials))

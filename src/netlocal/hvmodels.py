@@ -47,6 +47,11 @@ from .network import KIND_P22, check_kind
 MODEL_SCHEMA_VERSION = 1
 HIDDEN_PRODUCT_GUARD = 10 ** 7
 STRATEGY_SPACE_GUARD = 10 ** 6
+# a Monte-Carlo sweep's trials x drawn cells per trial.  A drawn cell costs
+# 25-240 ns in n-local sweeps up to n = 40 (the most in the smallest models,
+# 14 cells at n = 2, K = 1) and 8-45 ns in mixture sweeps (one BLAS thread,
+# 2 vCPUs), so a sweep at the budget runs for at most about 25 s
+SWEEP_CELL_GUARD = 10 ** 8
 PRNG_ALGORITHM = "numpy-pcg64"
 # drawn cells per block of Monte-Carlo trials: 128 KiB of float64.  A sweep
 # holds about three blocks' worth at once; larger blocks are no faster
@@ -492,17 +497,12 @@ def party_strategy_table(kind: str, n: int, party: int) -> np.ndarray:
     """Indicator tensor T[s, x, a] = 1 iff strategy s maps input x to a.
 
     Strategies enumerate outputs-per-input tuples in row-major order, so
-    strategy s answers input x with digit x of s in base num_outputs.
+    strategy s answers input x with digit x of s in base num_outputs: row
+    T[s, x] is the identity's row of that digit.
     """
     ins, outs = alphabets(kind, n)
     ni, no = ins[party], outs[party]
-    count = no ** ni
-    t = np.zeros((count, ni, no))
-    for s in range(count):
-        digits = np.unravel_index(s, (no,) * ni)
-        for x in range(ni):
-            t[s, x, digits[x]] = 1.0
-    return t
+    return np.eye(no)[list(product(range(no), repeat=ni))]
 
 
 @dataclass(eq=False)

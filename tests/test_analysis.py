@@ -121,12 +121,12 @@ def test_phase1_stops_at_zero_violation():
     assert objective == 0.0 and not q.any()
 
 
-def _full_pivot(T, r, j):
+def _full_pivot(T, r, col):
     """Reference for analysis._pivot: the full-tableau update, every row
     but r changed."""
-    T[r] /= T[r, j]
+    T[r] /= col[r]
     rows = np.arange(len(T)) != r
-    T[rows] -= np.outer(T[rows, j], T[r])
+    T[rows] -= np.outer(col[rows], T[r])
 
 
 def _column_scan_row(T, cand, col):
@@ -185,8 +185,8 @@ def test_pivot_matches_the_full_update_on_both_sides_of_a_quarter(dense):
     T[rng.permutation(others)[dense:], j] = 0.0
     assert np.count_nonzero(T[others, j]) == dense
     ref = T.copy()
-    analysis._pivot(T, r, j)
-    _full_pivot(ref, r, j)
+    analysis._pivot(T, r, T[:, j])
+    _full_pivot(ref, r, ref[:, j])
     assert np.array_equal(T, ref)
 
 
@@ -212,11 +212,124 @@ def test_lexicographic_tie_break_on_hand_built_tableaux():
     cand = np.array([1, 2, 3, 4])
     assert analysis._lexicographic_row(T, cand, col) == 3
     assert _column_scan_row(T, cand, col) == 3
+    # two candidates: rows 2 and 3 tie within 1e-12 up to column 5; column 3
+    # splits rows 1 and 2, and column 5 rows 3 and 4, in either order
+    for pair, row in (([2, 3], 3), ([3, 2], 3), ([1, 2], 2), ([2, 1], 2), ([4, 3], 3)):
+        assert analysis._lexicographic_row(T, np.array(pair), col) == row
+        assert _column_scan_row(T, np.array(pair), col) == row
     # rows equal after scaling on every column: the first candidate wins
     T = np.outer(col, [1.0, -2.0, 0.0, 3.5])
     for cand in (np.array([1, 2, 4]), np.array([0, 3])):
         assert analysis._lexicographic_row(T, cand, col) == cand[0]
         assert _column_scan_row(T, cand, col) == cand[0]
+
+
+def _full_tableau_phase1(A, b, stop):
+    """Reference for analysis._phase1_simplex: the walk before it dropped
+    the s- block, on the whole tableau [q, s+, s-, rhs] with the cost row
+    as its last row, with row-gathered np.outer pivots and the column scan."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, nv = A.shape
+    flip = b < 0
+    A = np.where(flip[:, None], -A, A)
+    b = np.where(flip, -b, b)
+
+    ncols = nv + 2 * m
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, :nv] = A
+    T[:m, nv:nv + m] = np.eye(m)
+    T[:m, nv + m:ncols] = -np.eye(m)
+    T[:m, ncols] = b
+    basis = np.arange(nv, nv + m)
+    T[m] = -T[:m].sum(axis=0)
+    T[m, nv:ncols] += 1.0
+
+    max_iter = 2000 * (m + nv)
+    it = 0
+    while it < max_iter and -T[m, ncols] > stop:
+        red = T[m, :ncols]
+        j = int(np.argmin(red))
+        if red[j] >= -analysis._PIVOT_EPS:
+            break
+        col = T[:m, j]
+        pos = col > analysis._PIVOT_EPS
+        if not pos.any():
+            break
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, ncols][pos] / col[pos]
+        cand = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
+        r = int(cand[0]) if cand.size == 1 else _column_scan_row(T, cand, col)
+        T[r] /= T[r, j]
+        c = T[:, j].copy()
+        c[r] = 0.0
+        rows = np.flatnonzero(c)
+        T[rows] -= np.outer(c[rows], T[r])
+        basis[r] = j
+        it += 1
+
+    q = np.zeros(nv)
+    in_q = basis < nv
+    q[basis[in_q]] = T[:m, ncols][in_q]
+    return q, float(-T[m, ncols]), it
+
+
+def _kept_system(behavior):
+    keep = analysis._kept_rows(behavior.kind, behavior.n)
+    D = strategy_behavior_matrix(behavior.kind, behavior.n)
+    return D.reshape(D.shape[0], -1).T[keep], behavior.table.reshape(-1)[keep]
+
+
+def test_stored_tableau_walks_like_the_full_tableau():
+    cases = _walk_cases() + [evaluate_chain(standard_scenario(4, KIND_P14)),
+                             chain_pr_behavior(KIND_P14, 4)]
+    for behavior in cases:
+        A, b = _kept_system(behavior)
+        q, objective, iterations = analysis._phase1_simplex(A, b, 1e-11)
+        q_ref, objective_ref, iterations_ref = _full_tableau_phase1(A, b, 1e-11)
+        assert iterations == iterations_ref > 0
+        assert objective == objective_ref
+        assert q.tobytes() == q_ref.tobytes()
+
+
+def test_walks_pivot_on_derived_s_minus_columns(monkeypatch):
+    derived = []
+    pivot = analysis._pivot
+
+    def spy(T, r, col):
+        if not np.shares_memory(col, T):
+            # a derived column is the negation of one stored s+ column
+            m = len(T)
+            s_plus = T[:, T.shape[1] - m - 1:-1]
+            assert (s_plus == -col[:, None]).all(axis=0).any()
+            derived.append(r)
+        pivot(T, r, col)
+
+    monkeypatch.setattr(analysis, "_pivot", spy)
+    for behavior in _walk_cases()[:4]:
+        analysis._phase1_simplex(*_kept_system(behavior), 1e-11)
+    assert derived
+
+
+def test_lp_matrices_are_cached_read_only_and_equal_a_fresh_build():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3):
+            analysis._lp_matrices.cache_clear()
+            b = chain_pr_behavior(kind, n)
+            cold = lp_local_membership(b)
+            A, A_kept, keep = analysis._lp_matrices(kind, n)
+            warm = lp_local_membership(b)
+            assert analysis._lp_matrices(kind, n)[0] is A
+            D = strategy_behavior_matrix(kind, n)
+            fresh_A = D.reshape(D.shape[0], -1).T
+            fresh_keep = analysis._kept_rows(kind, n)
+            assert np.array_equal(A, fresh_A) and np.array_equal(keep, fresh_keep)
+            assert np.array_equal(A_kept, fresh_A[fresh_keep])
+            for a in (A, A_kept, keep):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1
+            assert cold.to_json() == warm.to_json()
 
 
 def test_lp_size_guard_refuses_before_allocating(monkeypatch):

@@ -131,6 +131,39 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
         assert elapsed < 1.0, (argv, elapsed)
 
 
+def test_montecarlo_refuses_oversized_trial_budgets(capsys, monkeypatch):
+    import netlocal.analysis
+    import netlocal.hvmodels
+    from netlocal.hvmodels import SWEEP_CELL_GUARD
+    guard = netlocal.analysis._check_sweep
+    # admitted: criterion 4's 10**4 trials of its largest model (p22 n = 4,
+    # K = 4: 240 cells) and mixture (n = 4: 1024 tuples), and the budget itself
+    for cells in (240, 1024):
+        guard(10_000, 0, cells)
+    guard(SWEEP_CELL_GUARD // 1024, 0, 1024)
+    with pytest.raises(SizeGuardError):
+        guard(SWEEP_CELL_GUARD // 1024 + 1, 0, 1024)
+    # refused before any draw, any strategy value or any worker
+    for module, name in ((netlocal.analysis, "random_model_blocks"),
+                         (netlocal.analysis, "random_mixture_blocks"),
+                         (netlocal.analysis, "strategy_IJ"),
+                         (netlocal.hvmodels, "_draw_blocks"),
+                         (netlocal.hvmodels, "_trial_words"),
+                         (netlocal.hvmodels, "_trial_draws"),
+                         (netlocal.analysis.concurrent.futures, "ProcessPoolExecutor")):
+        monkeypatch.setattr(module, name, _refuse)
+    for argv in (
+        ["montecarlo", "--trials", str(10 ** 9)],                          # 36 cells each
+        ["montecarlo", "--trials", str(10 ** 9), "--workers", "2"],
+        ["montecarlo", "--n", "40", "--cardinality", "4", "--trials", "40000"],  # 2688
+        ["montecarlo", "--n", "4", "--cardinality", "4", "--trials", str(10 ** 6)],
+        ["montecarlo", "--mixture", "--n", "4", "--trials", "100000"],     # 1024 tuples
+        ["montecarlo", "--mixture", "--n", "8", "--kind", "p14", "--trials", "1000"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 3 and out == "", argv
+
+
 def test_simulate_refuses_oversized_tables(capsys, monkeypatch):
     # the table guard must fire before the first contraction allocates
     monkeypatch.setattr(np, "tensordot", _refuse)

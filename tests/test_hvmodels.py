@@ -273,6 +273,22 @@ def test_correlated_sources_break_factorization():
     assert report.worst >= report.ends_only
 
 
+def test_party_strategy_tables_equal_the_per_strategy_loop():
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 4):
+            ins, outs = alphabets(kind, n)
+            for party in range(n + 1):
+                ni, no = ins[party], outs[party]
+                ref = np.zeros((no ** ni, ni, no))
+                for s in range(no ** ni):
+                    digits = np.unravel_index(s, (no,) * ni)
+                    for x in range(ni):
+                        ref[s, x, digits[x]] = 1.0
+                table = hvmodels.party_strategy_table(kind, n, party)
+                assert table.dtype == ref.dtype and table.shape == ref.shape
+                assert table.tobytes() == ref.tobytes()
+
+
 def test_strategy_IJ_agrees_with_point_mass_weights():
     from netlocal.hvmodels import StrategyWeights, strategy_counts
     for kind, n in itertools.product((KIND_P22, KIND_P14), (2, 3)):
