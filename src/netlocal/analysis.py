@@ -29,18 +29,18 @@ from itertools import product
 import numpy as np
 
 from . import hvmodels
-from .behavior import OUTPUT_CELL_GUARD, Behavior, alphabets, bound_values
-from .errors import (NoCrossingError, RangeError, ScenarioError, SizeGuardError)
+from .behavior import Behavior, alphabets, bound_values, table_cells
+from .errors import (CHAIN_LENGTH_GUARD, GRID_POINT_GUARD, LP_CELL_GUARD, OUTPUT_CELL_GUARD,
+                     SWEEP_CELL_GUARD, SWEEP_PARTY_CELLS, NoCrossingError, RangeError,
+                     ScenarioError, check_size)
 from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
                         standard_werner_IJ)
-from .hvmodels import (CHAIN_LENGTH_GUARD, SWEEP_CELL_GUARD, _check_chain_length,
-                       check_factorization, correlated_sources_example, model_IJ, models_IJ,
+from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
 from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
 
 LP_DEFAULT_TOL = 1e-8
-LP_CELL_GUARD = 16 ** 5  # D at n = 4 (8 MB); n = 5 needs 134 MB
 BISECTION_MAX_ITER = 60
 BISECTION_WIDTH = 1e-7
 SINGLE_SOURCE_REFERENCE = 0.7071067811865476  # quoted 1/sqrt(2), not recomputed
@@ -152,23 +152,14 @@ class LPResult:
         return doc
 
 
-def check_lp_size(kind: str, n: int) -> None:
-    """Refuse, before anything is allocated, an LP whose strategy matrix D
-    would exceed LP_CELL_GUARD cells; D has 16**(n+1) cells for both kinds."""
-    ins, outs = alphabets(kind, n)
-    cells = math.prod(strategy_counts(kind, n)) * math.prod(ins) * math.prod(outs)
-    if cells > LP_CELL_GUARD:
-        raise SizeGuardError(f"LP strategy matrix needs {cells} cells, over "
-                             f"{LP_CELL_GUARD} (n <= 4)")
-
-
 def strategy_behavior_matrix(kind: str, n: int) -> np.ndarray:
     """D[s, x, a]: behavior table of every deterministic strategy tuple.
 
     D is the Kronecker product of the party tables, so strategy tuples,
     inputs and outputs all run in row-major party order, as in the table.
+    More than LP_CELL_GUARD cells are refused before any table is built.
     """
-    check_lp_size(kind, n)
+    check_size(table_cells(n) ** 2, LP_CELL_GUARD, f"cells the LP strategy matrix needs at n = {n}")
     return reduce(np.kron, [party_strategy_table(kind, n, p) for p in range(n + 1)])
 
 
@@ -317,8 +308,7 @@ def decomposition_check(kind: str, n: int) -> DecompositionReport:
     check_kind(kind)
     if n < 2:
         raise RangeError(f"chain needs n >= 2, got {n}")
-    if 4 ** (n + 1) > OUTPUT_CELL_GUARD:
-        raise SizeGuardError(f"decomposition table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
+    check_size(table_cells(n), OUTPUT_CELL_GUARD, f"table cells of a decomposition at n = {n}")
     closed_form = closed_form_p22_end_parity if kind == KIND_P22 else closed_form_p14
     pi, pj = (hvmodels.decomposition_model(kind, n, which) for which in (0, 1))
     mixture = hvmodels.behavior_of_model(pi).table + hvmodels.behavior_of_model(pj).table
@@ -387,7 +377,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
     before anything is built.
     """
     check_kind(kind)
-    _check_chain_length(n)
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     if bound not in ("nlocal", "local"):
         raise RangeError(f"bound must be 'nlocal' or 'local', got {bound}")
     if profile is None:
@@ -439,19 +429,18 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
     boundary loci |I| + |J| = 1 and sqrt|I| + sqrt|J| = 1 sampled in the
     first quadrant.  No table is built.  Chains longer than
     CHAIN_LENGTH_GUARD are refused before anything is, and so is a grid whose
-    cost, n x grid points, exceeds that of the default grid (21 points) at
-    the longest chain.
+    cost, n x grid points, exceeds GRID_POINT_GUARD.
     """
     check_kind(kind)
-    _check_chain_length(n)
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     if not 0.0 < grid_step <= 0.5:
         raise RangeError(f"grid step must lie in (0, 0.5], got {grid_step}")
     # the np.arange below makes ceil(span) grid points, as numpy computes it;
-    # a subnormal step makes span infinite, refused before it is rounded
+    # a subnormal step makes span infinite, which math.ceil cannot round
     span = (1.0 + grid_step / 2) / grid_step
-    if span > CHAIN_LENGTH_GUARD * 21 or n * math.ceil(span) > CHAIN_LENGTH_GUARD * 21:
-        raise SizeGuardError(f"figure4 of {n} sources at grid step {grid_step:g}: "
-                             f"n x grid points over {CHAIN_LENGTH_GUARD} x 21")
+    points = math.ceil(span) if span < math.inf else span
+    check_size(n * points, GRID_POINT_GUARD,
+               f"figure4 of {n} sources at grid step {grid_step:g}: n x grid points")
     qrep = bound_values(*chain_IJ(standard_scenario(n, kind)))
     pi, pj = (model_IJ(hvmodels.decomposition_model(kind, n, which)) for which in (0, 1))
 
@@ -492,16 +481,15 @@ def _best_trial(blocks) -> tuple[float, int]:
     return worst, worst_trial
 
 
-def _check_sweep(trials: int, seed: int, cells: int) -> None:
-    """Refuse a sweep of `cells` drawn cells per trial before anything is
-    drawn or any worker starts; trials x cells is bounded by SWEEP_CELL_GUARD."""
+def _check_sweep(trials: int, seed: int, cost: int, what: str) -> None:
+    """Refuse a sweep of `trials` trials of `what` before anything is drawn
+    or any worker starts; its cost in drawn cells is bounded by
+    SWEEP_CELL_GUARD."""
     if trials < 1:
         raise RangeError(f"trials must be positive, got {trials}")
     if seed < 0:
         raise RangeError(f"seed must be non-negative, got {seed}")
-    if trials * cells > SWEEP_CELL_GUARD:
-        raise SizeGuardError(f"{trials} trials of {cells} drawn cells each, over "
-                             f"{SWEEP_CELL_GUARD} cells")
+    check_size(cost, SWEEP_CELL_GUARD, f"drawn cells of {trials} trials of {what}")
 
 
 def _nlocal_block(args):
@@ -518,11 +506,15 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     Trial t uses the PRNG derived from (seed, t), so the result does not
     depend on how trials are split across workers.  The trials are split
     into `workers` jobs, run by at most one process per job and per CPU.
-    Trials x drawn cells per model over SWEEP_CELL_GUARD are refused before
+    A sweep is priced as its drawn cells plus SWEEP_PARTY_CELLS per party
+    and block of trials; one over SWEEP_CELL_GUARD is refused before
     anything is drawn or any worker starts.
     """
     shapes = hvmodels._random_model_shapes(kind, n, cardinality)
-    _check_sweep(trials, seed, sum(map(math.prod, shapes)))
+    cells = sum(map(math.prod, shapes))
+    blocks = -(-trials // max(1, hvmodels.MC_BLOCK_CELLS // cells))
+    _check_sweep(trials, seed, trials * cells + blocks * (n + 1) * SWEEP_PARTY_CELLS,
+                 f"{kind} models at n = {n}, K = {cardinality}")
     # beyond one job per trial, more workers only add empty jobs
     workers = min(max(1, int(workers)), trials)
     if workers == 1:
@@ -548,12 +540,13 @@ def mc_local_mixture_sweep(kind: str, n: int, trials: int, seed: int) -> dict:
     """Sample mixtures of deterministic strategy tuples; track max |I|+|J|.
 
     I and J are linear in the mixture, so a block of trials is one matrix
-    product of its weights with the per-tuple correlator values.  Trials x
-    strategy tuples over SWEEP_CELL_GUARD are refused before anything is
-    built or drawn.
+    product of its weights with the per-tuple correlator values.  Chains
+    longer than CHAIN_LENGTH_GUARD, and trials x strategy tuples over
+    SWEEP_CELL_GUARD, are refused before anything is built or drawn.
     """
-    check_kind(kind)
-    _check_sweep(trials, seed, math.prod(strategy_counts(kind, n)))
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
+    _check_sweep(trials, seed, trials * math.prod(strategy_counts(kind, n)),
+                 f"{kind} mixtures at n = {n}")
     vij = np.stack(strategy_IJ(kind, n), axis=1)
     worst, worst_trial = _best_trial((first, np.abs(q @ vij).sum(axis=1))
                                      for first, q in random_mixture_blocks(len(vij), seed, 0, trials))

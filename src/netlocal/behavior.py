@@ -27,17 +27,14 @@ from operator import mul
 
 import numpy as np
 
-from .errors import DimensionError, KindError, RangeError, SizeGuardError
+from .errors import (CHAIN_CELL_GUARD, OUTPUT_CELL_GUARD, DimensionError, KindError, RangeError,
+                     check_size)
 from .network import KIND_P22, check_kind
 
 BEHAVIOR_SCHEMA_VERSION = 1
 ENTRY_ATOL = 1e-12
 NORM_ATOL = 1e-10
 VIOLATION_ATOL = 1e-9
-# both kinds have 4**(n+1) cells; n = 13 is a 2 GiB table
-CHAIN_CELL_GUARD = 4 ** 14
-# decomposition holds three tables and simulate prints one as text: n <= 11
-OUTPUT_CELL_GUARD = 4 ** 12
 # cells that chain_table sweeps, and Behavior validates, at a time: a block
 # and its temporaries stay in cache instead of streaming through DRAM
 TABLE_BLOCK_CELLS = 2 ** 16
@@ -51,6 +48,13 @@ def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if kind == KIND_P22:
         return (2,) * (n + 1), (2,) * (n + 1)
     return (2,) + (1,) * (n - 1) + (2,), (2,) + (4,) * (n - 1) + (2,)
+
+
+def table_cells(n: int) -> int:
+    """Cells of a behavior table with n sources, 4**(n+1) for both kinds.
+    Past n = 64 it stays 4**65, over every budget, so that pricing an absurd
+    n does not form 4**(n+1) (a quarter of a gigabyte at n = 10**9)."""
+    return 4 ** (min(n, 64) + 1)
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -225,8 +229,7 @@ def chain_table(parties) -> np.ndarray:
     block and makes exactly the calls of an unblocked sweep.
     """
     cells = math.prod(t.shape[0] * t.shape[-1] for t in parties)
-    if cells > CHAIN_CELL_GUARD:
-        raise SizeGuardError(f"chain table needs {cells} cells, over {CHAIN_CELL_GUARD} (n <= 13)")
+    check_size(cells, CHAIN_CELL_GUARD, f"table cells of a {len(parties)}-party chain")
     first, *mids, last, closing = parties
     closing = np.tensordot(last, closing, axes=([2], [1]))  # (xi, l, ai, xe, ae)
     xi, bond, ai, xe, ae = closing.shape
@@ -383,7 +386,7 @@ def behavior_from_json(doc: dict) -> Behavior:
         raise DimensionError(f"malformed behavior document: {exc}") from None
     # both kinds have 4**(n+1) cells; since 4**(n+1) > n, checking n against
     # the table first keeps an absurd n from building its alphabets
-    if n >= table.size or table.size != 4 ** (n + 1):
+    if n >= table.size or table.size != table_cells(n):
         raise DimensionError(f"table has {table.size} entries, not the 4**(n+1) of n={n}")
     ins, outs = alphabets(kind, n)
     return Behavior(kind, n, table.reshape(math.prod(ins), math.prod(outs)))
@@ -478,8 +481,7 @@ def load_behavior_csv(path, kind: str, n: int) -> Behavior:
     most once, with exactly 2*(n+1) + 1 columns.  Tables larger than any
     simulate writes are refused before anything is allocated or read."""
     ins, outs = alphabets(kind, n)
-    if 4 ** (n + 1) > OUTPUT_CELL_GUARD:
-        raise SizeGuardError(f"{path}: behavior table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
+    check_size(table_cells(n), OUTPUT_CELL_GUARD, f"{path}: behavior table cells at n = {n}")
     # a row's digits x1..xN, a1..aN index the flat table row-major
     radices = ins + outs
     strides = [math.prod(radices[i + 1:]) for i in range(len(radices))]

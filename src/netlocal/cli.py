@@ -16,12 +16,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .analysis import (
     LP_DEFAULT_TOL,
     chain_pr_behavior,
-    check_lp_size,
     decomposition_check,
     figure4_report,
     lp_local_membership,
@@ -30,7 +30,6 @@ from .analysis import (
     visibility_threshold,
 )
 from .behavior import (
-    OUTPUT_CELL_GUARD,
     Behavior,
     behavior_header,
     bound_values,
@@ -39,9 +38,10 @@ from .behavior import (
     load_behavior_json,
     save_behavior_csv,
     save_behavior_json,
+    table_cells,
     write_json_cells,
 )
-from .errors import NetlocalError, SizeGuardError
+from .errors import LP_CELL_GUARD, LP_FILE_BYTE_GUARD, OUTPUT_CELL_GUARD, NetlocalError, check_size
 from .evaluator import standard_behavior
 from .hvmodels import model_IJ, model_to_json, tightness_model
 from .network import KIND_P14, KIND_P22
@@ -141,8 +141,7 @@ def cmd_simulate(args) -> dict:
     alphas = _check_alphas(args.parser, args.alphas, args.n)
     if args.format == "csv" and args.out is None:
         args.parser.error("--format csv requires --out (stdout stays JSON)")
-    if 4 ** (args.n + 1) > OUTPUT_CELL_GUARD:
-        raise SizeGuardError(f"simulate table over {OUTPUT_CELL_GUARD} cells (n <= 11)")
+    check_size(table_cells(args.n), OUTPUT_CELL_GUARD, f"simulate --n {args.n}: table cells")
     b = standard_behavior(args.kind, args.n, alphas)
     report = correlator_report(b)
     if args.out is not None:
@@ -196,17 +195,20 @@ def cmd_montecarlo(args) -> dict:
 
 
 def cmd_lp(args) -> dict:
-    if args.behavior is None:
-        check_lp_size(args.kind, args.n)
-        if args.source == "chain-pr":
+    if args.behavior is not None and not args.behavior.endswith(".csv"):
+        check_size(os.path.getsize(args.behavior), LP_FILE_BYTE_GUARD,
+                   f"lp --behavior {args.behavior}: file bytes")
+        b = load_behavior_json(args.behavior)
+    else:
+        # --kind and --n fix the scenario: refuse before it is built or read
+        check_size(table_cells(args.n) ** 2, LP_CELL_GUARD,
+                   f"cells the LP strategy matrix needs at n = {args.n}")
+        if args.behavior is not None:
+            b = load_behavior_csv(args.behavior, args.kind, args.n)
+        elif args.source == "chain-pr":
             b = chain_pr_behavior(args.kind, args.n)
         else:
             b = standard_behavior(args.kind, args.n)
-    elif args.behavior.endswith(".csv"):
-        check_lp_size(args.kind, args.n)  # --kind and --n fix the scenario: refuse unread
-        b = load_behavior_csv(args.behavior, args.kind, args.n)
-    else:
-        b = load_behavior_json(args.behavior)
     res = lp_local_membership(b, tol=args.tol)
     doc = _payload("lp", {
         "n": b.n, "kind": b.kind, "source": args.source,

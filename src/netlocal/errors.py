@@ -1,7 +1,12 @@
-"""Exception hierarchy for netlocal.
+"""Exception hierarchy for netlocal, and the size budgets that bound every request.
 
 Every error raised by the library derives from NetlocalError so callers
 (and the CLI exit-code mapping) can distinguish library failures from bugs.
+
+Each guarded entry point states its cost as one estimate and passes it to
+check_size with its budget below, before it builds anything; the CLI maps
+the resulting SizeGuardError to exit code 3.  Times are measured with one
+BLAS thread on a 2-vCPU VM.
 """
 
 
@@ -31,3 +36,46 @@ class SizeGuardError(NetlocalError):
 
 class NoCrossingError(NetlocalError):
     """A bisection target is not bracketed by the scanned parameter range."""
+
+
+# chain_table's cells; both kinds have 4**(n+1), and n = 13 is a 2 GiB table
+CHAIN_CELL_GUARD = 4 ** 14
+# decomposition holds three tables and simulate prints one as text: n <= 11
+# (at n = 11, decomposition takes 0.8-1.5 s and 0.41-0.47 GB, simulate 1.9 s and 320 MB)
+OUTPUT_CELL_GUARD = 4 ** 12
+# evaluate_naive's global dimension 4**n: n <= 6
+NAIVE_DIM_GUARD = 4096
+# the LP strategy matrix D, a row per strategy tuple and a column per table
+# cell, 4**(n+1) of each for both kinds: n = 4 is 8 MB, n = 5 would need 134 MB
+LP_CELL_GUARD = 16 ** 5
+# a behavior file that lp parses as JSON; the largest it can admit, n = 4
+# from simulate --out or re-dumped with indent=2, takes 22-27 KB
+LP_FILE_BYTE_GUARD = 2 ** 20
+# the response-table cells of one random model (80 MB of float64)
+HIDDEN_PRODUCT_GUARD = 10 ** 7
+# deterministic strategy tuples, 4**(n+1) for both kinds: n <= 8
+STRATEGY_SPACE_GUARD = 10 ** 6
+# a Monte-Carlo sweep's trials x drawn cells per trial, plus SWEEP_PARTY_CELLS
+# per party and block of trials in n-local sweeps.  The largest sweep admitted
+# takes 9-21 s at n = 40, 200 and 1000 (K = 1 to 4), up to 30 s in the
+# smallest models, whose trials cost more than their 14 cells say (n = 2,
+# K = 1: about 4.4 us a trial), and 1.3-6.5 s in mixture sweeps
+SWEEP_CELL_GUARD = 10 ** 8
+# each party's fixed work in an n-local sweep, paid once per block of trials:
+# 40-55 us, about as long as this many drawn cells.  It dominates long chains
+# with small K (n = 1000, K = 1: 5004 cells, three trials a block)
+SWEEP_PARTY_CELLS = 256
+# threshold, figure4, tightness and montecarlo cost is linear in n: at
+# n = 1000, 0.05-0.07 s for an equal-profile threshold search, 0.04 s for a
+# tightness model and its I and J, and 1.4-1.6 s for figure4 at its default grid
+CHAIN_LENGTH_GUARD = 1000
+# figure4's n x grid points: the default grid's 21 points at the longest chain
+GRID_POINT_GUARD = 21 * CHAIN_LENGTH_GUARD
+
+
+def check_size(cost, budget: int, what: str) -> None:
+    """Raise SizeGuardError if cost exceeds budget.  The message states what
+    (the request's own arguments and the quantity counted) and the budget,
+    never the cost, which may be infinite or too long for str() to print."""
+    if cost > budget:
+        raise SizeGuardError(f"{what}, over {budget}")

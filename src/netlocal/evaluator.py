@@ -38,12 +38,11 @@ import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
                        chain_table, ij_factors, party_factors)
-from .errors import KindError, RangeError, ScenarioError, SizeGuardError
+from .errors import NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError, check_size
 from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_kind,
                       measurement_elements, singlet, standard_scenario, standard_visibilities,
                       werner)
 
-NAIVE_DIM_GUARD = 4096
 _REAL_EPS = 1e-14
 
 
@@ -60,11 +59,8 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
     used, so this stays an independent oracle for evaluate_chain.
     """
     n = scenario.n
-    dim = 4 ** n
-    if dim > NAIVE_DIM_GUARD:
-        raise SizeGuardError(
-            f"naive evaluation needs dimension {dim} > {NAIVE_DIM_GUARD}; use evaluate_chain"
-        )
+    check_size(4 ** n, NAIVE_DIM_GUARD,
+               f"global dimension of a naive evaluation of {n} sources (use evaluate_chain)")
     rest = reduce(np.kron, [s.rho for s in scenario.sources])
     for p in range(n + 1):
         elems = np.asarray(measurement_elements(scenario, p))

@@ -41,25 +41,15 @@ from itertools import product
 import numpy as np
 
 from .behavior import Behavior, alphabets, chain_IJ_of, chain_table, ij_factors, party_factors
-from .errors import DimensionError, RangeError, ScenarioError, SizeGuardError
+from .errors import (CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD, STRATEGY_SPACE_GUARD, DimensionError,
+                     RangeError, ScenarioError, check_size)
 from .network import KIND_P22, check_kind
 
 MODEL_SCHEMA_VERSION = 1
-HIDDEN_PRODUCT_GUARD = 10 ** 7
-STRATEGY_SPACE_GUARD = 10 ** 6
-# a Monte-Carlo sweep's trials x drawn cells per trial.  A drawn cell costs
-# 25-240 ns in n-local sweeps up to n = 40 (the most in the smallest models,
-# 14 cells at n = 2, K = 1) and 8-45 ns in mixture sweeps (one BLAS thread,
-# 2 vCPUs), so a sweep at the budget runs for at most about 25 s
-SWEEP_CELL_GUARD = 10 ** 8
 PRNG_ALGORITHM = "numpy-pcg64"
 # drawn cells per block of Monte-Carlo trials: 128 KiB of float64.  A sweep
 # holds about three blocks' worth at once; larger blocks are no faster
 MC_BLOCK_CELLS = 2 ** 14
-# threshold, figure4 and tightness cost is linear in n: at n = 1000, 0.05-0.07 s
-# for an equal-profile threshold search, 0.04 s for a tightness model and its I
-# and J, and 1.4-1.6 s for figure4 at its default grid (one BLAS thread, 2 vCPUs)
-CHAIN_LENGTH_GUARD = 1000
 
 _DIST_ATOL = 1e-10
 _XOR = np.array([[0, 1], [1, 0]])  # _XOR[lam, mu] = lam ^ mu
@@ -189,12 +179,6 @@ def _end_flip_response(r: float) -> np.ndarray:
     return table
 
 
-def _check_chain_length(n: int) -> None:
-    """Refuse, before anything is built, a chain longer than CHAIN_LENGTH_GUARD."""
-    if n > CHAIN_LENGTH_GUARD:
-        raise SizeGuardError(f"chain of {n} sources, over {CHAIN_LENGTH_GUARD}")
-
-
 def tightness_model(kind: str, n: int, r: float) -> NLocalModel:
     """Boundary model hitting I = r**2, J = (1-r)**2 (so sqrt|I|+sqrt|J| = 1).
 
@@ -209,7 +193,7 @@ def tightness_model(kind: str, n: int, r: float) -> NLocalModel:
     CHAIN_LENGTH_GUARD are refused before anything is built.
     """
     check_kind(kind)
-    _check_chain_length(n)
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"r must lie in [0, 1], got {r}")
     if kind == KIND_P22:
@@ -402,20 +386,21 @@ def _simplex_split(draws: np.ndarray, shapes) -> list[np.ndarray]:
 
 def _random_model_shapes(kind: str, n: int, cardinality: int) -> list[tuple[int, ...]]:
     """Shapes of a random model's arrays in draw order: the n source
-    distributions, then the n + 1 response tables.  Response tables of more
-    than HIDDEN_PRODUCT_GUARD cells in all are refused."""
+    distributions, then the n + 1 response tables.  Chains longer than
+    CHAIN_LENGTH_GUARD, and response tables of more than
+    HIDDEN_PRODUCT_GUARD cells in all, are refused."""
     check_kind(kind)
     if n < 2:
         raise ScenarioError(f"chain needs n >= 2, got {n}")
     if cardinality < 1:
         raise RangeError(f"cardinality must be positive, got {cardinality}")
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     k = int(cardinality)
     ins, outs = alphabets(kind, n)
     responses = ([(ins[0], k, outs[0])] + [(ins[p], k, k, outs[p]) for p in range(1, n)]
                  + [(ins[n], k, outs[n])])
     cells = sum(math.prod(shape) for shape in responses)
-    if cells > HIDDEN_PRODUCT_GUARD:
-        raise SizeGuardError(f"response tables need {cells} cells, over {HIDDEN_PRODUCT_GUARD}")
+    check_size(cells, HIDDEN_PRODUCT_GUARD, f"response table cells at n = {n}, K = {k}")
     return [(k,)] * n + responses
 
 
@@ -485,14 +470,6 @@ def strategy_counts(kind: str, n: int) -> tuple[int, ...]:
     return tuple(o ** i for i, o in zip(ins, outs))
 
 
-def _check_strategy_space(kind: str, n: int) -> None:
-    """Refuse more than STRATEGY_SPACE_GUARD strategy tuples (4**(n+1) for
-    both kinds, so n <= 8) before any table is built."""
-    tuples = math.prod(strategy_counts(kind, n))
-    if tuples > STRATEGY_SPACE_GUARD:
-        raise SizeGuardError(f"strategy space {tuples} exceeds {STRATEGY_SPACE_GUARD}")
-
-
 def party_strategy_table(kind: str, n: int, party: int) -> np.ndarray:
     """Indicator tensor T[s, x, a] = 1 iff strategy s maps input x to a.
 
@@ -539,48 +516,19 @@ def _party_strategy_weights(model: NLocalModel, party: int) -> np.ndarray:
     return w.reshape(*r.shape[1:-1], no ** ni)
 
 
-def q_weights_joint(kind: str, n: int, joint: np.ndarray, responses) -> StrategyWeights:
-    """Strategy-tuple weights for an arbitrary joint hidden-source law.
-
-    joint has one axis per source.  This is the engine behind q_weights and
-    also admits deliberately correlated sources, which break the
-    factorization identities that independent sources enforce.
-    """
-    _check_strategy_space(kind, n)
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != n:
-        raise DimensionError(f"joint law needs {n} axes, got {joint.ndim}")
-    if int(np.prod(joint.shape)) > HIDDEN_PRODUCT_GUARD:
-        raise SizeGuardError("hidden-state product exceeds guard")
-    model_like = NLocalModel(
-        n=n, kind=kind,
-        source_dists=[np.full(k, 1.0 / k) for k in joint.shape],
-        responses=[np.asarray(r, dtype=float) for r in responses],
-    )
-    tables = [_party_strategy_weights(model_like, p) for p in range(n + 1)]
-
-    lam = [chr(ord("A") + i) for i in range(n)]
-    out = [chr(ord("a") + i) for i in range(n + 1)]
-    terms = ["".join(lam)]
-    operands = [joint]
-    terms.append(lam[0] + out[0])
-    operands.append(tables[0])
-    for p in range(1, n):
-        terms.append(lam[p - 1] + lam[p] + out[p])
-        operands.append(tables[p])
-    terms.append(lam[-1] + out[-1])
-    operands.append(tables[-1])
-    spec = ",".join(terms) + "->" + "".join(out)
-    q = np.einsum(spec, *operands, optimize=True)
-    return StrategyWeights(kind, n, q)
-
-
 def q_weights(model: NLocalModel) -> StrategyWeights:
-    """Deterministic-strategy weights induced by an n-local model."""
-    joint = model.source_dists[0]
-    for d in model.source_dists[1:]:
-        joint = np.multiply.outer(joint, d)
-    return q_weights_joint(model.kind, model.n, joint, model.responses)
+    """Deterministic-strategy weights induced by an n-local model.
+
+    The table of the model's chain with each party's strategy weights in
+    place of its response, under one input: behavior.chain_table, so the
+    joint hidden law is never formed.  More than STRATEGY_SPACE_GUARD
+    strategy tuples are refused before any weight is built.
+    """
+    counts = strategy_counts(model.kind, model.n)
+    check_size(math.prod(counts), STRATEGY_SPACE_GUARD, f"strategy tuples at n = {model.n}")
+    weights = [_party_strategy_weights(model, p)[None] for p in range(model.n + 1)]
+    q = chain_table(_model_parties(model.source_dists, weights))
+    return StrategyWeights(model.kind, model.n, q.reshape(counts))
 
 
 def behavior_from_weights(w: StrategyWeights) -> Behavior:
@@ -641,23 +589,20 @@ def check_factorization(w: StrategyWeights) -> FactorizationReport:
 def correlated_sources_example(n: int = 3) -> StrategyWeights:
     """Strategy weights from a non-product hidden law (first = last source).
 
-    Ends announce their hidden bit, intermediates the XOR of theirs.  The
-    shared bit makes q(s1, s4) concentrate on equal constant strategies,
-    violating the ends_only identity by 1/4.
+    Ends announce their hidden bit, intermediates the XOR of theirs: the
+    responses of the r = 1 tightness model.  The law is the even mixture of
+    the two product laws whose first and last sources both take value c
+    (c = 0 or 1) around a uniform middle source, so the weights are the
+    mean of those two models' q_weights.  The shared bit makes q(s1, s4)
+    concentrate on equal constant strategies, violating the ends_only
+    identity by 1/4.
     """
     if n != 3:
         raise ScenarioError("the shipped example is for n=3")
-    joint = np.zeros((2, 2, 2))
-    for lam1, lam2 in product((0, 1), repeat=2):
-        joint[lam1, lam2, lam1] = 0.25
-    copy_end = np.zeros((2, 2, 2))
-    for x, lam in product((0, 1), repeat=2):
-        copy_end[x, lam, lam] = 1.0
-    mid = np.zeros((2, 2, 2, 2))
-    for x, lam, mu in product((0, 1), repeat=3):
-        mid[x, lam, mu, lam ^ mu] = 1.0
-    responses = [copy_end, mid, mid.copy(), copy_end.copy()]
-    return q_weights_joint(KIND_P22, n, joint, responses)
+    responses = tightness_model(KIND_P22, n, 1.0).responses
+    halves = [q_weights(NLocalModel(n, KIND_P22, [e, np.full(2, 0.5), e], responses)).weights
+              for e in np.eye(2)]
+    return StrategyWeights(KIND_P22, n, (halves[0] + halves[1]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +613,11 @@ def strategy_IJ(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     A tuple's correlator factorises over the parties, so each functional is
     the outer product of one factor per party: its strategy table contracted
-    with the party's weights and signs from behavior.ij_factors.
+    with the party's weights and signs from behavior.ij_factors.  More than
+    STRATEGY_SPACE_GUARD tuples are refused before any table is built.
     """
-    _check_strategy_space(kind, n)
+    check_size(math.prod(strategy_counts(kind, n)), STRATEGY_SPACE_GUARD,
+               f"strategy tuples at n = {n}")
     tables = [np.moveaxis(party_strategy_table(kind, n, p), 1, 0) for p in range(n + 1)]
     out = []
     for weights, signs in ij_factors(kind, n):

@@ -34,7 +34,7 @@ from netlocal.errors import (
     ScenarioError,
     SizeGuardError,
 )
-from netlocal import evaluator, hvmodels, qlin
+from netlocal import errors, evaluator, hvmodels, qlin
 from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
 from netlocal.hvmodels import (behavior_of_model, decomposition_model, party_strategy_table,
                                sample_random_model, trial_rng)
@@ -648,7 +648,7 @@ def test_threshold_validates_no_source_per_step(monkeypatch):
 
 
 def test_long_chains_are_refused_before_anything_is_built(monkeypatch):
-    guard = analysis.CHAIN_LENGTH_GUARD
+    guard = errors.CHAIN_LENGTH_GUARD
     # n = 40 and the guard itself pass
     for kind in (KIND_P22, KIND_P14):
         assert abs(visibility_threshold(kind, guard).value_at_threshold - 1.0) < 1e-4
@@ -671,7 +671,7 @@ def test_long_chains_are_refused_before_anything_is_built(monkeypatch):
 
 
 def test_long_tightness_models_are_refused_before_anything_is_built(monkeypatch):
-    guard = analysis.CHAIN_LENGTH_GUARD
+    guard = errors.CHAIN_LENGTH_GUARD
     assert guard == hvmodels.CHAIN_LENGTH_GUARD
     assert len(hvmodels.tightness_model(KIND_P14, guard, 0.5).responses) == guard + 1
 
@@ -698,7 +698,7 @@ def test_figure4_grid_cost_is_bounded_before_anything_is_built(monkeypatch):
         monkeypatch.setattr(analysis, name, refuse)
     monkeypatch.setattr(hvmodels, "tightness_model", refuse)
     monkeypatch.setattr(hvmodels, "decomposition_model", refuse)
-    guard = analysis.CHAIN_LENGTH_GUARD
+    guard = errors.CHAIN_LENGTH_GUARD
     # n x grid points up to the default grid's 21 at the longest chain pass
     # the guard and reach the builders; one point more is refused
     for n, step in ((guard, 0.05), (guard // 2, 0.025), (2, 1e-4)):
@@ -707,7 +707,7 @@ def test_figure4_grid_cost_is_bounded_before_anything_is_built(monkeypatch):
     for n, step in ((guard, 0.0476), (guard // 2 + 13, 0.025), (2, 9e-5), (2, 1e-9),
                     (1, 5e-324)):
         for kind in (KIND_P22, KIND_P14):
-            with pytest.raises(SizeGuardError, match="grid points over"):
+            with pytest.raises(SizeGuardError, match="grid points, over"):
                 figure4_report(kind, n, step)
 
 

@@ -33,7 +33,8 @@ from netlocal.behavior import (
 from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
 from netlocal.evaluator import (_real_if_real, _transfer_tensors, closed_form_p14,
                                 closed_form_p22_end_parity, evaluate_chain, standard_behavior)
-from netlocal.hvmodels import _model_parties, behavior_of_model, sample_random_model
+from netlocal.hvmodels import (_model_parties, behavior_of_model, decomposition_model,
+                               sample_random_model)
 from netlocal.network import KIND_P14, KIND_P22, NetworkScenario, standard_scenario
 
 
@@ -384,6 +385,15 @@ def test_csv_rejects_an_empty_file(tmp_path):
         load_behavior_csv(path, KIND_P22, 2)
 
 
+def test_long_chain_tables_are_refused_without_printing_their_size():
+    # 4**20001 cells has more digits than str() converts
+    for kind in (KIND_P22, KIND_P14):
+        for build in (lambda: standard_behavior(kind, 20000),
+                      lambda: behavior_of_model(decomposition_model(kind, 20000, 0))):
+            with pytest.raises(SizeGuardError, match="20001-party chain, over"):
+                build()
+
+
 def test_csv_size_guard_refuses_before_allocating(monkeypatch, tmp_path):
     # n = 12 would need 576 MB and n = 40 is beyond any array; the guard
     # is simulate's largest table, and it comes before any allocation
@@ -395,7 +405,7 @@ def test_csv_size_guard_refuses_before_allocating(monkeypatch, tmp_path):
     monkeypatch.setattr(np, "zeros", refuse)
     for kind in (KIND_P22, KIND_P14):
         for n in (12, 40):
-            with pytest.raises(SizeGuardError, match="b.csv: behavior table over"):
+            with pytest.raises(SizeGuardError, match="b.csv: behavior table cells at n"):
                 load_behavior_csv(path, kind, n)
 
 

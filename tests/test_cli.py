@@ -134,15 +134,15 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
 def test_montecarlo_refuses_oversized_trial_budgets(capsys, monkeypatch):
     import netlocal.analysis
     import netlocal.hvmodels
-    from netlocal.hvmodels import SWEEP_CELL_GUARD
+    from netlocal.errors import SWEEP_CELL_GUARD
     guard = netlocal.analysis._check_sweep
     # admitted: criterion 4's 10**4 trials of its largest model (p22 n = 4,
     # K = 4: 240 cells) and mixture (n = 4: 1024 tuples), and the budget itself
     for cells in (240, 1024):
-        guard(10_000, 0, cells)
-    guard(SWEEP_CELL_GUARD // 1024, 0, 1024)
+        guard(10_000, 0, 10_000 * cells, "models")
+    guard(SWEEP_CELL_GUARD // 1024, 0, SWEEP_CELL_GUARD // 1024 * 1024, "models")
     with pytest.raises(SizeGuardError):
-        guard(SWEEP_CELL_GUARD // 1024 + 1, 0, 1024)
+        guard(SWEEP_CELL_GUARD // 1024 + 1, 0, (SWEEP_CELL_GUARD // 1024 + 1) * 1024, "models")
     # refused before any draw, any strategy value or any worker
     for module, name in ((netlocal.analysis, "random_model_blocks"),
                          (netlocal.analysis, "random_mixture_blocks"),
@@ -159,9 +159,69 @@ def test_montecarlo_refuses_oversized_trial_budgets(capsys, monkeypatch):
         ["montecarlo", "--n", "4", "--cardinality", "4", "--trials", str(10 ** 6)],
         ["montecarlo", "--mixture", "--n", "4", "--trials", "100000"],     # 1024 tuples
         ["montecarlo", "--mixture", "--n", "8", "--kind", "p14", "--trials", "1000"],
+        # 5004 cells, three trials and 1001 parties' fixed work per block
+        ["montecarlo", "--n", "1000", "--cardinality", "1", "--trials", "5000"],
     ):
         code, out = _run(capsys, argv)
         assert code == 3 and out == "", argv
+    # admitted, so they reach the draws: criterion 4's largest model and the
+    # default 10**4 trials at n = 40, K = 4
+    for argv in (["montecarlo", "--n", "4", "--cardinality", "4"],
+                 ["montecarlo", "--n", "40", "--cardinality", "4"]):
+        with pytest.raises(AssertionError, match="must not be taken"):
+            main(argv)
+
+
+# the extreme of every size flag, per command (an --n of 10**9 must be priced
+# without forming 4**(n+1)); lp's "{big}" is a JSON file over
+# errors.LP_FILE_BYTE_GUARD
+_SIZE_FLAG_EXTREMES = {
+    "simulate": [["--n", "10000"], ["--n", "10000", "--kind", "p14"], ["--n", "1000000000"],
+                 ["--n", "10000", "--out", "t.csv", "--format", "csv"]],
+    "tightness": [["--n", "10000"], ["--n", "10000", "--kind", "p14", "--model-out", "m.json"]],
+    "montecarlo": [["--n", "10000"], ["--n", "10000", "--mixture"],
+                   ["--cardinality", "10000000", "--trials", "1"],
+                   ["--trials", "1000000000"], ["--trials", "1000000000", "--mixture"],
+                   ["--trials", "1000000000", "--workers", "2"],
+                   ["--n", "5000", "--cardinality", "1", "--trials", "1000"],
+                   ["--n", "7142", "--mixture", "--trials", "1"]],
+    "lp": [["--n", "10000"], ["--n", "10000", "--source", "chain-pr"], ["--n", "3571"],
+           ["--n", "1000000000"],
+           ["--n", "10000", "--kind", "p14", "--behavior", "x.csv"], ["--behavior", "{big}"]],
+    "threshold": [["--n", "10000"], ["--n", "10000", "--bound", "local"]],
+    "figure4": [["--n", "10000"], ["--grid-step", "5e-324"],
+                ["--grid-step", "5e-324", "--format", "csv"]],
+    "decomposition": [["--n", "10000"], ["--n", "10000", "--kind", "p14"], ["--n", "1000000000"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIZE_FLAG_EXTREMES))
+def test_size_flag_extremes_exit_3_with_a_short_message(capsys, monkeypatch, tmp_path, command):
+    import netlocal.analysis
+    import netlocal.cli
+    import netlocal.hvmodels
+    big = tmp_path / "big.json"
+    big.write_bytes(b" " * (2 ** 21))
+    # every builder a command reaches after its size checks
+    for module, names in (
+        (netlocal.cli, ("standard_behavior", "chain_pr_behavior", "load_behavior_json",
+                        "load_behavior_csv")),
+        (netlocal.analysis, ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ",
+                             "strategy_IJ", "random_model_blocks", "random_mixture_blocks")),
+        (netlocal.hvmodels, ("NLocalModel", "_end_flip_response", "decomposition_model",
+                             "_trial_words", "_trial_draws", "party_strategy_table")),
+        (netlocal.analysis.concurrent.futures, ("ProcessPoolExecutor",)),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.chdir(tmp_path)
+    for row in _SIZE_FLAG_EXTREMES[command]:
+        argv = [command] + [str(big) if arg == "{big}" else arg for arg in row]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert captured.err.count("\n") == 1 and len(captured.err) < 300, (argv, captured.err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 def test_simulate_refuses_oversized_tables(capsys, monkeypatch):
@@ -190,7 +250,7 @@ def test_threshold_and_figure4_refuse_long_chains(capsys, monkeypatch):
     for name in ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
         monkeypatch.setattr(netlocal.analysis, name, _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "tightness_model", _refuse)
-    too_long = str(netlocal.analysis.CHAIN_LENGTH_GUARD + 1)
+    too_long = str(netlocal.errors.CHAIN_LENGTH_GUARD + 1)
     for kind in ("p22", "p14"):
         for argv in (["threshold", "--n", too_long], ["threshold", "--n", "10000"],
                      ["threshold", "--n", "10000", "--bound", "local"],
@@ -211,16 +271,16 @@ def test_tightness_and_figure4_grids_are_refused_before_any_model(capsys, monkey
     monkeypatch.setattr(netlocal.cli, "model_IJ", _refuse)
     for name in ("NLocalModel", "_end_flip_response", "decomposition_model"):
         monkeypatch.setattr(netlocal.hvmodels, name, _refuse)
-    too_long = str(netlocal.analysis.CHAIN_LENGTH_GUARD + 1)
+    too_long = str(netlocal.errors.CHAIN_LENGTH_GUARD + 1)
     for kind in ("p22", "p14"):
         for argv, message in ((["tightness", "--n", too_long], "sources, over"),
                               (["tightness", "--n", "10000", "--model-out", "m.json"],
                                "sources, over"),
-                              (["figure4", "--grid-step", "1e-9"], "grid points over"),
+                              (["figure4", "--grid-step", "1e-9"], "grid points, over"),
                               (["figure4", "--n", "1000", "--grid-step", "0.04"],
-                               "grid points over"),
+                               "grid points, over"),
                               (["figure4", "--grid-step", "1e-9", "--format", "csv"],
-                               "grid points over")):
+                               "grid points, over")):
             code = main(argv + ["--kind", kind])
             captured = capsys.readouterr()
             assert code == 3 and captured.out == "", argv
