@@ -52,62 +52,30 @@ CLI_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 
-def _chain_length(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"a chain needs n >= 2 sources, got {n}")
-    return n
+def _flag(convert, ok, message: str):
+    """An argparse type: convert (int or float) applied to the text, and a
+    usage error unless ok(value), with message.format(value) as its text."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(message.format(v))
+        return v
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
-    return v
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {v}")
-    return v
-
-
-def _number(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-
-
-def _unit_float(text: str) -> float:
-    v = _number(text)
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {v}")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    v = _number(text)
-    if not 0.0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {v}")
-    return v
-
-
-def _grid_step(text: str) -> float:
-    v = _number(text)
-    if not 0.0 < v <= 0.5:
-        raise argparse.ArgumentTypeError(f"expected a grid step in (0, 0.5], got {v}")
-    return v
+_chain_length = _flag(int, lambda n: n >= 2, "a chain needs n >= 2 sources, got {}")
+_positive_int = _flag(int, lambda v: v >= 1, "expected a positive integer, got {}")
+_nonnegative_int = _flag(int, lambda v: v >= 0, "expected a non-negative integer, got {}")
+_unit_float = _flag(float, lambda v: 0.0 <= v <= 1.0, "expected a value in [0, 1], got {}")
+_positive_float = _flag(float, lambda v: 0.0 < v < math.inf,
+                        "expected a finite positive number, got {}")
+_grid_step = _flag(float, lambda v: 0.0 < v <= 0.5, "expected a grid step in (0, 0.5], got {}")
 
 
 def _float_list(text: str) -> list[float]:

@@ -37,11 +37,11 @@ from functools import cache, reduce
 import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
-                       chain_table, ij_factors, party_factors)
-from .errors import NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError, check_size
+                       chain_table, ij_factors, party_factors, table_cells)
+from .errors import (CHAIN_CELL_GUARD, NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError,
+                     check_size)
 from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_kind,
-                      measurement_elements, singlet, standard_scenario, standard_visibilities,
-                      werner)
+                      singlet, standard_scenario, standard_visibilities, werner)
 
 _REAL_EPS = 1e-14
 
@@ -62,8 +62,7 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
     check_size(4 ** n, NAIVE_DIM_GUARD,
                f"global dimension of a naive evaluation of {n} sources (use evaluate_chain)")
     rest = reduce(np.kron, [s.rho for s in scenario.sources])
-    for p in range(n + 1):
-        elems = np.asarray(measurement_elements(scenario, p))
+    for elems in scenario.elements:
         d = elems.shape[-1]
         rest = rest.reshape(rest.shape[:-2] + (d, rest.shape[-1] // d, d, -1))
         rest = np.einsum("...iRjS,xaji->...xaRS", rest, elems)
@@ -91,20 +90,6 @@ def _party_tensors(elems, rhos) -> list[np.ndarray]:
     return parties
 
 
-def _elements(scenario: NetworkScenario) -> list[np.ndarray]:
-    """Each party's POVM elements as one array E[x, a], party order."""
-    return [np.asarray(measurement_elements(scenario, p)) for p in range(scenario.n + 1)]
-
-
-def _transfer_tensors(scenario: NetworkScenario, sources=None) -> list[np.ndarray]:
-    """The scenario as a chain of party tensors (see _party_tensors), with
-    sources (n SourceState objects) in place of scenario.sources if given."""
-    sources = scenario.sources if sources is None else list(sources)
-    if len(sources) != scenario.n:
-        raise ScenarioError(f"expected {scenario.n} sources, got {len(sources)}")
-    return _party_tensors(_elements(scenario), [s.rho for s in sources])
-
-
 def _real_if_real(parties) -> list[np.ndarray]:
     """The party tensors in real arithmetic when their imaginary parts are
     below _REAL_EPS, else as they are."""
@@ -124,7 +109,8 @@ def _chain_behavior(kind: str, parties) -> Behavior:
 def evaluate_chain(scenario: NetworkScenario) -> Behavior:
     """Transfer-operator Born rule, linear in n: behavior.chain_table over
     the scenario's party tensors."""
-    return _chain_behavior(scenario.kind, _transfer_tensors(scenario))
+    return _chain_behavior(scenario.kind, _party_tensors(
+        scenario.elements, [s.rho for s in scenario.sources]))
 
 
 def _functional_factors(kind: str, parties) -> list[np.ndarray]:
@@ -147,17 +133,14 @@ def _unit_norm_IJ(factors) -> tuple[float, float]:
     return I, J
 
 
-def chain_IJ(scenario: NetworkScenario, sources=None) -> tuple[float, float]:
+def chain_IJ(scenario: NetworkScenario) -> tuple[float, float]:
     """I and J of a scenario by the functional chain kernel, without the table.
 
     The norm functional (input 0, outcomes summed) is the product of the
     source traces; it must be 1 within NORM_ATOL, as a Behavior's row sums.
-
-    Args:
-        scenario: supplies the settings, and the sources unless overridden.
-        sources: n SourceState objects to use in place of scenario.sources.
     """
-    parties = _real_if_real(_transfer_tensors(scenario, sources))
+    parties = _real_if_real(_party_tensors(scenario.elements,
+                                           [s.rho for s in scenario.sources]))
     return _unit_norm_IJ(_functional_factors(scenario.kind, parties))
 
 
@@ -257,7 +240,7 @@ def werner_IJ(scenario: NetworkScenario):
     outside [0, 1], or NaN, raises RangeError; one inside gives a convex
     combination of the two validated states, so no call validates a source.
     """
-    return _affine_IJ(*_werner_factors(scenario.kind, _elements(scenario)))
+    return _affine_IJ(*_werner_factors(scenario.kind, scenario.elements))
 
 
 @cache
@@ -267,11 +250,10 @@ def _standard_settings(kind: str):
     intermediate and right end parties, from the n = 2 standard scenario,
     and the (white noise, singlet) states whose convex combinations are the
     Werner sources, each checked as a SourceState.  Read-only arrays."""
-    elems = _elements(standard_scenario(2, kind))
     states = [SourceState(rho).rho for rho in (ID4 / 4.0, singlet())]
-    for a in elems + states:
+    for a in states:
         a.setflags(write=False)
-    return tuple(elems), tuple(states)
+    return standard_scenario(2, kind).elements, tuple(states)
 
 
 @cache
@@ -305,9 +287,10 @@ def standard_behavior(kind: str, n: int, alphas=None) -> Behavior:
     no scenario built: the three element arrays of _standard_settings(kind)
     widened to n, and werner(a) per source, which checks only its
     visibility (one in [0, 1] gives a convex combination of the two
-    validated states).  Bad arguments raise standard_scenario's errors
-    before any tensor is built."""
+    validated states).  Bad arguments raise standard_scenario's errors, and
+    too large a table chain_table's, before any tensor is built."""
     alphas = standard_visibilities(n, kind, alphas)
+    check_size(table_cells(n), CHAIN_CELL_GUARD, f"table cells of a {n + 1}-party chain")
     rhos = [werner(a) for a in alphas]
     left, mid, right = _standard_settings(kind)[0]
     return _chain_behavior(kind, _party_tensors([left] + [mid] * (n - 1) + [right], rhos))

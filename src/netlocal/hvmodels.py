@@ -40,9 +40,10 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import Behavior, alphabets, chain_IJ_of, chain_table, ij_factors, party_factors
-from .errors import (CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD, STRATEGY_SPACE_GUARD, DimensionError,
-                     RangeError, ScenarioError, check_size)
+from .behavior import (Behavior, alphabets, chain_IJ_of, chain_table, ij_factors, party_factors,
+                       table_cells)
+from .errors import (CHAIN_CELL_GUARD, CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD,
+                     STRATEGY_SPACE_GUARD, DimensionError, RangeError, ScenarioError, check_size)
 from .network import KIND_P22, check_kind
 
 MODEL_SCHEMA_VERSION = 1
@@ -145,9 +146,11 @@ def _model_parties(source_dists, responses) -> list[np.ndarray]:
 
 
 def behavior_of_model(model: NLocalModel) -> Behavior:
-    """Exact finite sum over hidden variables, by behavior.chain_table,
-    which refuses tables beyond CHAIN_CELL_GUARD cells; the product of the
-    hidden cardinalities is never formed."""
+    """Exact finite sum over hidden variables, by behavior.chain_table; a
+    table beyond CHAIN_CELL_GUARD cells is refused before any party tensor
+    is built.  The product of the hidden cardinalities is never formed."""
+    check_size(table_cells(model.n), CHAIN_CELL_GUARD,
+               f"table cells of a {model.n + 1}-party chain")
     parties = _model_parties(model.source_dists, model.responses)
     return Behavior(model.kind, model.n, chain_table(parties))
 

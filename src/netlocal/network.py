@@ -33,7 +33,6 @@ SCENARIO_SCHEMA_VERSION = 1
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
 
@@ -112,7 +111,9 @@ class NetworkScenario:
     party n+1), its two dichotomic single-qubit observables.  For kind p22,
     intermediate_settings holds per intermediate party its two dichotomic
     two-qubit observables; for kind p14 it holds the four projectors of its
-    Bell-basis measurement, in outcome order.
+    Bell-basis measurement, in outcome order.  The constructor checks them
+    and converts them once: elements holds each party's POVM element array
+    E[x, a] (see _party_elements), in party order, for the evaluators.
     """
 
     n: int
@@ -120,6 +121,7 @@ class NetworkScenario:
     sources: list[SourceState]
     end_settings: list[list[np.ndarray]]
     intermediate_settings: list[list[np.ndarray]] = field(default_factory=list)
+    elements: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         check_kind(self.kind)
@@ -129,30 +131,42 @@ class NetworkScenario:
             raise ScenarioError(f"expected {self.n} sources, got {len(self.sources)}")
         if len(self.end_settings) != 2 or any(len(obs) != 2 for obs in self.end_settings):
             raise ScenarioError("end_settings must hold two observables per end party")
-        for obs in self.end_settings:
-            for a in obs:
-                _check_dichotomic(a, 2)
+        left, right = (_party_elements(obs, 2) for obs in self.end_settings)
         if len(self.intermediate_settings) != self.n - 1:
             raise ScenarioError(
                 f"expected {self.n - 1} intermediate settings, got {len(self.intermediate_settings)}"
             )
+        mids = []
         for ops in self.intermediate_settings:
-            if self.kind == KIND_P22:
-                if len(ops) != 2:
-                    raise ScenarioError("p22 intermediates need two observables")
-                for b in ops:
-                    _check_dichotomic(b, 4)
-            else:
-                if len(ops) != 4:
-                    raise ScenarioError("p14 intermediates need four projectors")
-                _check_projective(ops)
+            if self.kind == KIND_P22 and len(ops) != 2:
+                raise ScenarioError("p22 intermediates need two observables")
+            if self.kind == KIND_P14 and len(ops) != 4:
+                raise ScenarioError("p14 intermediates need four projectors")
+            mids.append(_party_elements(ops, 4, projective=self.kind == KIND_P14))
+        self.elements = (left, *mids, right)
 
     @property
     def num_parties(self) -> int:
         return self.n + 1
 
 
-def _check_dichotomic(op, dim):
+def _party_elements(ops, dim: int, projective: bool = False) -> np.ndarray:
+    """One party's settings, checked, as its POVM elements: a read-only
+    complex array E[x, a].  Each dichotomic observable B is an input with
+    elements (I + (-1)**a B)/2; projectors, in outcome order, are the single
+    input of a projective measurement."""
+    if projective:
+        _check_projective(ops)
+        rows = [ops]
+    else:
+        rows = [[(np.eye(dim) + (-1) ** a * b) / 2.0 for a in (0, 1)]
+                for b in (_check_dichotomic(op, dim) for op in ops)]
+    elems = np.array(rows, dtype=complex)
+    elems.setflags(write=False)
+    return elems
+
+
+def _check_dichotomic(op, dim) -> np.ndarray:
     op = qlin.as_operator(op)
     if op.shape != (dim, dim):
         raise ScenarioError(f"observable must be {dim}x{dim}, got {op.shape}")
@@ -160,6 +174,7 @@ def _check_dichotomic(op, dim):
         raise ScenarioError("observable is not Hermitian")
     if not qlin.close_to(op @ op, np.eye(dim), 1e-10, 1e-5):
         raise ScenarioError("observable is not dichotomic (square != identity)")
+    return op
 
 
 def _check_projective(ops):
@@ -207,25 +222,6 @@ def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
         mids = [bsm_projectors() for _ in range(n - 1)]
     return NetworkScenario(n=n, kind=kind, sources=sources,
                            end_settings=ends, intermediate_settings=mids)
-
-
-def measurement_elements(scenario: NetworkScenario, party: int) -> list[list[np.ndarray]]:
-    """POVM elements of one party, as elements[input][outcome].
-
-    Party indices run 0..n (0 and n are the ends).  Dichotomic observables B
-    expand to projectors (I + (-1)**a B)/2; p14 intermediates return their
-    projector list under their single input.
-    """
-    n = scenario.n
-    if not 0 <= party <= n:
-        raise ScenarioError(f"party index {party} out of range for {n + 1} parties")
-    if party == 0 or party == n:
-        obs = scenario.end_settings[0 if party == 0 else 1]
-        return [[(ID2 + (-1) ** a * b) / 2.0 for a in (0, 1)] for b in obs]
-    ops = scenario.intermediate_settings[party - 1]
-    if scenario.kind == KIND_P22:
-        return [[(ID4 + (-1) ** a * b) / 2.0 for a in (0, 1)] for b in ops]
-    return [[np.asarray(p, dtype=complex) for p in ops]]
 
 
 def _matrix_to_json(m) -> list:

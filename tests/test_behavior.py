@@ -31,7 +31,7 @@ from netlocal.behavior import (
     uniform_behavior,
 )
 from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
-from netlocal.evaluator import (_real_if_real, _transfer_tensors, closed_form_p14,
+from netlocal.evaluator import (_party_tensors, _real_if_real, closed_form_p14,
                                 closed_form_p22_end_parity, evaluate_chain, standard_behavior)
 from netlocal.hvmodels import (_model_parties, behavior_of_model, decomposition_model,
                                sample_random_model)
@@ -540,7 +540,7 @@ def _chain_parties(kind, n, rotated=False):
                           for u, obs in zip(turn[:2], sc.end_settings)],
             intermediate_settings=[[u @ o @ u.conj().T for o in ops]
                                    for u, ops in zip(turn[2:], sc.intermediate_settings)])
-    parties = _real_if_real(_transfer_tensors(sc))
+    parties = _real_if_real(_party_tensors(sc.elements, [s.rho for s in sc.sources]))
     assert np.iscomplexobj(parties[0]) == rotated
     return parties
 

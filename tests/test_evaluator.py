@@ -1,8 +1,10 @@
 """Born-rule evaluation: naive vs chain contraction, closed forms, relabeling."""
 
+import copy
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +209,41 @@ def test_chain_IJ_matches_table_route_and_closed_form():
             assert abs(abs(J) - half_product) < 1e-12
 
 
+def _signed_elements(settings, dim):
+    """(1 + B)/2 and (1 - B)/2 for each dichotomic observable B."""
+    return [[(np.eye(dim, dtype=complex) + (-1) ** a * b) / 2.0 for a in (0, 1)]
+            for b in settings]
+
+
+def test_scenario_elements_and_every_route_reads_them():
+    rng = np.random.default_rng(21)
+    alphas = [0.9, 0.8, 0.7]
+    for kind in (KIND_P22, KIND_P14):
+        standard = standard_scenario(3, kind, alphas)
+        for sc in (standard, _rotated(standard, rng)):
+            # the settings' element arrays, bit for bit and read-only
+            ends = [_signed_elements(obs, 2) for obs in sc.end_settings]
+            mids = [_signed_elements(ops, 4) if kind == KIND_P22 else [ops]
+                    for ops in sc.intermediate_settings]
+            assert len(sc.elements) == sc.n + 1
+            for got, want in zip(sc.elements, [ends[0], *mids, ends[1]]):
+                want = np.asarray(want, dtype=complex)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            # swapping the left end's outcomes flips the sign of I and J on
+            # every route, so each one reads the stored arrays
+            flipped = copy.copy(sc)
+            flipped.elements = (sc.elements[0][:, ::-1], *sc.elements[1:])
+            routes = (lambda s: compute_IJ(evaluate_naive(s)),
+                      lambda s: compute_IJ(evaluate_chain(s)),
+                      chain_IJ,
+                      lambda s: werner_IJ(s)(alphas))
+            for route in routes:
+                signed = np.asarray(route(sc))
+                assert np.abs(signed).min() > 1e-3
+                assert np.allclose(route(flipped), -signed, rtol=0.0, atol=1e-12)
+
+
 def test_chain_IJ_matches_table_route_on_rotated_settings():
     rng = np.random.default_rng(11)
     for kind in (KIND_P22, KIND_P14):
@@ -218,7 +255,7 @@ def test_chain_IJ_matches_table_route_on_rotated_settings():
 def test_chain_IJ_sources_override_and_trace_check():
     sc = standard_scenario(3, KIND_P14)
     sources = [SourceState(werner(a), alpha=a) for a in (0.9, 0.8, 0.7)]
-    assert np.allclose(chain_IJ(sc, sources),
+    assert np.allclose(chain_IJ(replace(sc, sources=sources)),
                        compute_IJ(evaluate_chain(standard_scenario(3, KIND_P14,
                                                                    (0.9, 0.8, 0.7)))),
                        atol=1e-12)
@@ -226,9 +263,9 @@ def test_chain_IJ_sources_override_and_trace_check():
     # 1e-10 normalisation every behavior must meet
     sources[1] = SourceState(werner(0.8) * (1.0 + 5e-10))
     with pytest.raises(RangeError):
-        chain_IJ(sc, sources)
+        chain_IJ(replace(sc, sources=sources))
     with pytest.raises(ScenarioError):
-        chain_IJ(sc, sources[:2])
+        chain_IJ(replace(sc, sources=sources[:2]))
 
 
 def test_werner_IJ_matches_chain_IJ_on_werner_sources():
@@ -239,7 +276,8 @@ def test_werner_IJ_matches_chain_IJ_on_werner_sources():
             IJ = werner_IJ(sc)
             for alphas in (rng.uniform(0.0, 1.0, size=n), [0.0] * n, [1.0] * n):
                 sources = [SourceState(werner(a), alpha=a) for a in alphas]
-                assert np.abs(np.subtract(IJ(alphas), chain_IJ(sc, sources))).max() < 1e-13
+                assert np.abs(np.subtract(IJ(alphas),
+                                          chain_IJ(replace(sc, sources=sources)))).max() < 1e-13
 
 
 def test_werner_IJ_on_complex_settings():
@@ -249,7 +287,7 @@ def test_werner_IJ_on_complex_settings():
         alphas = rng.uniform(0.0, 1.0, size=3)
         sources = [SourceState(werner(a), alpha=a) for a in alphas]
         assert np.abs(np.subtract(werner_IJ(rotated)(alphas),
-                                  chain_IJ(rotated, sources))).max() < 1e-13
+                                  chain_IJ(replace(rotated, sources=sources)))).max() < 1e-13
 
 
 def _affine_arguments(monkeypatch, make):
@@ -356,6 +394,12 @@ def test_standard_behavior_refuses_before_building_tensors(monkeypatch):
                 evaluator.standard_behavior(kind, n)
     with pytest.raises(KindError):
         evaluator.standard_behavior("p13", 3)
+    # a table over the budget is priced before any source is built,
+    # with chain_table's message
+    monkeypatch.setattr(evaluator, "werner", refuse)
+    for kind in (KIND_P22, KIND_P14):
+        with pytest.raises(SizeGuardError, match="20001-party chain, over"):
+            evaluator.standard_behavior(kind, 20000)
 
 
 def test_werner_IJ_refuses_visibilities_outside_the_unit_interval():

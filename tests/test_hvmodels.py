@@ -8,7 +8,7 @@ import pytest
 
 from netlocal import hvmodels
 from netlocal.behavior import alphabets, compute_IJ
-from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError
+from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError, SizeGuardError
 from netlocal.hvmodels import (
     NLocalModel,
     behavior_from_weights,
@@ -28,6 +28,17 @@ from netlocal.hvmodels import (
     trial_rng,
 )
 from netlocal.network import KIND_P14, KIND_P22
+
+
+def test_behavior_of_model_refuses_before_building_tensors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table must be priced before any party tensor is built")
+
+    models = [hvmodels.decomposition_model(kind, 14, 0) for kind in (KIND_P22, KIND_P14)]
+    monkeypatch.setattr(hvmodels, "_model_parties", refuse)
+    for model in models:
+        with pytest.raises(SizeGuardError, match="15-party chain, over"):
+            behavior_of_model(model)
 
 
 def test_model_validation():

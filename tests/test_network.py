@@ -12,7 +12,6 @@ from netlocal.network import (
     bsm_projectors,
     check_kind,
     end_observable,
-    measurement_elements,
     partial_bsm_observable,
     scenario_from_json,
     scenario_to_json,
@@ -162,17 +161,15 @@ def test_operator_checks_keep_a_relative_tolerance():
                     build()
 
 
-def test_measurement_elements_are_povms():
+def test_scenario_elements_are_povms():
     for kind in (KIND_P22, KIND_P14):
         sc = standard_scenario(2, kind)
         for party in range(3):
-            elements = measurement_elements(sc, party)
+            elements = sc.elements[party]
             for per_input in elements:
                 total = sum(per_input)
                 dim = total.shape[0]
                 assert np.allclose(total, np.eye(dim), atol=1e-12)
-    with pytest.raises(ScenarioError):
-        measurement_elements(standard_scenario(2, KIND_P22), 5)
 
 
 def test_scenario_json_round_trip():
