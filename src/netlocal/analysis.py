@@ -5,7 +5,8 @@ simplex written here (no external solver): phase one minimizes the L1
 constraint violation with paired artificial columns, over table rows chosen
 exactly, party by party, and stops once that violation is negligible; a
 behavior is a member exactly when some strategy mixture reproduces its full
-table within tolerance.
+table within tolerance.  The LP splits into independent blocks at the
+parties with one input (p14's intermediates), solved one after another.
 
 Also here: the exact decomposition of the analytic quantum point into two
 n-local models (so the n-local set is not convex), visibility-threshold
@@ -25,14 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from . import hvmodels
 from .behavior import Behavior, alphabets, bound_values, table_cells
 from .errors import (CHAIN_LENGTH_GUARD, GRID_POINT_GUARD, LP_CELL_GUARD, OUTPUT_CELL_GUARD,
-                     SWEEP_CELL_GUARD, SWEEP_PARTY_CELLS, NoCrossingError, RangeError,
-                     ScenarioError, check_size)
+                     SWEEP_CELL_GUARD, SWEEP_PARTY_CELLS, SWEEP_TRIAL_CELLS, NoCrossingError,
+                     RangeError, ScenarioError, check_size)
 from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
                         standard_werner_IJ)
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
@@ -53,34 +55,34 @@ _PIVOT_EPS = 1e-10
 
 
 def _pivot(T, r, col):
-    """Pivot on entry (r, col[r]) of the entering column col, stored or derived: over every
-    row in one pass when more than a quarter of the others are nonzero in col, else over those
-    only (the rest subtract zeros).  einsum forms np.outer's products at about half its cost."""
-    T[r] /= col[r]
+    """Pivot in place on entry (r, col[r]) of the entering column col, stored or derived: over
+    every row when over a quarter of the others are nonzero in col, else over those only."""
+    Tr = np.divide(T[r], col[r], out=T[r])
     c = col.copy()
     c[r] = 0.0
     rows = c.nonzero()[0]
-    sel = slice(None) if 4 * rows.size > len(T) - 1 else rows
-    T[sel] -= np.einsum("i,j->ij", c[sel], T[r])
+    if 4 * rows.size > len(T) - 1:
+        T -= np.einsum("i,j->ij", c, Tr)
+    else:
+        T[rows] -= np.einsum("i,j->ij", c[rows], Tr)
 
 
 def _lexicographic_row(T, cand, col):
     """Lexicographic tie-break: filter cand column by column (from 0, within 1e-12) on its
     scaled rows T[i] / col[i], jumping to each column that splits them (two rows at once)."""
-    if cand.size == 2:
-        i, k = cand
-        a, b = T[i] / col[i], T[k] / col[k]
-        split = (a > b + 1e-12) | (b > a + 1e-12)
-        c = split.argmax()
-        return int(k if split[c] and a[c] > b[c] else i)
     V = T[cand] / col[cand, None]
-    while cand.size > 1:
+    while cand.size > 2:
         keep = V <= V.min(axis=0) + 1e-12
         tied = keep.all(axis=0)
         c = int(tied.argmin())
         if tied[c]:
             break
         cand, V = cand[keep[:, c]], V[keep[:, c], c + 1:]
+    if cand.size == 2:
+        a, b = V
+        split = (a > b + 1e-12) | (b > a + 1e-12)
+        c = split.argmax()
+        return int(cand[1] if split[c] and a[c] > b[c] else cand[0])
     return int(cand[0])
 
 
@@ -89,16 +91,13 @@ def _phase1_simplex(A, b, stop):
 
     Columns are [q, s+, s-] with A q + s+ - s- = b; the starting basis is s+
     after flipping rows to make b nonnegative.  Only the rows [q | s+ | rhs]
-    are stored: pivots keep s- the exact negation of s+ (IEEE negation
-    commutes with them), so an entering s- column is derived as -T[:, s+].
-    The reduced costs [q, s+, s-] and the objective are their own row R,
-    started from the full tableau's column sums and updated with the same
-    products, never recomputed from s+.  Entering column: most negative
-    reduced cost.  Leaving row: lexicographic ratio test, which keeps the
-    walk finite on these heavily degenerate polytopes.  The walk returns
-    once the violation is at most `stop`.
-
-    Returns (q, objective, iterations).
+    are stored: pivots keep s- the exact negation of s+, so an entering s-
+    column is derived as -T[:, s+].  The reduced costs R and the objective
+    start from the full tableau's column sums and take R[j] times the pivot
+    row, its s- part negated from s+.  Entering column: most negative reduced
+    cost.  Leaving row: lexicographic ratio test over the rows positive in
+    it, which keeps the walk finite on these heavily degenerate polytopes.
+    Returns (q, objective, iterations) once the violation is at most `stop`.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     m, nv = A.shape
@@ -110,29 +109,31 @@ def _phase1_simplex(A, b, stop):
     basis = np.arange(nv, nv + m)
     # minus the column sums plus the unit costs: 0 on s+ (sums 1), 2 on s- (sums -1)
     sums = -T.sum(axis=0)
-    R = np.concatenate([sums[:nv], np.zeros(m), np.full(m, 2.0), sums[-1:]])
+    R, objective = np.concatenate([sums[:nv], np.zeros(m), np.full(m, 2.0)]), sums[-1]
+    update, rhs = np.empty_like(R), T[:, -1]
+    q_s_plus, s_plus, s_minus = update[:nv + m], update[nv:nv + m], update[nv + m:]
     max_iter, it = 2000 * (m + nv), 0
-    while it < max_iter and -R[-1] > stop:
-        j = int(R[:-1].argmin())
+    while it < max_iter and -objective > stop:
+        j = int(R.argmin())
         if R[j] >= -_PIVOT_EPS:
             break
         col = T[:, j] if j < nv + m else -T[:, j - m]
-        pos = col > _PIVOT_EPS
-        if not pos.any():
-            # phase 1 is bounded below by 0, so this is numerical breakdown
+        rows = (col > _PIVOT_EPS).nonzero()[0]
+        if not rows.size:  # phase 1 is bounded below by 0: numerical breakdown
             break
-        ratios = np.divide(T[:, -1], col, out=np.full(m, np.inf), where=pos)
-        cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
-        r = int(cand[0]) if cand.size == 1 else _lexicographic_row(T, cand, col)
+        ratios = rhs[rows] / col[rows]
+        rows = rows[ratios <= ratios[ratios.argmin()] + 1e-12]
+        r = int(rows[0]) if rows.size == 1 else _lexicographic_row(T, rows, col)
         _pivot(T, r, col)
-        # R takes R[j] times the whole pivot row [q, s+, s-, rhs]
-        R -= R[j] * np.concatenate([T[r, :-1], -T[r, nv:-1], T[r, -1:]])
+        objective -= R[j] * rhs[r]
+        np.multiply(T[r, :-1], R[j], out=q_s_plus)
+        np.negative(s_plus, out=s_minus)
+        R -= update
         basis[r] = j
         it += 1
-
     q = np.zeros(nv)
-    q[basis[basis < nv]] = T[basis < nv, -1]
-    return q, float(-R[-1]), it
+    q[basis[basis < nv]] = rhs[basis < nv]
+    return q, float(-objective), it
 
 
 @dataclass(eq=False)
@@ -181,49 +182,109 @@ def _kept_rows(kind: str, n: int) -> np.ndarray:
     return np.flatnonzero(reduce(np.kron, masks))
 
 
+# one p14 block's tableau: 9 kept end-pair rows by 16 end-pair strategy
+# tuples, 9 s+ columns and the right-hand side
+_P14_BLOCK_TABLEAU = 9 * (16 + 9 + 1)
+
+
+def check_lp_size(kind: str, n: int) -> None:
+    """Refuse the (kind, n) membership LP over LP_CELL_GUARD before anything
+    is built: p22, one block, by the 16**(n+1) cells of its strategy matrix,
+    p14 by the tableau cells of its 4**(n-1) blocks."""
+    check_kind(kind)
+    if kind == KIND_P22:
+        check_size(table_cells(n) ** 2, LP_CELL_GUARD,
+                   f"cells the LP strategy matrix needs at n = {n}")
+    else:
+        check_size(table_cells(n) // 16 * _P14_BLOCK_TABLEAU, LP_CELL_GUARD,
+                   f"tableau cells the p14 LP's blocks need at n = {n}")
+
+
+class _LPBlocks(NamedTuple):
+    """A membership LP as independent blocks that share one matrix."""
+
+    full: np.ndarray        # (block cells, block strategy tuples)
+    kept: np.ndarray        # its kept rows, the matrix phase 1 sees
+    cells: np.ndarray       # (blocks, block cells): flat table cell of each row
+    kept_cells: np.ndarray  # (blocks, kept rows): the kept rows' cells
+    tuples: np.ndarray      # (blocks, block strategy tuples): flat tuple of each column
+
+
 @cache
-def _lp_matrices(kind: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, A[keep], keep) of the (kind, n) membership LP, built once per
-    process and read-only: A is the strategy matrix D as (table cells,
-    strategy tuples) and keep is _kept_rows.  LP_CELL_GUARD refuses a size
-    before anything is built or cached and admits n <= 4 only, so at most
-    six entries are kept, about 25 MB in all at n = 4."""
-    D = strategy_behavior_matrix(kind, n)
-    D.setflags(write=False)
-    A = D.reshape(D.shape[0], -1).T
-    keep = _kept_rows(kind, n)
-    A_kept = A[keep]
-    for a in (A_kept, keep):
+def _lp_matrices(kind: str, n: int) -> _LPBlocks:
+    """The (kind, n) membership LP as blocks, built once per process and
+    read-only.
+
+    A party with one input answers with its strategy, so its outcome is a
+    classical label and its factor of A[keep] is the identity.  Fixed
+    outcomes of all such parties pick one block: rows with those outcomes
+    and strategy tuples with those strategies, zero elsewhere in both.
+    Every block's matrix is the strategy matrix of the other parties, with
+    their kept rows (_kept_rows).  In p14 the intermediates are such
+    parties: 4**(n-1) blocks of 9 kept rows by 16 end-pair tuples.  p22 has
+    none and is one block, A and A[keep] as a whole.  check_lp_size refuses
+    a size before anything is built or cached.
+    """
+    check_lp_size(kind, n)
+    ins, outs = alphabets(kind, n)
+    labels = [p for p in range(n + 1) if ins[p] == 1]
+    others = [p for p in range(n + 1) if ins[p] > 1]
+    D = reduce(np.kron, [party_strategy_table(kind, n, p) for p in others])
+    full = D.reshape(len(D), -1).T
+    # table axes (x_0..x_n, a_0..a_n) and tuple axes (s_0..s_n), labels first
+    blocks = math.prod(outs[p] for p in labels)
+    axes = labels + [n + 1 + p for p in labels] + others + [n + 1 + p for p in others]
+    cells = np.arange(table_cells(n)).reshape(ins + outs).transpose(axes).reshape(blocks, -1)
+    counts = strategy_counts(kind, n)
+    tuples = np.arange(math.prod(counts)).reshape(counts).transpose(labels + others)
+    keep = np.isin(cells[0], _kept_rows(kind, n)).nonzero()[0]
+    lp = _LPBlocks(full, full[keep], cells, cells[:, keep], tuples.reshape(blocks, -1))
+    for a in lp:
         a.setflags(write=False)
-    return A, A_kept, keep
+    return lp
 
 
 def lp_local_membership(b: Behavior, tol: float = LP_DEFAULT_TOL) -> LPResult:
     """Decide whether a behavior is a mixture of deterministic strategies.
 
-    The simplex sees only the rows _kept_rows selects; the reported residual
-    is still the max over the full table.  Both matrices come from
-    _lp_matrices, built once per (kind, n) and process.  Feasible means
-    that residual is <= tol, in which case the witness weights are
-    returned.  Infeasibility is certified by a strictly positive L1 optimum,
-    or, for a signalling behavior, by a dropped row showing up in the
-    residual.
+    Phase 1 runs on each block of _lp_matrices in turn, on the rows
+    _kept_rows selects, and stops at the block's share of tol / 1000;
+    blocks whose right-hand sides are equal bit for bit share one walk.
+    iterations and the phase-1 objective are sums over the blocks, and the
+    reported residual is the max over the full table, which the blocks
+    cover.  Feasible means that residual is <= tol, in which case the
+    witness weights are returned, one per strategy tuple.  Infeasibility is
+    certified by a strictly positive L1 optimum, or, for a signalling
+    behavior, by a dropped row showing up in the residual.
     """
     if not tol > 0:
         raise RangeError(f"tol must be positive, got {tol}")
-    A, A_kept, keep = _lp_matrices(b.kind, b.n)
+    lp = _lp_matrices(b.kind, b.n)
     rhs = b.table.reshape(-1)
-    # a dropped cell's residual sums at most 3**(n+1) <= 243 (n <= 4) kept ones
-    q, objective, iterations = _phase1_simplex(A_kept, rhs[keep], tol / 1000)
-    residual = float(np.abs(A @ q - rhs).max())
+    # a dropped cell's residual sums at most 243 kept ones of its block
+    # (p22, n <= 4) or 9 (p14), and the blocks' violations add up
+    stop = tol / 1000 / len(lp.cells)
+    weights = np.zeros(lp.tuples.size)
+    objectives, iterations, residual = [], 0, 0.0
+    walks = {}  # a walk is a function of its right-hand side's bits
+    for cells, kept_cells, tuples in zip(lp.cells, lp.kept_cells, lp.tuples):
+        block = rhs[kept_cells]
+        if (key := block.tobytes()) not in walks:
+            walks[key] = _phase1_simplex(lp.kept, block, stop)
+        q, objective, it = walks[key]
+        weights[tuples] = q
+        objectives.append(objective)
+        iterations += it
+        residual = max(residual, float(np.abs(lp.full @ q - rhs[cells]).max()))
     feasible = residual <= tol
     return LPResult(
         feasible=feasible,
         max_residual=residual,
-        phase1_objective=objective,
+        # started from the first block, so that one block's objective is kept as is
+        phase1_objective=sum(objectives[1:], objectives[0]),
         iterations=iterations,
         tol=tol,
-        weights=q if feasible else None,
+        weights=weights if feasible else None,
     )
 
 
@@ -506,14 +567,16 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     Trial t uses the PRNG derived from (seed, t), so the result does not
     depend on how trials are split across workers.  The trials are split
     into `workers` jobs, run by at most one process per job and per CPU.
-    A sweep is priced as its drawn cells plus SWEEP_PARTY_CELLS per party
-    and block of trials; one over SWEEP_CELL_GUARD is refused before
-    anything is drawn or any worker starts.
+    A sweep is priced as its drawn cells plus SWEEP_TRIAL_CELLS per trial
+    and SWEEP_PARTY_CELLS per party and block of trials; one over
+    SWEEP_CELL_GUARD is refused before anything is drawn or any worker
+    starts.
     """
     shapes = hvmodels._random_model_shapes(kind, n, cardinality)
     cells = sum(map(math.prod, shapes))
     blocks = -(-trials // max(1, hvmodels.MC_BLOCK_CELLS // cells))
-    _check_sweep(trials, seed, trials * cells + blocks * (n + 1) * SWEEP_PARTY_CELLS,
+    _check_sweep(trials, seed, trials * (cells + SWEEP_TRIAL_CELLS)
+                 + blocks * (n + 1) * SWEEP_PARTY_CELLS,
                  f"{kind} models at n = {n}, K = {cardinality}")
     # beyond one job per trial, more workers only add empty jobs
     workers = min(max(1, int(workers)), trials)

@@ -281,23 +281,50 @@ def chain_IJ_of(kind: str, n: int, parties) -> tuple:
     return tuple(chain_contract(party_factors(parties, w, s)) for w, s in ij_factors(kind, n))
 
 
+def _signed_sums(v: np.ndarray, signs) -> np.ndarray:
+    """Sign the flat outcome axis of v, one matmul per party from the last,
+    down to v's leading shape.  Past TABLE_BLOCK_CELLS cells the trailing
+    parties d.. are signed first, over chunks of the leading outcomes that
+    fit one block, then parties ..d-1 over all of them.  A chunk holds a
+    power of two, at least two, of the leading outcomes, so that no step
+    stacks a single dot product (numpy sums that one in another order) and
+    every row keeps the dot products of the unblocked steps."""
+    lead = v.shape[:-1]
+    if v.size > TABLE_BLOCK_CELLS:
+        rows, d, trailing = v.size // v.shape[-1], 1, v.shape[-1] // signs[0].size
+        while 2 * rows * trailing > TABLE_BLOCK_CELLS and d < len(signs) - 1:
+            trailing //= signs[d].size
+            d += 1
+        heads = v.shape[-1] // trailing
+        step = min(heads, TABLE_BLOCK_CELLS // (rows * trailing))
+        step = 1 << (step.bit_length() - 1)
+        v, out = v.reshape(lead + (heads, trailing)), np.empty(lead + (heads,))
+        for i in range(0, heads, step):
+            w = v[..., i:i + step, :]
+            for s in reversed(signs[d:]):
+                w = w.reshape(lead + (-1, s.size)) @ s
+            out[..., i:i + step] = w
+        v, signs = out, signs[:d]
+    for s in reversed(signs):
+        v = v.reshape(lead + (-1, s.size)) @ s
+    return v
+
+
 def compute_IJ(b: Behavior) -> tuple[float, float]:
     """Signed values of the two correlator averages for a behavior.
 
     Reads only the four table rows each functional weighs, as one view
     (each party's nonzero weights are one run of its inputs), and signs
     their outcomes one matmul per party from the last, over the stacked
-    rows; each row keeps the dot products a row-by-row loop takes.
+    rows, in blocks of at most TABLE_BLOCK_CELLS cells (_signed_sums);
+    each row keeps the dot products a row-by-row loop takes.
     """
     values = []
     for weights, signs in ij_factors(b.kind, b.n):
         picks = [np.flatnonzero(w) for w in weights]
         v = b.table.reshape(b.input_sizes + (-1,))[tuple(slice(p[0], p[-1] + 1) for p in picks)]
-        lead = v.shape[:-1]
-        for s in reversed(signs):
-            v = v.reshape(lead + (-1, s.size)) @ s
         total = 0.0
-        for xs, corr in zip(product(*picks), v.reshape(-1).tolist()):
+        for xs, corr in zip(product(*picks), _signed_sums(v, signs).reshape(-1).tolist()):
             total += math.prod(float(w[x]) for w, x in zip(weights, xs)) * corr
         values.append(total)
     return values[0], values[1]

@@ -22,6 +22,7 @@ import sys
 from .analysis import (
     LP_DEFAULT_TOL,
     chain_pr_behavior,
+    check_lp_size,
     decomposition_check,
     figure4_report,
     lp_local_membership,
@@ -41,7 +42,7 @@ from .behavior import (
     table_cells,
     write_json_cells,
 )
-from .errors import LP_CELL_GUARD, LP_FILE_BYTE_GUARD, OUTPUT_CELL_GUARD, NetlocalError, check_size
+from .errors import LP_FILE_BYTE_GUARD, OUTPUT_CELL_GUARD, NetlocalError, check_size
 from .evaluator import standard_behavior
 from .hvmodels import model_IJ, model_to_json, tightness_model
 from .network import KIND_P14, KIND_P22
@@ -169,8 +170,7 @@ def cmd_lp(args) -> dict:
         b = load_behavior_json(args.behavior)
     else:
         # --kind and --n fix the scenario: refuse before it is built or read
-        check_size(table_cells(args.n) ** 2, LP_CELL_GUARD,
-                   f"cells the LP strategy matrix needs at n = {args.n}")
+        check_lp_size(args.kind, args.n)
         if args.behavior is not None:
             b = load_behavior_csv(args.behavior, args.kind, args.n)
         elif args.source == "chain-pr":

@@ -45,8 +45,12 @@ CHAIN_CELL_GUARD = 4 ** 14
 OUTPUT_CELL_GUARD = 4 ** 12
 # evaluate_naive's global dimension 4**n: n <= 6
 NAIVE_DIM_GUARD = 4096
-# the LP strategy matrix D, a row per strategy tuple and a column per table
-# cell, 4**(n+1) of each for both kinds: n = 4 is 8 MB, n = 5 would need 134 MB
+# a membership LP's cells.  p22 is one block, priced by its strategy matrix
+# D, a row per strategy tuple and a column per table cell, 4**(n+1) of each:
+# n = 4 is 8 MB and 1.0-1.5 s of phase 1, n = 5 would need 134 MB.  p14 is
+# 4**(n-1) blocks, priced by their tableaux of 9 x 26 cells: about 1.3-1.7 us
+# a cell (0.3-0.4 ms a block, random behaviors, whose blocks all differ), so
+# n = 7 takes 1.4 s of phase 1 and n = 8 would take about 6 s
 LP_CELL_GUARD = 16 ** 5
 # a behavior file that lp parses as JSON; the largest it can admit, n = 4
 # from simulate --out or re-dumped with indent=2, takes 22-27 KB
@@ -55,12 +59,15 @@ LP_FILE_BYTE_GUARD = 2 ** 20
 HIDDEN_PRODUCT_GUARD = 10 ** 7
 # deterministic strategy tuples, 4**(n+1) for both kinds: n <= 8
 STRATEGY_SPACE_GUARD = 10 ** 6
-# a Monte-Carlo sweep's trials x drawn cells per trial, plus SWEEP_PARTY_CELLS
-# per party and block of trials in n-local sweeps.  The largest sweep admitted
-# takes 9-21 s at n = 40, 200 and 1000 (K = 1 to 4), up to 30 s in the
-# smallest models, whose trials cost more than their 14 cells say (n = 2,
-# K = 1: about 4.4 us a trial), and 1.3-6.5 s in mixture sweeps
+# a Monte-Carlo sweep's trials x drawn cells per trial, plus, in n-local
+# sweeps, SWEEP_TRIAL_CELLS per trial and SWEEP_PARTY_CELLS per party and
+# block of trials.  The largest sweep admitted takes 9-21 s at n = 2, 40, 200
+# and 1000 (K = 1 to 4), and 1.3-6.5 s in mixture sweeps
 SWEEP_CELL_GUARD = 10 ** 8
+# each trial's fixed work in an n-local sweep, its PCG64 generator and its one
+# draw call: 4.4-5.4 us, as long as this many drawn cells (0.15-0.2 us each
+# at n = 40).  It dominates the smallest models (n = 2, K = 1: 14 cells)
+SWEEP_TRIAL_CELLS = 32
 # each party's fixed work in an n-local sweep, paid once per block of trials:
 # 40-55 us, about as long as this many drawn cells.  It dominates long chains
 # with small K (n = 1000, K = 1: 5004 cells, three trials a block)

@@ -1,11 +1,13 @@
 """LP membership, exact decomposition, thresholds, boundary data, MC sweeps."""
 
+import json
 import math
 import os
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,6 +294,61 @@ def test_stored_tableau_walks_like_the_full_tableau():
         assert q.tobytes() == q_ref.tobytes()
 
 
+def _concatenated_cost_row_phase1(A, b, stop):
+    """Reference for analysis._phase1_simplex: the loop before the leaner
+    pivot, with the objective as the cost row's last entry, the cost-row
+    update formed by np.concatenate plus a negation, the ratio test over
+    every row, and the dense pivot assigned back onto the tableau."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    m, nv = A.shape
+    flip = b < 0
+    T = np.zeros((m, nv + m + 1))
+    T[:, :nv] = np.where(flip[:, None], -A, A)
+    T[:, nv:-1] = np.eye(m)
+    T[:, -1] = np.where(flip, -b, b)
+    basis = np.arange(nv, nv + m)
+    sums = -T.sum(axis=0)
+    R = np.concatenate([sums[:nv], np.zeros(m), np.full(m, 2.0), sums[-1:]])
+    max_iter, it = 2000 * (m + nv), 0
+    while it < max_iter and -R[-1] > stop:
+        j = int(R[:-1].argmin())
+        if R[j] >= -analysis._PIVOT_EPS:
+            break
+        col = T[:, j] if j < nv + m else -T[:, j - m]
+        pos = col > analysis._PIVOT_EPS
+        if not pos.any():
+            break
+        ratios = np.divide(T[:, -1], col, out=np.full(m, np.inf), where=pos)
+        cand = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+        r = int(cand[0]) if cand.size == 1 else analysis._lexicographic_row(T, cand, col)
+        T[r] /= col[r]
+        c = col.copy()
+        c[r] = 0.0
+        rows = c.nonzero()[0]
+        sel = slice(None) if 4 * rows.size > len(T) - 1 else rows
+        T[sel] -= np.einsum("i,j->ij", c[sel], T[r])
+        R -= R[j] * np.concatenate([T[r, :-1], -T[r, nv:-1], T[r, -1:]])
+        basis[r] = j
+        it += 1
+    q = np.zeros(nv)
+    q[basis[basis < nv]] = T[basis < nv, -1]
+    return q, float(-R[-1]), it
+
+
+def test_leaner_loop_walks_like_the_concatenated_cost_row():
+    cases = [b for b in _walk_cases() if b.kind == KIND_P22]
+    noise, pr = uniform_behavior(KIND_P22, 3), chain_pr_behavior(KIND_P22, 3)
+    cases += [evaluate_chain(standard_scenario(3, KIND_P22, [0.9, 0.7, 0.8])),
+              mix_behaviors([0.45, 0.55], [noise, pr])]
+    for behavior in cases:
+        A, b = _kept_system(behavior)
+        q, objective, iterations = analysis._phase1_simplex(A, b, 1e-11)
+        q_ref, objective_ref, iterations_ref = _concatenated_cost_row_phase1(A, b, 1e-11)
+        assert iterations == iterations_ref > 0
+        assert objective == objective_ref
+        assert q.tobytes() == q_ref.tobytes()
+
+
 def test_walks_pivot_on_derived_s_minus_columns(monkeypatch):
     derived = []
     pivot = analysis._pivot
@@ -317,19 +374,118 @@ def test_lp_matrices_are_cached_read_only_and_equal_a_fresh_build():
             analysis._lp_matrices.cache_clear()
             b = chain_pr_behavior(kind, n)
             cold = lp_local_membership(b)
-            A, A_kept, keep = analysis._lp_matrices(kind, n)
+            lp = analysis._lp_matrices(kind, n)
             warm = lp_local_membership(b)
-            assert analysis._lp_matrices(kind, n)[0] is A
+            assert analysis._lp_matrices(kind, n) is lp
             D = strategy_behavior_matrix(kind, n)
             fresh_A = D.reshape(D.shape[0], -1).T
             fresh_keep = analysis._kept_rows(kind, n)
-            assert np.array_equal(A, fresh_A) and np.array_equal(keep, fresh_keep)
-            assert np.array_equal(A_kept, fresh_A[fresh_keep])
-            for a in (A, A_kept, keep):
+            # the blocks tile A: each is `full` at its cells and tuples, and
+            # A is zero outside them
+            tiled = np.zeros_like(fresh_A)
+            for cells, tuples in zip(lp.cells, lp.tuples):
+                tiled[np.ix_(cells, tuples)] = lp.full
+            assert np.array_equal(tiled, fresh_A)
+            assert np.array_equal(np.sort(lp.cells, axis=None), np.arange(fresh_A.shape[0]))
+            assert np.array_equal(np.sort(lp.tuples, axis=None), np.arange(fresh_A.shape[1]))
+            assert np.array_equal(np.sort(lp.kept_cells, axis=None), fresh_keep)
+            for cells, kept_cells in zip(lp.cells, lp.kept_cells):
+                assert np.array_equal(lp.kept, lp.full[np.isin(cells, kept_cells)])
+            if kind == KIND_P22:
+                # one block: A and A[keep] as a whole, in table order
+                assert np.array_equal(lp.full, fresh_A)
+                assert np.array_equal(lp.kept, fresh_A[fresh_keep])
+                assert np.array_equal(lp.kept_cells, fresh_keep[None])
+            else:
+                assert lp.cells.shape == (4 ** (n - 1), 16) and lp.kept.shape == (9, 16)
+            for a in lp:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 1
             assert cold.to_json() == warm.to_json()
+
+
+def _sparse_scipy_feasible(b):
+    """HiGHS on the full equality system A q = table, q >= 0, with A the
+    Kronecker product of the party tables as a sparse matrix: its rows run
+    over (x_0, a_0, x_1, a_1, ...), so the table is permuted to match."""
+    import scipy.sparse as sp
+    n = b.n
+    A = sp.csr_matrix(np.ones((1, 1)))
+    for p in range(n + 1):
+        t = party_strategy_table(b.kind, n, p)
+        A = sp.kron(A, sp.csr_matrix(t.reshape(len(t), -1).T), format="csr")
+    ins, outs = alphabets(b.kind, n)
+    order = [axis for p in range(n + 1) for axis in (p, n + 1 + p)]
+    rhs = b.table.reshape(ins + outs).transpose(order).reshape(-1)
+    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    return res.status == 0
+
+
+def test_block_lp_matches_scipy_verdicts():
+    rng = np.random.default_rng(22)
+    cases = [(KIND_P14, n) for n in (2, 3, 4, 5)] + [(KIND_P22, n) for n in (2, 3)]
+    for kind, n in cases:
+        pr, noise = chain_pr_behavior(kind, n), uniform_behavior(kind, n)
+        # PR box plus white noise is local iff the PR weight is at most 1/2
+        expected = [(evaluator.standard_behavior(kind, n, rng.uniform(0.5, 1.0, size=n)), True),
+                    (pr, False),
+                    (mix_behaviors([0.55, 0.45], [noise, pr]), True),
+                    (mix_behaviors([0.45, 0.55], [noise, pr]), False)]
+        for b, local in expected:
+            res = lp_local_membership(b)
+            assert res.feasible is local is _sparse_scipy_feasible(b), (kind, n, local)
+
+
+def test_blocks_give_the_undecomposed_verdict_and_residual():
+    for n in (2, 3):
+        pr, noise = chain_pr_behavior(KIND_P14, n), uniform_behavior(KIND_P14, n)
+        cases = [evaluate_chain(standard_scenario(n, KIND_P14)), pr,
+                 mix_behaviors([0.3, 0.7], [pr, noise]), mix_behaviors([0.8, 0.2], [pr, noise])]
+        D = strategy_behavior_matrix(KIND_P14, n)
+        A = D.reshape(D.shape[0], -1).T
+        keep = analysis._kept_rows(KIND_P14, n)
+        for b in cases:
+            rhs = b.table.reshape(-1)
+            res = lp_local_membership(b)
+            q, _, _ = analysis._phase1_simplex(A[keep], rhs[keep], res.tol / 1000)
+            residual = np.abs(A @ q - rhs).max()
+            assert bool(residual <= res.tol) is res.feasible
+            assert abs(residual - res.max_residual) <= 1e-15
+
+
+def test_p14_membership_never_builds_the_strategy_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p14 membership must not build D")
+
+    parties = []
+    table = analysis.party_strategy_table
+
+    def record(kind, n, p):
+        parties.append(p)
+        return table(kind, n, p)
+
+    monkeypatch.setattr(analysis, "strategy_behavior_matrix", refuse)
+    monkeypatch.setattr(analysis, "party_strategy_table", record)
+    for n in (2, 3, 4, 5):
+        analysis._lp_matrices.cache_clear()
+        parties.clear()
+        assert lp_local_membership(chain_pr_behavior(KIND_P14, n)).feasible is False
+        # only the two ends' tables: one 16 x 16 block matrix
+        assert parties == [0, n]
+    analysis._lp_matrices.cache_clear()
+
+
+def test_pinned_p14_weights_reproduce_the_table():
+    case = next(c for c in json.loads((Path(__file__).parent / "data" /
+                                       "default_payloads.json").read_text())
+                if c["name"] == "lp-p14")
+    result = case["payload"]["result"]
+    b = evaluate_chain(standard_scenario(3, KIND_P14))
+    w = hvmodels.StrategyWeights(KIND_P14, 3, np.reshape(result["weights"],
+                                                        hvmodels.strategy_counts(KIND_P14, 3)))
+    table = hvmodels.behavior_from_weights(w).table
+    assert np.abs(table - b.table).max() <= result["tol"]
 
 
 def test_lp_size_guard_refuses_before_allocating(monkeypatch):
@@ -341,6 +497,12 @@ def test_lp_size_guard_refuses_before_allocating(monkeypatch):
         for n in (5, 8, 40):
             with pytest.raises(SizeGuardError):
                 strategy_behavior_matrix(kind, n)
+    # the membership LP: p22 past n = 4, p14 (priced by its blocks) past n = 7
+    for kind, n in ((KIND_P22, 5), (KIND_P14, 8), (KIND_P22, 40), (KIND_P14, 40)):
+        with pytest.raises(SizeGuardError):
+            analysis._lp_matrices(kind, n)
+    for kind, n in ((KIND_P22, 4), (KIND_P14, 7)):
+        analysis.check_lp_size(kind, n)
 
 
 def test_lp_feasible_for_random_local_models():

@@ -213,6 +213,50 @@ def test_compute_IJ_matches_the_row_by_row_loop():
         assert got == want, (b.kind, b.n, got, want)
 
 
+def _unblocked_IJ(b):
+    """Reference for compute_IJ: the stacked rows signed in one pass, every
+    step over the whole view, as before the blocks."""
+    values = []
+    for weights, signs in ij_factors(b.kind, b.n):
+        picks = [np.flatnonzero(w) for w in weights]
+        v = b.table.reshape(b.input_sizes + (-1,))[tuple(slice(p[0], p[-1] + 1) for p in picks)]
+        lead = v.shape[:-1]
+        for s in reversed(signs):
+            v = v.reshape(lead + (-1, s.size)) @ s
+        total = 0.0
+        for xs, corr in zip(product(*picks), v.reshape(-1).tolist()):
+            total += math.prod(float(w[x]) for w, x in zip(weights, xs)) * corr
+        values.append(total)
+    return values[0], values[1]
+
+
+def test_compute_IJ_in_blocks_keeps_the_unblocked_bits():
+    rng = np.random.default_rng(45)
+    for kind in (KIND_P22, KIND_P14):
+        for n in range(2, 10):
+            b = standard_behavior(kind, n, rng.uniform(0.0, 1.0, size=n))
+            assert compute_IJ(b) == _unblocked_IJ(b), (kind, n)
+    # p14 from n = 8 on has more than TABLE_BLOCK_CELLS cells in its rows;
+    # every cell distinct, so that any change in a sum's order would show
+    assert 4 ** 9 > TABLE_BLOCK_CELLS
+    for n, seed in product((8, 9), range(3)):
+        b = _random_rows(KIND_P14, n, seed)
+        assert compute_IJ(b) == _unblocked_IJ(b), (n, seed)
+
+
+def test_compute_IJ_peak_allocation_is_bounded_by_the_block():
+    b = standard_behavior(KIND_P14, 9)
+    compute_IJ(b)
+    tracemalloc.start()
+    try:
+        compute_IJ(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the unblocked pass held half of the 8 MiB table: 5.0 MiB
+    assert peak <= 1.5 * 2 ** 20, peak
+
+
 def test_bound_values_match_the_numpy_formula():
     values = (0.0, 5e-324, 0.25, 1.0, 1.0 + VIOLATION_ATOL)
     for I, J in product([v * sign for v in values for sign in (1.0, -1.0)], repeat=2):

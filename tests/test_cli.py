@@ -118,7 +118,7 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
         ["lp", "--behavior", str(n2_csv), "--n", "3"],      # wrong shape for n = 3
         ["lp", "--behavior", str(future_json)],             # unsupported schema version
         ["lp", "--n", "5"],                                 # LP size guard
-        ["lp", "--n", "5", "--kind", "p14"],
+        ["lp", "--n", "8", "--kind", "p14"],
         ["lp", "--n", "8", "--source", "chain-pr"],
         ["lp", "--n", "40"],
         ["lp", "--n", "40", "--source", "chain-pr"],
@@ -184,9 +184,11 @@ _SIZE_FLAG_EXTREMES = {
                    ["--trials", "1000000000"], ["--trials", "1000000000", "--mixture"],
                    ["--trials", "1000000000", "--workers", "2"],
                    ["--n", "5000", "--cardinality", "1", "--trials", "1000"],
-                   ["--n", "7142", "--mixture", "--trials", "1"]],
+                   ["--n", "7142", "--mixture", "--trials", "1"],
+                   ["--n", "2", "--cardinality", "1", "--trials", "2143327"]],
     "lp": [["--n", "10000"], ["--n", "10000", "--source", "chain-pr"], ["--n", "3571"],
-           ["--n", "1000000000"],
+           ["--n", "1000000000"], ["--n", "5000", "--kind", "p14"],
+           ["--n", "5000", "--kind", "p14", "--source", "chain-pr"], ["--n", "8", "--kind", "p14"],
            ["--n", "10000", "--kind", "p14", "--behavior", "x.csv"], ["--behavior", "{big}"]],
     "threshold": [["--n", "10000"], ["--n", "10000", "--bound", "local"]],
     "figure4": [["--n", "10000"], ["--grid-step", "5e-324"],
@@ -299,11 +301,12 @@ def test_threshold_with_nothing_moving_exits_3(capsys):
 def test_lp_csv_is_refused_before_the_file_is_read(capsys, monkeypatch, tmp_path):
     import netlocal.cli
     monkeypatch.setattr(netlocal.cli, "load_behavior_csv", _refuse)
-    for kind in ("p22", "p14"):
-        code = main(["lp", "--behavior", str(tmp_path / "x.csv"), "--n", "5", "--kind", kind])
+    for kind, n, what in (("p22", "5", "LP strategy matrix needs"),
+                          ("p14", "8", "p14 LP's blocks need")):
+        code = main(["lp", "--behavior", str(tmp_path / "x.csv"), "--n", n, "--kind", kind])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert "LP strategy matrix needs" in captured.err
+        assert what in captured.err
 
 
 def test_malformed_behavior_csv_exits_3(capsys, tmp_path):
