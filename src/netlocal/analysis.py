@@ -182,22 +182,39 @@ def _kept_rows(kind: str, n: int) -> np.ndarray:
     return np.flatnonzero(reduce(np.kron, masks))
 
 
-# one p14 block's tableau: 9 kept end-pair rows by 16 end-pair strategy
-# tuples, 9 s+ columns and the right-hand side
-_P14_BLOCK_TABLEAU = 9 * (16 + 9 + 1)
+class _BlockShape(NamedTuple):
+    """How a membership LP splits into blocks, from the alphabets alone."""
+
+    labels: list   # parties with one input: their outcomes pick a block
+    others: list   # the other parties, whose strategy matrix every block is
+    blocks: int
+    rows: int      # a block's kept rows, _kept_rows' selection of its cells
+    tuples: int    # a block's strategy tuples
+
+
+def _block_shape(kind: str, n: int) -> _BlockShape:
+    ins, outs = alphabets(kind, n)
+    labels = [p for p in range(n + 1) if ins[p] == 1]
+    others = [p for p in range(n + 1) if ins[p] > 1]
+    return _BlockShape(labels, others,
+                       blocks=math.prod(outs[p] for p in labels),
+                       rows=math.prod(outs[p] + (ins[p] - 1) * (outs[p] - 1) for p in others),
+                       tuples=math.prod(outs[p] ** ins[p] for p in others))
 
 
 def check_lp_size(kind: str, n: int) -> None:
     """Refuse the (kind, n) membership LP over LP_CELL_GUARD before anything
-    is built: p22, one block, by the 16**(n+1) cells of its strategy matrix,
-    p14 by the tableau cells of its 4**(n-1) blocks."""
-    check_kind(kind)
-    if kind == KIND_P22:
-        check_size(table_cells(n) ** 2, LP_CELL_GUARD,
+    is built.  One block (p22) is priced by its strategy matrix, a row per
+    strategy tuple and a column per table cell; several (p14) by their
+    tableaux, kept rows x (strategy tuples + kept rows + 1) each.  Past
+    n = 64 the shape at n = 64, already over the budget, stands in."""
+    shape = _block_shape(kind, min(n, 64))
+    if shape.blocks == 1:
+        check_size(shape.tuples * table_cells(n), LP_CELL_GUARD,
                    f"cells the LP strategy matrix needs at n = {n}")
     else:
-        check_size(table_cells(n) // 16 * _P14_BLOCK_TABLEAU, LP_CELL_GUARD,
-                   f"tableau cells the p14 LP's blocks need at n = {n}")
+        check_size(shape.blocks * shape.rows * (shape.tuples + shape.rows + 1), LP_CELL_GUARD,
+                   f"tableau cells the {kind} LP's blocks need at n = {n}")
 
 
 class _LPBlocks(NamedTuple):
@@ -227,18 +244,17 @@ def _lp_matrices(kind: str, n: int) -> _LPBlocks:
     """
     check_lp_size(kind, n)
     ins, outs = alphabets(kind, n)
-    labels = [p for p in range(n + 1) if ins[p] == 1]
-    others = [p for p in range(n + 1) if ins[p] > 1]
+    shape = _block_shape(kind, n)
+    labels, others = shape.labels, shape.others
     D = reduce(np.kron, [party_strategy_table(kind, n, p) for p in others])
     full = D.reshape(len(D), -1).T
     # table axes (x_0..x_n, a_0..a_n) and tuple axes (s_0..s_n), labels first
-    blocks = math.prod(outs[p] for p in labels)
     axes = labels + [n + 1 + p for p in labels] + others + [n + 1 + p for p in others]
-    cells = np.arange(table_cells(n)).reshape(ins + outs).transpose(axes).reshape(blocks, -1)
+    cells = np.arange(table_cells(n)).reshape(ins + outs).transpose(axes).reshape(shape.blocks, -1)
     counts = strategy_counts(kind, n)
     tuples = np.arange(math.prod(counts)).reshape(counts).transpose(labels + others)
     keep = np.isin(cells[0], _kept_rows(kind, n)).nonzero()[0]
-    lp = _LPBlocks(full, full[keep], cells, cells[:, keep], tuples.reshape(blocks, -1))
+    lp = _LPBlocks(full, full[keep], cells, cells[:, keep], tuples.reshape(shape.blocks, -1))
     for a in lp:
         a.setflags(write=False)
     return lp

@@ -52,9 +52,12 @@ NAIVE_DIM_GUARD = 4096
 # a cell (0.3-0.4 ms a block, random behaviors, whose blocks all differ), so
 # n = 7 takes 1.4 s of phase 1 and n = 8 would take about 6 s
 LP_CELL_GUARD = 16 ** 5
-# a behavior file that lp parses as JSON; the largest it can admit, n = 4
-# from simulate --out or re-dumped with indent=2, takes 22-27 KB
-LP_FILE_BYTE_GUARD = 2 ** 20
+# a behavior file that lp parses as JSON.  The largest table the LP admits,
+# p14 n = 7, takes 1.54 MB from simulate --out and 1.80 MB re-dumped with
+# indent=2, and lp on either takes 0.4 s; p14 n = 8 takes about 6 MB.  p22
+# files pass up to n = 7 (1.48-1.74 MB), parsed in 0.2 s before LP_CELL_GUARD
+# refuses them past n = 4
+LP_FILE_BYTE_GUARD = 2 ** 21
 # the response-table cells of one random model (80 MB of float64)
 HIDDEN_PRODUCT_GUARD = 10 ** 7
 # deterministic strategy tuples, 4**(n+1) for both kinds: n <= 8

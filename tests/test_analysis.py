@@ -44,10 +44,19 @@ from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
 
 def _scipy_feasible(b):
-    D = strategy_behavior_matrix(b.kind, b.n)
-    A = D.reshape(D.shape[0], -1).T
-    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b.table.reshape(-1),
-                  bounds=[(0, None)] * A.shape[1], method="highs")
+    """HiGHS on the full equality system A q = table, q >= 0, with A the
+    Kronecker product of the party tables as a sparse matrix: its rows run
+    over (x_0, a_0, x_1, a_1, ...), so the table is permuted to match."""
+    import scipy.sparse as sp
+    n = b.n
+    A = sp.csr_matrix(np.ones((1, 1)))
+    for p in range(n + 1):
+        t = party_strategy_table(b.kind, n, p)
+        A = sp.kron(A, sp.csr_matrix(t.reshape(len(t), -1).T), format="csr")
+    ins, outs = alphabets(b.kind, n)
+    order = [axis for p in range(n + 1) for axis in (p, n + 1 + p)]
+    rhs = b.table.reshape(ins + outs).transpose(order).reshape(-1)
+    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
     return res.status == 0
 
 
@@ -83,6 +92,18 @@ def test_lp_matches_scipy_verdicts():
             assert lp_local_membership(b).feasible == _scipy_feasible(b), (kind, n, w)
     quantum = evaluate_chain(standard_scenario(4, KIND_P14))
     assert lp_local_membership(quantum).feasible == _scipy_feasible(quantum)
+    # known verdicts, up to p14 n = 5, the first size a single strategy
+    # matrix refuses: seeded quantum chains are local, and PR box plus white
+    # noise is local iff the PR weight is at most 1/2
+    rng = np.random.default_rng(22)
+    for kind, n in [(KIND_P14, n) for n in (2, 3, 4, 5)] + [(KIND_P22, n) for n in (2, 3)]:
+        pr, noise = chain_pr_behavior(kind, n), uniform_behavior(kind, n)
+        expected = [(evaluator.standard_behavior(kind, n, rng.uniform(0.5, 1.0, size=n)), True),
+                    (pr, False),
+                    (mix_behaviors([0.55, 0.45], [noise, pr]), True),
+                    (mix_behaviors([0.45, 0.55], [noise, pr]), False)]
+        for b, local in expected:
+            assert lp_local_membership(b).feasible is local is _scipy_feasible(b), (kind, n, local)
 
 
 def test_kept_rows_span_the_equality_system():
@@ -398,43 +419,15 @@ def test_lp_matrices_are_cached_read_only_and_equal_a_fresh_build():
                 assert np.array_equal(lp.kept_cells, fresh_keep[None])
             else:
                 assert lp.cells.shape == (4 ** (n - 1), 16) and lp.kept.shape == (9, 16)
+            # the layout check_lp_size prices
+            shape = analysis._block_shape(kind, n)
+            assert lp.kept.shape == (shape.rows, shape.tuples)
+            assert len(lp.cells) == shape.blocks
             for a in lp:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 1
             assert cold.to_json() == warm.to_json()
-
-
-def _sparse_scipy_feasible(b):
-    """HiGHS on the full equality system A q = table, q >= 0, with A the
-    Kronecker product of the party tables as a sparse matrix: its rows run
-    over (x_0, a_0, x_1, a_1, ...), so the table is permuted to match."""
-    import scipy.sparse as sp
-    n = b.n
-    A = sp.csr_matrix(np.ones((1, 1)))
-    for p in range(n + 1):
-        t = party_strategy_table(b.kind, n, p)
-        A = sp.kron(A, sp.csr_matrix(t.reshape(len(t), -1).T), format="csr")
-    ins, outs = alphabets(b.kind, n)
-    order = [axis for p in range(n + 1) for axis in (p, n + 1 + p)]
-    rhs = b.table.reshape(ins + outs).transpose(order).reshape(-1)
-    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    return res.status == 0
-
-
-def test_block_lp_matches_scipy_verdicts():
-    rng = np.random.default_rng(22)
-    cases = [(KIND_P14, n) for n in (2, 3, 4, 5)] + [(KIND_P22, n) for n in (2, 3)]
-    for kind, n in cases:
-        pr, noise = chain_pr_behavior(kind, n), uniform_behavior(kind, n)
-        # PR box plus white noise is local iff the PR weight is at most 1/2
-        expected = [(evaluator.standard_behavior(kind, n, rng.uniform(0.5, 1.0, size=n)), True),
-                    (pr, False),
-                    (mix_behaviors([0.55, 0.45], [noise, pr]), True),
-                    (mix_behaviors([0.45, 0.55], [noise, pr]), False)]
-        for b, local in expected:
-            res = lp_local_membership(b)
-            assert res.feasible is local is _sparse_scipy_feasible(b), (kind, n, local)
 
 
 def test_blocks_give_the_undecomposed_verdict_and_residual():

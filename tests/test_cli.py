@@ -12,7 +12,7 @@ import pytest
 from netlocal.behavior import (Behavior, behavior_to_json, compute_IJ, load_behavior_csv,
                                load_behavior_json, uniform_behavior)
 from netlocal.cli import _print_payload, build_parser, main
-from netlocal.errors import SizeGuardError
+from netlocal.errors import LP_FILE_BYTE_GUARD, SizeGuardError
 from netlocal.evaluator import evaluate_chain
 from netlocal.network import KIND_P22, standard_scenario
 
@@ -173,7 +173,7 @@ def test_montecarlo_refuses_oversized_trial_budgets(capsys, monkeypatch):
 
 
 # the extreme of every size flag, per command (an --n of 10**9 must be priced
-# without forming 4**(n+1)); lp's "{big}" is a JSON file over
+# without forming 4**(n+1)); lp's "{big}" is a JSON file one byte over
 # errors.LP_FILE_BYTE_GUARD
 _SIZE_FLAG_EXTREMES = {
     "simulate": [["--n", "10000"], ["--n", "10000", "--kind", "p14"], ["--n", "1000000000"],
@@ -203,7 +203,7 @@ def test_size_flag_extremes_exit_3_with_a_short_message(capsys, monkeypatch, tmp
     import netlocal.cli
     import netlocal.hvmodels
     big = tmp_path / "big.json"
-    big.write_bytes(b" " * (2 ** 21))
+    big.write_bytes(b" " * (LP_FILE_BYTE_GUARD + 1))
     # every builder a command reaches after its size checks
     for module, names in (
         (netlocal.cli, ("standard_behavior", "chain_pr_behavior", "load_behavior_json",
@@ -348,6 +348,14 @@ def test_lp_on_written_behavior_matches_builtin(capsys, tmp_path):
     assert from_file["result"]["feasible"] and builtin["result"]["feasible"]
     assert abs(from_file["result"]["max_residual"]
                - builtin["result"]["max_residual"]) < 1e-12
+
+
+def test_lp_json_admits_every_p14_chain_the_lp_admits(capsys, tmp_path):
+    # p14 n = 7, the longest chain lp --n admits, also passes as a JSON file
+    path = tmp_path / "b7.json"
+    _run_json(capsys, ["simulate", "--n", "7", "--kind", "p14", "--out", str(path)])
+    assert path.stat().st_size <= LP_FILE_BYTE_GUARD
+    assert _run_json(capsys, ["lp", "--behavior", str(path)])["result"]["feasible"]
 
 
 def test_lp_chain_pr_source(capsys):
