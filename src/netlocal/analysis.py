@@ -34,7 +34,7 @@ from . import hvmodels
 from .behavior import Behavior, alphabets, bound_values, table_cells
 from .errors import (CHAIN_LENGTH_GUARD, GRID_POINT_GUARD, LP_CELL_GUARD, OUTPUT_CELL_GUARD,
                      SWEEP_CELL_GUARD, SWEEP_PARTY_CELLS, SWEEP_TRIAL_CELLS, NoCrossingError,
-                     RangeError, ScenarioError, check_size)
+                     RangeError, check_size)
 from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
                         standard_werner_IJ)
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
@@ -460,12 +460,10 @@ def visibility_threshold(kind: str, n: int, profile=None,
     if profile is None:
         base, step = [0.0] * n, [1.0] * n
     else:
+        # source 1 moves from 0 to its value; the line checks both ends
         profile = [float(a) for a in profile]
-        if len(profile) != n:
-            raise ScenarioError(f"profile needs {n} entries, got {len(profile)}")
-        if any(not 0.0 <= a <= 1.0 for a in profile):
-            raise RangeError("profile visibilities must lie in [0, 1]")
-        base, step = [0.0] + profile[1:], [profile[0]] + [0.0] * (n - 1)
+        base = [0.0 if p == 0 else a for p, a in enumerate(profile)]
+        step = [a if p == 0 else 0.0 for p, a in enumerate(profile)]
 
     IJ_at = standard_werner_IJ(kind, n).line(base, step)
     lo, hi = 0.0, 1.0

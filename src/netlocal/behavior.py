@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (CHAIN_CELL_GUARD, OUTPUT_CELL_GUARD, DimensionError, KindError, RangeError,
                      check_size)
-from .network import KIND_P22, check_kind
+from .network import KIND_P22, alphabets, check_kind
 
 BEHAVIOR_SCHEMA_VERSION = 1
 ENTRY_ATOL = 1e-12
@@ -40,21 +40,17 @@ VIOLATION_ATOL = 1e-9
 TABLE_BLOCK_CELLS = 2 ** 16
 
 
-def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-party (input_sizes, output_sizes) for a chain with n sources."""
-    check_kind(kind)
-    if n < 2:
-        raise RangeError(f"chain needs at least two sources, got n={n}")
-    if kind == KIND_P22:
-        return (2,) * (n + 1), (2,) * (n + 1)
-    return (2,) + (1,) * (n - 1) + (2,), (2,) + (4,) * (n - 1) + (2,)
-
-
 def table_cells(n: int) -> int:
     """Cells of a behavior table with n sources, 4**(n+1) for both kinds.
     Past n = 64 it stays 4**65, over every budget, so that pricing an absurd
     n does not form 4**(n+1) (a quarter of a gigabyte at n = 10**9)."""
     return 4 ** (min(n, 64) + 1)
+
+
+def check_table_size(n: int) -> None:
+    """Refuse, with chain_table's message, a table of n sources beyond
+    CHAIN_CELL_GUARD cells, before anything that chain_table would refuse is built."""
+    check_size(table_cells(n), CHAIN_CELL_GUARD, f"table cells of a {n + 1}-party chain")
 
 
 def _check_rows(rows: np.ndarray) -> None:

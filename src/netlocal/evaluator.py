@@ -37,11 +37,11 @@ from functools import cache, reduce
 import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
-                       chain_table, ij_factors, party_factors, table_cells)
-from .errors import (CHAIN_CELL_GUARD, NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError,
-                     check_size)
+                       chain_table, check_table_size, ij_factors, party_factors)
+from .errors import NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError, check_size
 from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_kind,
-                      singlet, standard_scenario, standard_visibilities, werner)
+                      check_visibilities, singlet, standard_scenario, standard_visibilities,
+                      werner)
 
 _REAL_EPS = 1e-14
 
@@ -187,23 +187,16 @@ def _affine_IJ(noise, slopes):
     """
     n = len(slopes)
 
-    def visibilities(alphas) -> list[float]:
-        alphas = [float(a) for a in alphas]
-        if len(alphas) != n:
-            raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
-        if not all(0.0 <= a <= 1.0 for a in alphas):
-            raise RangeError(f"visibilities must lie in [0, 1], got {alphas}")
-        return alphas
-
     def IJ(alphas) -> tuple[float, float]:
-        factors = [_werner_factor(f, d, a) for f, d, a in zip(noise, slopes, visibilities(alphas))]
+        alphas = check_visibilities(n, alphas)
+        factors = [_werner_factor(f, d, a) for f, d, a in zip(noise, slopes, alphas)]
         return _unit_norm_IJ(factors + noise[n:])
 
     def line(base, step):
-        base, step = visibilities(base), [float(d) for d in step]
+        base, step = check_visibilities(n, base), [float(d) for d in step]
         if len(step) != n:
             raise ScenarioError(f"expected {n} steps, got {len(step)}")
-        visibilities([b + d for b, d in zip(base, step)])
+        check_visibilities(n, [b + d for b, d in zip(base, step)])
         # the prefix keeps party 0, so the environment is never the whole chain
         k = max((p + 1 for p in range(n) if step[p]), default=1)
         env = _fold_right([_werner_factor(noise[p], slopes[p], base[p]) for p in range(k, n)]
@@ -290,7 +283,7 @@ def standard_behavior(kind: str, n: int, alphas=None) -> Behavior:
     validated states).  Bad arguments raise standard_scenario's errors, and
     too large a table chain_table's, before any tensor is built."""
     alphas = standard_visibilities(n, kind, alphas)
-    check_size(table_cells(n), CHAIN_CELL_GUARD, f"table cells of a {n + 1}-party chain")
+    check_table_size(n)
     rhos = [werner(a) for a in alphas]
     left, mid, right = _standard_settings(kind)[0]
     return _chain_behavior(kind, _party_tensors([left] + [mid] * (n - 1) + [right], rhos))
@@ -304,8 +297,7 @@ def closed_form_p14(n: int) -> Behavior:
 
         (1 + (-1)**(a1+alast+1) * ((-1)**sum(b0) + (-1)**(sum(b1)+x1+xlast))/2) / 4**n
     """
-    if n < 2:
-        raise RangeError(f"chain needs n >= 2, got {n}")
+    check_table_size(n)
     digits = _outcome_digits(KIND_P14, n)
     s0 = sum(d >> 1 for d in digits[1:-1])
     s1 = sum(d & 1 for d in digits[1:-1])
@@ -346,8 +338,7 @@ def closed_form_p22(n: int) -> Behavior:
     vanish.  Kept as-is for comparison; closed_form_p22_end_parity is the
     variant the Born rule reproduces (up to reference_relabeling).
     """
-    if n < 2:
-        raise RangeError(f"chain needs n >= 2, got {n}")
+    check_table_size(n)
     return Behavior(KIND_P22, n, _p22_delta_rows(n, include_ends=False))
 
 
@@ -356,8 +347,7 @@ def closed_form_p22_end_parity(n: int) -> Behavior:
 
     Equals reduce_p14_to_p22(closed_form_p14(n)) exactly.
     """
-    if n < 2:
-        raise RangeError(f"chain needs n >= 2, got {n}")
+    check_table_size(n)
     return Behavior(KIND_P22, n, _p22_delta_rows(n, include_ends=True))
 
 

@@ -40,10 +40,10 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import (Behavior, alphabets, chain_IJ_of, chain_table, ij_factors, party_factors,
-                       table_cells)
-from .errors import (CHAIN_CELL_GUARD, CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD,
-                     STRATEGY_SPACE_GUARD, DimensionError, RangeError, ScenarioError, check_size)
+from .behavior import (Behavior, alphabets, chain_IJ_of, chain_table, check_table_size, ij_factors,
+                       party_factors)
+from .errors import (CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD, STRATEGY_SPACE_GUARD,
+                     DimensionError, RangeError, ScenarioError, check_size)
 from .network import KIND_P22, check_kind
 
 MODEL_SCHEMA_VERSION = 1
@@ -114,16 +114,9 @@ class NLocalModel:
         if len(self.responses) != self.n + 1:
             raise ScenarioError(f"expected {self.n + 1} response tables")
         self.source_dists = [_check_dist(v, f"source {i}") for i, v in enumerate(self.source_dists)]
-        ins, outs = alphabets(self.kind, self.n)
-        ks = self.cardinalities
-        for p, r in enumerate(self.responses):
+        shapes = _response_shapes(self.kind, self.n, self.cardinalities)
+        for p, (r, want) in enumerate(zip(self.responses, shapes)):
             r = np.asarray(r, dtype=float)
-            if p == 0:
-                want = (ins[0], ks[0], outs[0])
-            elif p == self.n:
-                want = (ins[p], ks[-1], outs[p])
-            else:
-                want = (ins[p], ks[p - 1], ks[p], outs[p])
             if r.shape != want:
                 raise DimensionError(f"response {p} has shape {r.shape}, expected {want}")
             _check_rows(r, f"response {p}")
@@ -132,6 +125,14 @@ class NLocalModel:
     @property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.source_dists)
+
+
+def _response_shapes(kind: str, n: int, ks) -> list[tuple[int, ...]]:
+    """Each party's response-table shape, (inputs, bonds..., outputs), for
+    hidden cardinalities ks = (K_1, ..., K_n): an end party has the bond of
+    its one source, an intermediate party p those of sources p and p + 1."""
+    ins, outs = alphabets(kind, n)
+    return [(ins[p], *ks[max(p - 1, 0):p + 1], outs[p]) for p in range(n + 1)]
 
 
 def _model_parties(source_dists, responses) -> list[np.ndarray]:
@@ -149,8 +150,7 @@ def behavior_of_model(model: NLocalModel) -> Behavior:
     """Exact finite sum over hidden variables, by behavior.chain_table; a
     table beyond CHAIN_CELL_GUARD cells is refused before any party tensor
     is built.  The product of the hidden cardinalities is never formed."""
-    check_size(table_cells(model.n), CHAIN_CELL_GUARD,
-               f"table cells of a {model.n + 1}-party chain")
+    check_table_size(model.n)
     parties = _model_parties(model.source_dists, model.responses)
     return Behavior(model.kind, model.n, chain_table(parties))
 
@@ -399,9 +399,7 @@ def _random_model_shapes(kind: str, n: int, cardinality: int) -> list[tuple[int,
         raise RangeError(f"cardinality must be positive, got {cardinality}")
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     k = int(cardinality)
-    ins, outs = alphabets(kind, n)
-    responses = ([(ins[0], k, outs[0])] + [(ins[p], k, k, outs[p]) for p in range(1, n)]
-                 + [(ins[n], k, outs[n])])
+    responses = _response_shapes(kind, n, (k,) * n)
     cells = sum(math.prod(shape) for shape in responses)
     check_size(cells, HIDDEN_PRODUCT_GUARD, f"response table cells at n = {n}, K = {k}")
     return [(k,)] * n + responses
@@ -648,13 +646,18 @@ def model_to_json(model: NLocalModel) -> dict:
 
 
 def model_from_json(doc: dict) -> NLocalModel:
+    """Inverse of model_to_json.  A document that is not an object, lacks a
+    key or holds a value of the wrong type raises ScenarioError."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"a model document is a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ScenarioError(f"unsupported model schema version {version!r}")
-    return NLocalModel(
-        n=int(doc["n"]),
-        kind=check_kind(doc["kind"]),
-        source_dists=[np.asarray(d, dtype=float) for d in doc["source_dists"]],
-        responses=[np.asarray(r, dtype=float) for r in doc["responses"]],
-        note=str(doc.get("note", "")),
-    )
+    try:
+        n, kind = int(doc["n"]), check_kind(doc["kind"])
+        source_dists = [np.asarray(d, dtype=float) for d in doc["source_dists"]]
+        responses = [np.asarray(r, dtype=float) for r in doc["responses"]]
+        note = str(doc.get("note", ""))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ScenarioError(f"malformed model document: {exc!r}") from None
+    return NLocalModel(n=n, kind=kind, source_dists=source_dists, responses=responses, note=note)

@@ -13,6 +13,7 @@ Two measurement layouts are supported:
   intermediate party performs one fixed four-outcome projective measurement
   whose outcomes are two-bit strings encoded as the integer 2*b0 + b1.
 
+alphabets states these layouts as each party's input and output counts.
 Outcome bit b corresponds to eigenvalue (-1)**b everywhere.
 """
 
@@ -30,6 +31,7 @@ KIND_P14 = "p14"
 KINDS = (KIND_P22, KIND_P14)
 
 SCENARIO_SCHEMA_VERSION = 1
+_COUNT_WORDS = {2: "two", 4: "four"}  # settings counts, as the messages spell them
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,6 +42,16 @@ def check_kind(kind: str) -> str:
     if kind not in KINDS:
         raise KindError(f"unknown scenario kind {kind!r}, expected one of {KINDS}")
     return kind
+
+
+def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-party (input_sizes, output_sizes) for a chain with n sources."""
+    check_kind(kind)
+    if n < 2:
+        raise RangeError(f"chain needs at least two sources, got n={n}")
+    if kind == KIND_P22:
+        return (2,) * (n + 1), (2,) * (n + 1)
+    return (2,) + (1,) * (n - 1) + (2,), (2,) + (4,) * (n - 1) + (2,)
 
 
 def singlet() -> np.ndarray:
@@ -111,9 +123,10 @@ class NetworkScenario:
     party n+1), its two dichotomic single-qubit observables.  For kind p22,
     intermediate_settings holds per intermediate party its two dichotomic
     two-qubit observables; for kind p14 it holds the four projectors of its
-    Bell-basis measurement, in outcome order.  The constructor checks them
-    and converts them once: elements holds each party's POVM element array
-    E[x, a] (see _party_elements), in party order, for the evaluators.
+    Bell-basis measurement, in outcome order: each intermediate's form is
+    read from alphabets.  The constructor checks the settings and converts
+    them once: elements holds each party's POVM element array E[x, a] (see
+    _party_elements), in party order, for the evaluators.
     """
 
     n: int
@@ -131,18 +144,18 @@ class NetworkScenario:
             raise ScenarioError(f"expected {self.n} sources, got {len(self.sources)}")
         if len(self.end_settings) != 2 or any(len(obs) != 2 for obs in self.end_settings):
             raise ScenarioError("end_settings must hold two observables per end party")
-        left, right = (_party_elements(obs, 2) for obs in self.end_settings)
+        ins, outs = alphabets(self.kind, self.n)
+        left, right = (_party_elements(obs, 2, ins[0]) for obs in self.end_settings)
         if len(self.intermediate_settings) != self.n - 1:
             raise ScenarioError(
                 f"expected {self.n - 1} intermediate settings, got {len(self.intermediate_settings)}"
             )
         mids = []
-        for ops in self.intermediate_settings:
-            if self.kind == KIND_P22 and len(ops) != 2:
-                raise ScenarioError("p22 intermediates need two observables")
-            if self.kind == KIND_P14 and len(ops) != 4:
-                raise ScenarioError("p14 intermediates need four projectors")
-            mids.append(_party_elements(ops, 4, projective=self.kind == KIND_P14))
+        for ops, num_in, num_out in zip(self.intermediate_settings, ins[1:], outs[1:]):
+            count, form = (num_out, "projectors") if num_in == 1 else (num_in, "observables")
+            if len(ops) != count:
+                raise ScenarioError(f"{self.kind} intermediates need {_COUNT_WORDS[count]} {form}")
+            mids.append(_party_elements(ops, 4, num_in))
         self.elements = (left, *mids, right)
 
     @property
@@ -150,59 +163,53 @@ class NetworkScenario:
         return self.n + 1
 
 
-def _party_elements(ops, dim: int, projective: bool = False) -> np.ndarray:
-    """One party's settings, checked, as its POVM elements: a read-only
-    complex array E[x, a].  Each dichotomic observable B is an input with
-    elements (I + (-1)**a B)/2; projectors, in outcome order, are the single
-    input of a projective measurement."""
-    if projective:
-        _check_projective(ops)
-        rows = [ops]
-    else:
-        rows = [[(np.eye(dim) + (-1) ** a * b) / 2.0 for a in (0, 1)]
-                for b in (_check_dichotomic(op, dim) for op in ops)]
+def _party_elements(ops, dim: int, num_in: int) -> np.ndarray:
+    """One party's settings, checked, as a read-only POVM element array
+    E[x, a].  A party with one input has its projectors, in outcome order,
+    as elements; any other has one dichotomic observable B per input, with
+    elements (I + (-1)**a B)/2."""
+    projective = num_in == 1
+    name, square = (("projector", "idempotent") if projective
+                    else ("observable", "dichotomic (square != identity)"))
+    checked = []
+    for op in map(qlin.as_operator, ops):
+        if op.shape != (dim, dim):
+            raise ScenarioError(f"{name} must be {dim}x{dim}, got {op.shape}")
+        if not qlin.is_hermitian(op, atol=1e-10):
+            raise ScenarioError(f"{name} is not Hermitian")
+        if not qlin.close_to(op @ op, op if projective else np.eye(dim), 1e-10, 1e-5):
+            raise ScenarioError(f"{name} is not {square}")
+        checked.append(op)
+    if projective and not qlin.close_to(sum(checked, np.zeros((dim, dim), complex)), np.eye(dim),
+                                        1e-10, 1e-5):
+        raise ScenarioError("projectors do not sum to the identity")
+    rows = [checked] if projective else [[(np.eye(dim) + (-1) ** a * b) / 2.0 for a in (0, 1)]
+                                         for b in checked]
     elems = np.array(rows, dtype=complex)
     elems.setflags(write=False)
     return elems
 
 
-def _check_dichotomic(op, dim) -> np.ndarray:
-    op = qlin.as_operator(op)
-    if op.shape != (dim, dim):
-        raise ScenarioError(f"observable must be {dim}x{dim}, got {op.shape}")
-    if not qlin.is_hermitian(op, atol=1e-10):
-        raise ScenarioError("observable is not Hermitian")
-    if not qlin.close_to(op @ op, np.eye(dim), 1e-10, 1e-5):
-        raise ScenarioError("observable is not dichotomic (square != identity)")
-    return op
-
-
-def _check_projective(ops):
-    dim = 4
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in ops:
-        p = qlin.as_operator(p)
-        if p.shape != (dim, dim):
-            raise ScenarioError(f"projector must be {dim}x{dim}, got {p.shape}")
-        if not qlin.is_hermitian(p, atol=1e-10):
-            raise ScenarioError("projector is not Hermitian")
-        if not qlin.close_to(p @ p, p, 1e-10, 1e-5):
-            raise ScenarioError("projector is not idempotent")
-        total = total + p
-    if not qlin.close_to(total, np.eye(dim), 1e-10, 1e-5):
-        raise ScenarioError("projectors do not sum to the identity")
+def check_visibilities(n: int, alphas) -> list[float]:
+    """A visibility profile as n floats, each in [0, 1].  A wrong count
+    raises ScenarioError and a value outside [0, 1], or NaN, RangeError
+    naming its source; neither message prints the profile."""
+    alphas = [float(a) for a in alphas]
+    if len(alphas) != n:
+        raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
+    for source, a in enumerate(alphas, 1):
+        if not 0.0 <= a <= 1.0:
+            raise RangeError(f"visibility of source {source} must lie in [0, 1], got {a}")
+    return alphas
 
 
 def standard_visibilities(n: int, kind: str, alphas=None) -> list[float]:
     """standard_scenario's visibilities as floats, all ones by default, with
-    kind, n and their count checked; each one's range is werner's to check."""
+    kind and n checked, and the profile by check_visibilities."""
     check_kind(kind)
     if n < 2:
         raise ScenarioError(f"chain needs at least two sources, got n={n}")
-    alphas = [1.0] * n if alphas is None else [float(a) for a in alphas]
-    if len(alphas) != n:
-        raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
-    return alphas
+    return [1.0] * n if alphas is None else check_visibilities(n, alphas)
 
 
 def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
@@ -250,15 +257,20 @@ def scenario_to_json(scenario: NetworkScenario) -> dict:
 
 
 def scenario_from_json(doc: dict) -> NetworkScenario:
+    """Inverse of scenario_to_json.  A document that is not an object, lacks
+    a key or holds a value of the wrong type raises ScenarioError."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"a scenario document is a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(f"unsupported scenario schema version {version!r}")
-    sources = [
-        SourceState(_matrix_from_json(s["rho"]), alpha=s.get("alpha"))
-        for s in doc["sources"]
-    ]
-    ends = [[_matrix_from_json(o) for o in obs] for obs in doc["end_settings"]]
-    mids = [[_matrix_from_json(o) for o in ops] for ops in doc["intermediate_settings"]]
-    return NetworkScenario(n=int(doc["n"]), kind=check_kind(doc["kind"]),
-                           sources=sources, end_settings=ends,
+    try:
+        sources = [SourceState(_matrix_from_json(s["rho"]), alpha=s.get("alpha"))
+                   for s in doc["sources"]]
+        ends = [[_matrix_from_json(o) for o in obs] for obs in doc["end_settings"]]
+        mids = [[_matrix_from_json(o) for o in ops] for ops in doc["intermediate_settings"]]
+        n, kind = int(doc["n"]), check_kind(doc["kind"])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ScenarioError(f"malformed scenario document: {exc!r}") from None
+    return NetworkScenario(n=n, kind=kind, sources=sources, end_settings=ends,
                            intermediate_settings=mids)

@@ -630,9 +630,16 @@ def test_threshold_custom_profile_scales_first_source():
 def test_threshold_requires_violation_at_full_visibility():
     with pytest.raises(NoCrossingError):
         visibility_threshold(KIND_P22, 2, profile=[0.6, 0.6])
-    # the linear bound is met with equality by these points, never crossed
-    with pytest.raises(NoCrossingError):
-        visibility_threshold(KIND_P22, 2, bound="local")
+    # the linear bound is met with equality by these points, never crossed:
+    # |I| + |J| = prod(alphas) <= 1 on a standard chain, whatever the profile
+    rng = np.random.default_rng(23)
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 10, 59, 1000):
+            profiles = [None, [1.0] * n, list(rng.uniform(0.5, 1.0, n)),
+                        list(0.5 ** (rng.uniform(0.0, 0.95, n) / n))]
+            for profile in profiles:
+                with pytest.raises(NoCrossingError):
+                    visibility_threshold(kind, n, profile=profile, bound="local")
 
 
 def test_threshold_validation():

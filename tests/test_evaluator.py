@@ -118,10 +118,22 @@ def test_naive_size_guard():
         evaluate_naive(standard_scenario(7, KIND_P22))
 
 
-def test_closed_form_validation():
+def test_closed_form_validation(monkeypatch):
     for fn in (closed_form_p14, closed_form_p22, closed_form_p22_end_parity):
         with pytest.raises(RangeError):
             fn(1)
+
+    # every n that returns is at most 13 (a 2 GiB table); past it the table
+    # is priced with chain_table's message before any array is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table must be priced before anything is built")
+
+    monkeypatch.setattr(evaluator, "_outcome_digits", refuse)
+    monkeypatch.setattr(evaluator, "_p22_delta_rows", refuse)
+    for fn in (closed_form_p14, closed_form_p22, closed_form_p22_end_parity):
+        for n in (14, 16, 10 ** 9):
+            with pytest.raises(SizeGuardError, match=f"{n + 1}-party chain, over"):
+                fn(n)
 
 
 def test_frozen_closed_form_entry():

@@ -325,3 +325,53 @@ def test_model_json_round_trip():
     for r1, r2 in zip(model.responses, back.responses):
         assert np.array_equal(r1, r2)
     assert back.note == model.note
+
+
+def _uneven_model_arrays(kind):
+    """A valid n = 3 model's arrays with hidden cardinalities (2, 3, 4), so
+    that each bond axis has its own size: uniform sources and responses."""
+    ks = (2, 3, 4)
+    ins, outs = alphabets(kind, 3)
+    bonds = [ks[:1], ks[:2], ks[1:], ks[2:]]
+    responses = [np.full((i, *b, o), 1.0 / o) for i, b, o in zip(ins, bonds, outs)]
+    return [np.full(k, 1.0 / k) for k in ks], responses
+
+
+def _bond_refusals():
+    for kind in (KIND_P22, KIND_P14):
+        _, responses = _uneven_model_arrays(kind)
+        for party, r in enumerate(responses):
+            for axis in range(1, r.ndim - 1):
+                yield kind, party, axis
+
+
+@pytest.mark.parametrize("kind, party, axis", list(_bond_refusals()))
+def test_model_bond_refusal_table(kind, party, axis):
+    # one bond one too wide, at each party and bond axis of a valid model
+    dists, responses = _uneven_model_arrays(kind)
+    NLocalModel(n=3, kind=kind, source_dists=dists, responses=list(responses))
+    good = responses[party].shape
+    bad = good[:axis] + (good[axis] + 1,) + good[axis + 1:]
+    responses[party] = np.full(bad, 1.0 / good[-1])
+    with pytest.raises(DimensionError) as info:
+        NLocalModel(n=3, kind=kind, source_dists=dists, responses=responses)
+    assert str(info.value) == f"response {party} has shape {bad}, expected {good}"
+
+
+def _malformed_model_documents():
+    doc = model_to_json(tightness_model(KIND_P22, 2, 0.3))
+    yield "not an object", [doc]
+    for key in ("n", "kind", "source_dists", "responses"):
+        yield f"no {key}", {k: v for k, v in doc.items() if k != key}
+    yield "n not a number", {**doc, "n": "two"}
+    yield "n infinite", {**doc, "n": float("inf")}
+    yield "source_dists not a list", {**doc, "source_dists": 2}
+    yield "ragged responses", {**doc, "responses": [[[0.5], [0.5, 0.5]]] + doc["responses"][1:]}
+    yield "non-numeric source", {**doc, "source_dists": [["a", "b"]] + doc["source_dists"][1:]}
+    yield "response an object", {**doc, "responses": [{}] + doc["responses"][1:]}
+
+
+@pytest.mark.parametrize("label, doc", list(_malformed_model_documents()))
+def test_model_reader_refuses_malformed_documents(label, doc):
+    with pytest.raises(ScenarioError):
+        model_from_json(doc)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from netlocal.errors import KindError, RangeError, ScenarioError
+from netlocal.analysis import visibility_threshold
+from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError
+from netlocal.evaluator import standard_behavior, standard_werner_IJ
 from netlocal.network import (
     KIND_P14,
     KIND_P22,
@@ -192,5 +194,147 @@ def test_scenario_json_round_trip():
 def test_scenario_json_rejects_unknown_schema():
     doc = scenario_to_json(standard_scenario(2, KIND_P22))
     doc["schema_version"] = 99
+    with pytest.raises(ScenarioError):
+        scenario_from_json(doc)
+
+
+# one row per defect and slot: a party's settings with one operator (or the
+# list) replaced, the exception type and the exact message.  The ends always
+# hold observables; a p22 intermediate holds observables and a p14
+# intermediate projectors
+_OBSERVABLE_DEFECTS = {
+    "non-square": (DimensionError, "expected a square matrix, got shape ({d}, {d1})"),
+    "wrong dimension": (ScenarioError, "observable must be {d}x{d}, got ({e}, {e})"),
+    "not Hermitian": (ScenarioError, "observable is not Hermitian"),
+    "not dichotomic": (ScenarioError, "observable is not dichotomic (square != identity)"),
+}
+_PROJECTOR_DEFECTS = {
+    "non-square": (DimensionError, "expected a square matrix, got shape ({d}, {d1})"),
+    "wrong dimension": (ScenarioError, "projector must be {d}x{d}, got ({e}, {e})"),
+    "not Hermitian": (ScenarioError, "projector is not Hermitian"),
+    "not idempotent": (ScenarioError, "projector is not idempotent"),
+    "incomplete projectors": (ScenarioError, "projectors do not sum to the identity"),
+}
+_COUNT_MESSAGES = {
+    "left": "end_settings must hold two observables per end party",
+    "right": "end_settings must hold two observables per end party",
+    (KIND_P22, "mid"): "p22 intermediates need two observables",
+    (KIND_P14, "mid"): "p14 intermediates need four projectors",
+}
+
+
+def _settings_refusals():
+    for kind in (KIND_P22, KIND_P14):
+        for slot in ("left", "right", "mid"):
+            table = _PROJECTOR_DEFECTS if (kind, slot) == (KIND_P14, "mid") else _OBSERVABLE_DEFECTS
+            d = 4 if slot == "mid" else 2
+            for defect, (exc, message) in table.items():
+                yield kind, slot, defect, exc, message.format(d=d, d1=d + 1, e=6 - d)
+            count = _COUNT_MESSAGES.get(slot) or _COUNT_MESSAGES[kind, slot]
+            yield kind, slot, "wrong count", ScenarioError, count
+
+
+def _with_defect(kind, slot, defect):
+    sc = standard_scenario(2, kind)
+    ends = [list(obs) for obs in sc.end_settings]
+    mids = [list(ops) for ops in sc.intermediate_settings]
+    ops = {"left": ends[0], "right": ends[1], "mid": mids[0]}[slot]
+    d = ops[0].shape[0]
+    if defect == "non-square":
+        ops[0] = np.zeros((d, d + 1))
+    elif defect == "wrong dimension":
+        ops[0] = np.eye(6 - d)  # 2x2 <-> 4x4
+    elif defect == "not Hermitian":
+        ops[0] = np.triu(np.ones((d, d)))
+    elif defect in ("not dichotomic", "not idempotent"):
+        ops[0] = 2.0 * ops[0]  # Hermitian, square 4 B (or 4 P)
+    elif defect == "incomplete projectors":
+        ops[0] = np.zeros((d, d))  # Hermitian and idempotent, but the sum misses P_0
+    else:
+        ops.append(ops[0])
+    return NetworkScenario(n=2, kind=kind, sources=sc.sources, end_settings=ends,
+                           intermediate_settings=mids)
+
+
+@pytest.mark.parametrize("kind, slot, defect, exc, message", list(_settings_refusals()))
+def test_settings_refusal_table(kind, slot, defect, exc, message):
+    with pytest.raises(exc) as info:
+        _with_defect(kind, slot, defect)
+    assert str(info.value) == message
+
+
+def test_settings_are_checked_ends_first():
+    # with defects in several slots, the first in this order is reported: the
+    # ends' counts, the left end, the right end, then each intermediate
+    sc = standard_scenario(2, KIND_P14)
+    left, right = sc.end_settings
+    not_hermitian = [np.triu(np.ones((2, 2))), end_observable(1)]
+    not_dichotomic = [2.0 * end_observable(0), end_observable(1)]
+    not_idempotent = [[2.0 * p for p in bsm_projectors()]]
+    three = [bsm_projectors()[:3]]
+    for ends, mids, message in (
+            ([not_hermitian, not_dichotomic], not_idempotent, "observable is not Hermitian"),
+            ([left, not_dichotomic], not_idempotent,
+             "observable is not dichotomic (square != identity)"),
+            ([not_hermitian, right + right], not_idempotent,
+             "end_settings must hold two observables per end party"),
+            ([left, not_dichotomic], three, "observable is not dichotomic (square != identity)"),
+            ([left, right], three, "p14 intermediates need four projectors")):
+        with pytest.raises(ScenarioError) as info:
+            NetworkScenario(n=2, kind=KIND_P14, sources=sc.sources, end_settings=ends,
+                            intermediate_settings=mids)
+        assert str(info.value) == message
+
+
+def _profile_refusals():
+    # (defect, n, profile, exception); the bad value sits at source 1 or at source n
+    n = 1000
+    yield "too short", n, [0.9] * (n - 1), ScenarioError
+    yield "too long", n, [0.9] * (n + 1), ScenarioError
+    yield "empty, n = 0", 0, [], ScenarioError
+    for value in (float("nan"), -0.1, 1.5):
+        for where in (0, n - 1):
+            profile = [0.9] * n
+            profile[where] = value
+            yield f"{value} at source {where + 1}", n, profile, RangeError
+
+
+_PROFILE_ENTRY_POINTS = {
+    "standard_scenario": lambda kind, n, alphas: standard_scenario(n, kind, alphas),
+    "standard_behavior": lambda kind, n, alphas: standard_behavior(kind, n, alphas),
+    "standard_werner_IJ": lambda kind, n, alphas: standard_werner_IJ(kind, n)(alphas),
+    "line base": lambda kind, n, alphas: standard_werner_IJ(kind, n).line(alphas, [0.0] * n),
+    "line end": lambda kind, n, alphas: standard_werner_IJ(kind, n).line([0.0] * n, alphas),
+    "visibility_threshold": lambda kind, n, alphas: visibility_threshold(kind, n, alphas),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PROFILE_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", (KIND_P22, KIND_P14))
+def test_visibility_profile_refusal_table(entry, kind):
+    # every entry point that takes a visibility profile refuses each defect
+    # with the same type, and in a short message even at n = 1000
+    for defect, n, profile, exc in _profile_refusals():
+        with pytest.raises(exc) as info:
+            _PROFILE_ENTRY_POINTS[entry](kind, n, profile)
+        assert len(str(info.value)) < 100, (defect, str(info.value)[:200])
+
+
+def _malformed_scenario_documents():
+    doc = scenario_to_json(standard_scenario(2, KIND_P14, alphas=[0.9, 0.8]))
+    yield "not an object", [doc]
+    for key in ("n", "kind", "sources", "end_settings", "intermediate_settings"):
+        yield f"no {key}", {k: v for k, v in doc.items() if k != key}
+    yield "n not a number", {**doc, "n": [2]}
+    yield "n infinite", {**doc, "n": float("inf")}
+    yield "sources not a list", {**doc, "sources": 2}
+    yield "source not an object", {**doc, "sources": [[0.9], doc["sources"][1]]}
+    yield "source without rho", {**doc, "sources": [{"alpha": 0.9}, doc["sources"][1]]}
+    yield "matrix entry not a pair", {**doc, "end_settings": [[[[1.0]]], doc["end_settings"][1]]}
+    yield "matrix entry not numeric", {**doc, "intermediate_settings": [[[[["a", "b"]]]]]}
+
+
+@pytest.mark.parametrize("label, doc", list(_malformed_scenario_documents()))
+def test_scenario_reader_refuses_malformed_documents(label, doc):
     with pytest.raises(ScenarioError):
         scenario_from_json(doc)
