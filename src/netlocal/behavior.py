@@ -18,9 +18,11 @@ sources) and |I| + |J| (fully local models).
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -38,6 +40,33 @@ VIOLATION_ATOL = 1e-9
 # cells that chain_table sweeps, and Behavior validates, at a time: a block
 # and its temporaries stay in cache instead of streaming through DRAM
 TABLE_BLOCK_CELLS = 2 ** 16
+
+
+def _cores() -> int:
+    """The cores this process may run on, the most threads that chain_table
+    and Behavior validation sweep a table with; tests patch it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def _in_runs(work, items, threads: int) -> None:
+    """work(run) for each of `threads` contiguous runs of items: the first
+    in the calling thread, each other one in a thread started here.  Every
+    thread is joined before this returns, so none outlives the call (a fork
+    while one runs is unsafe), and an error raised in any run reaches the
+    caller.  One thread is one plain call, work(items)."""
+    if threads < 2:
+        work(items)
+        return
+    cuts = [len(items) * t // threads for t in range(threads + 1)]
+    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    with concurrent.futures.ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(work, run) for run in runs[1:]]
+        work(runs[0])
+    for f in futures:
+        f.result()
 
 
 def table_cells(n: int) -> int:
@@ -68,7 +97,18 @@ def _check_rows(rows: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class Behavior:
-    """Dense conditional probability table for one chain scenario."""
+    """Dense conditional probability table for one chain scenario.
+
+    The table is validated in blocks of rows of at most TABLE_BLOCK_CELLS
+    cells.  A table of several blocks is checked on every available core,
+    at most one thread per block, each thread taking one contiguous run of
+    blocks.  A block is a view and its temporaries are a few numbers per
+    row, so the blocks keep their size; smaller ones would make the threads
+    take turns at the interpreter more often than they save.  When any
+    block fails, the whole table is checked again in the calling thread and
+    that check's RangeError is raised, so the verdict and the message are
+    the same whatever the thread count.
+    """
 
     kind: str
     n: int
@@ -87,9 +127,14 @@ class Behavior:
         # one block of rows at a time, so the table is read once; a block
         # that fails is reported over the whole table, as one read would be
         step = max(1, TABLE_BLOCK_CELLS // shape[1])
-        try:
-            for r in range(0, shape[0], step):
+        threads = max(1, min(_cores(), -(-shape[0] // step)))
+
+        def check(starts):
+            for r in starts:
                 _check_rows(self.table[r:r + step])
+
+        try:
+            _in_runs(check, range(0, shape[0], step), threads)
         except RangeError:
             _check_rows(self.table)
             raise
@@ -223,6 +268,17 @@ def chain_table(parties) -> np.ndarray:
     in the same order, as in one unblocked sweep, so the table is the same
     bit for bit.  A chain whose whole running array fits the budget is one
     block and makes exactly the calls of an unblocked sweep.
+
+    A chain of several such blocks is swept on every available core, at
+    most one thread per block.  Each thread takes one contiguous run of
+    blocks, so the threads share table pages at most where two runs meet
+    (interleaved blocks made them fault the same huge pages).  A thread's
+    blocks hold at most TABLE_BLOCK_CELLS // threads cells, and no fewer
+    than two prefix rows: the live temporaries stay within one thread's
+    budget, and every cell is the same dot product as in a serial sweep, so
+    the table is the same bit for bit whatever the thread count.  A chain of
+    one block, or of blocks of fewer than four prefix rows, is swept in the
+    calling thread alone.
     """
     cells = math.prod(t.shape[0] * t.shape[-1] for t in parties)
     check_size(cells, CHAIN_CELL_GUARD, f"table cells of a {len(parties)}-party chain")
@@ -236,21 +292,29 @@ def chain_table(parties) -> np.ndarray:
         bonds.append(t.shape[2])
     depth = max([0] + [k for k in range(len(rows)) if rows[k] * bonds[k] <= TABLE_BLOCK_CELLS])
     head, rest = _fold(first.transpose(0, 2, 1), mids[:depth]), mids[depth:]
+    # prefix rows that fit the budget at the end of the sweep; a thread per
+    # core and per serial block, while each thread's share holds two rows
+    fit = TABLE_BLOCK_CELLS * rows[depth] // (rows[-1] * bond)
+    threads = max(1, min(_cores(), rows[depth] // max(2, fit), fit // 2))
     # prefix rows per block, rounded down to a power of two: both kinds'
     # input and outcome prefix counts are powers of two, so blocks tile them
-    step = max(2, TABLE_BLOCK_CELLS * rows[depth] // (rows[-1] * bond))
+    step = max(2, fit // threads)
     step = 1 << (step.bit_length() - 1)
     X, A = head.shape[:2]
     Xs, As = math.prod(t.shape[0] for t in rest), math.prod(t.shape[3] for t in rest)
     table = np.empty((X, Xs, xi, xe, A, As, ai * ae), np.result_type(head, *rest, closing))
     kx, ka = max(1, step // A), min(A, step)  # a block: kx input prefixes by ka outcome prefixes
-    for x0, a0 in product(range(0, X, kx), range(0, A, ka)):
-        arr = _fold(head[x0:x0 + kx, a0:a0 + ka], rest)  # (kx * Xs, ka * As, bond)
-        # a view: each sliced axis merges with the whole axis after it
-        out = table[x0:x0 + kx, :, :, :, a0:a0 + ka].reshape(
-            arr.shape[0], xi, xe, arr.shape[1], ai * ae)
-        for i, e in product(range(xi), range(xe)):
-            np.matmul(arr, closing[i, :, :, e].reshape(bond, -1), out=out[:, i, e])
+
+    def sweep(blocks):
+        for x0, a0 in blocks:
+            arr = _fold(head[x0:x0 + kx, a0:a0 + ka], rest)  # (kx * Xs, ka * As, bond)
+            # a view: each sliced axis merges with the whole axis after it
+            out = table[x0:x0 + kx, :, :, :, a0:a0 + ka].reshape(
+                arr.shape[0], xi, xe, arr.shape[1], ai * ae)
+            for i, e in product(range(xi), range(xe)):
+                np.matmul(arr, closing[i, :, :, e].reshape(bond, -1), out=out[:, i, e])
+
+    _in_runs(sweep, list(product(range(0, X, kx), range(0, A, ka))), threads)
     return table.reshape(X * Xs * xi * xe, -1)
 
 

@@ -38,10 +38,10 @@ import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
                        chain_table, check_table_size, ij_factors, party_factors)
-from .errors import NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError, check_size
-from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_kind,
-                      check_visibilities, singlet, standard_scenario, standard_visibilities,
-                      werner)
+from .errors import (CHAIN_LENGTH_GUARD, NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError,
+                     check_size)
+from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_chain,
+                      check_visibilities, singlet, standard_scenario, werner)
 
 _REAL_EPS = 1e-14
 
@@ -268,10 +268,12 @@ def standard_werner_IJ(kind: str, n: int):
     """werner_IJ(standard_scenario(n, kind)) with no scenario built: every
     intermediate party of a standard chain has the same settings, so its
     factors are the cached middle party's, and the set-up does not grow
-    with n.  The factors, and so every value, are the same bit for bit."""
-    if n < 2:
-        raise ScenarioError(f"chain needs at least two sources, got n={n}")
-    (left, mid, right), (s_left, s_mid) = _standard_parties(check_kind(kind))
+    with n.  The factors, and so every value, are the same bit for bit.
+    Chains longer than CHAIN_LENGTH_GUARD are refused before the widened
+    lists, which grow with n, are built."""
+    check_chain(n, kind)
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
+    (left, mid, right), (s_left, s_mid) = _standard_parties(kind)
     return _affine_IJ([left] + [mid] * (n - 1) + [right], [s_left] + [s_mid] * (n - 1))
 
 
@@ -281,10 +283,12 @@ def standard_behavior(kind: str, n: int, alphas=None) -> Behavior:
     widened to n, and werner(a) per source, which checks only its
     visibility (one in [0, 1] gives a convex combination of the two
     validated states).  Bad arguments raise standard_scenario's errors, and
-    too large a table chain_table's, before any tensor is built."""
-    alphas = standard_visibilities(n, kind, alphas)
+    too large a table chain_table's, before any tensor, or the default
+    profile (a list of n ones), is built."""
+    check_chain(n, kind)
+    profile = None if alphas is None else check_visibilities(n, alphas)
     check_table_size(n)
-    rhos = [werner(a) for a in alphas]
+    rhos = [werner(a) for a in ([1.0] * n if profile is None else profile)]
     left, mid, right = _standard_settings(kind)[0]
     return _chain_behavior(kind, _party_tensors([left] + [mid] * (n - 1) + [right], rhos))
 
@@ -296,20 +300,25 @@ def closed_form_p14(n: int) -> Behavior:
     intermediate strings m = 2*b0 + b1:
 
         (1 + (-1)**(a1+alast+1) * ((-1)**sum(b0) + (-1)**(sum(b1)+x1+xlast))/2) / 4**n
+
+    Each input row is written in place into one preallocated table, with the
+    same operations in the same order as the formula, so only the
+    intermediates' sums (a sixteenth of the table each) are temporaries.
     """
     check_table_size(n)
+    _, outs = alphabets(KIND_P14, n)
     digits = _outcome_digits(KIND_P14, n)
-    s0 = sum(d >> 1 for d in digits[1:-1])
+    s0_signs = (-1.0) ** sum(d >> 1 for d in digits[1:-1])
     s1 = sum(d & 1 for d in digits[1:-1])
-    ends = digits[0] + digits[-1]
-    rows = []
-    for x1 in (0, 1):
-        for xlast in (0, 1):
-            signed = ((-1.0) ** (ends + 1)) * (
-                (-1.0) ** s0 + (-1.0) ** (s1 + x1 + xlast)
-            ) / 2.0
-            rows.append(((1.0 + signed) / 4.0 ** n).reshape(-1))
-    return Behavior(KIND_P14, n, np.stack(rows))
+    end_signs = (-1.0) ** (digits[0] + digits[-1] + 1)
+    table = np.empty((4, math.prod(outs)))
+    for row, (x1, xlast) in zip(table, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        row = row.reshape(outs)
+        np.multiply(end_signs, s0_signs + (-1.0) ** (s1 + x1 + xlast), out=row)
+        row /= 2.0
+        row += 1.0
+        row /= 4.0 ** n
+    return Behavior(KIND_P14, n, table)
 
 
 def _p22_delta_rows(n: int, include_ends: bool) -> np.ndarray:

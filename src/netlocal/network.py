@@ -44,6 +44,15 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def check_chain(n: int, kind: str) -> None:
+    """Refuse an unknown kind (KindError), then a chain of fewer than two
+    sources (ScenarioError): the checks every scenario entry point makes
+    first, before anything that grows with n."""
+    check_kind(kind)
+    if n < 2:
+        raise ScenarioError(f"chain needs at least two sources, got n={n}")
+
+
 def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-party (input_sizes, output_sizes) for a chain with n sources."""
     check_kind(kind)
@@ -137,9 +146,7 @@ class NetworkScenario:
     elements: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_kind(self.kind)
-        if self.n < 2:
-            raise ScenarioError(f"chain needs at least two sources, got n={self.n}")
+        check_chain(self.n, self.kind)
         if len(self.sources) != self.n:
             raise ScenarioError(f"expected {self.n} sources, got {len(self.sources)}")
         if len(self.end_settings) != 2 or any(len(obs) != 2 for obs in self.end_settings):
@@ -203,15 +210,6 @@ def check_visibilities(n: int, alphas) -> list[float]:
     return alphas
 
 
-def standard_visibilities(n: int, kind: str, alphas=None) -> list[float]:
-    """standard_scenario's visibilities as floats, all ones by default, with
-    kind and n checked, and the profile by check_visibilities."""
-    check_kind(kind)
-    if n < 2:
-        raise ScenarioError(f"chain needs at least two sources, got n={n}")
-    return [1.0] * n if alphas is None else check_visibilities(n, alphas)
-
-
 def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
     """The reference scenario: Werner sources, standard settings everywhere.
 
@@ -219,8 +217,11 @@ def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
         n: number of sources (>= 2).
         kind: "p22" or "p14".
         alphas: per-source visibilities; defaults to all ones (pure singlets).
+
+    Kind and n are checked by check_chain, and the profile by check_visibilities.
     """
-    alphas = standard_visibilities(n, kind, alphas)
+    check_chain(n, kind)
+    alphas = [1.0] * n if alphas is None else check_visibilities(n, alphas)
     sources = [SourceState(werner(a), alpha=a) for a in alphas]
     ends = [[end_observable(0), end_observable(1)] for _ in range(2)]
     if kind == KIND_P22:

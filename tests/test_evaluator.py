@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from netlocal.behavior import _outcome_digits, compute_IJ
-from netlocal.errors import KindError, RangeError, ScenarioError, SizeGuardError
+from netlocal.errors import CHAIN_LENGTH_GUARD, KindError, RangeError, ScenarioError, SizeGuardError
 from netlocal.evaluator import (
     chain_IJ,
     closed_form_p14,
@@ -25,7 +25,7 @@ from netlocal.evaluator import (
     to_reference_convention,
     werner_IJ,
 )
-from netlocal import evaluator
+from netlocal import behavior, evaluator
 from netlocal.network import (
     KIND_P14,
     KIND_P22,
@@ -113,6 +113,12 @@ def test_chain_table_peak_allocation_is_about_one_table():
         assert peak < table.nbytes + 4 * 2 ** 20, (kind, peak / table.nbytes)
 
 
+def test_chain_table_peak_allocation_holds_on_four_threads(monkeypatch):
+    # each of the four threads sweeps blocks of a quarter of the budget
+    monkeypatch.setattr(behavior, "_cores", lambda: 4)
+    test_chain_table_peak_allocation_is_about_one_table()
+
+
 def test_naive_size_guard():
     with pytest.raises(SizeGuardError):
         evaluate_naive(standard_scenario(7, KIND_P22))
@@ -134,6 +140,56 @@ def test_closed_form_validation(monkeypatch):
         for n in (14, 16, 10 ** 9):
             with pytest.raises(SizeGuardError, match=f"{n + 1}-party chain, over"):
                 fn(n)
+
+
+def test_closed_form_p14_peak_allocation_is_about_one_table():
+    # each input row is written in place; stacking four full-size rows
+    # peaked at about 2.4 tables
+    tracemalloc.start()
+    try:
+        table = closed_form_p14(9).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.nbytes, peak / table.nbytes
+
+
+class _UnsizedN(int):
+    """A chain length that refuses to size a sequence: [x] * n and
+    [x] * (n - 1) raise, so a test sees an O(n) list before it is made."""
+
+    def __mul__(self, other):
+        raise AssertionError("an O(n) list was built before n was priced")
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return _UnsizedN(int(self) - other)
+
+
+def test_standard_routes_price_n_before_any_list(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("n must be priced before anything is built")
+
+    for name in ("werner", "_party_tensors", "_standard_parties", "_affine_IJ"):
+        monkeypatch.setattr(evaluator, name, refuse)
+    huge = _UnsizedN(10 ** 9)
+    for kind in (KIND_P22, KIND_P14):
+        with pytest.raises(SizeGuardError, match="1000000001-party chain, over"):
+            evaluator.standard_behavior(kind, huge)
+        with pytest.raises(SizeGuardError,
+                           match=f"chain of 1000000000 sources, over {CHAIN_LENGTH_GUARD}"):
+            standard_werner_IJ(kind, huge)
+        # a bad kind, and too short a chain, keep their own errors
+        for n in (1, -3):
+            with pytest.raises(ScenarioError):
+                evaluator.standard_behavior(kind, n)
+            with pytest.raises(ScenarioError):
+                standard_werner_IJ(kind, n)
+    with pytest.raises(KindError):
+        evaluator.standard_behavior("p13", huge)
+    with pytest.raises(KindError):
+        standard_werner_IJ("p13", huge)
 
 
 def test_frozen_closed_form_entry():
