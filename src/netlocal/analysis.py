@@ -35,8 +35,7 @@ from .behavior import Behavior, alphabets, bound_values, table_cells
 from .errors import (CHAIN_LENGTH_GUARD, GRID_POINT_GUARD, LP_CELL_GUARD, OUTPUT_CELL_GUARD,
                      SWEEP_CELL_GUARD, SWEEP_PARTY_CELLS, SWEEP_TRIAL_CELLS, NoCrossingError,
                      RangeError, check_size)
-from .evaluator import (chain_IJ, closed_form_p14, closed_form_p22_end_parity,
-                        standard_werner_IJ)
+from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity, werner_IJ
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
@@ -439,11 +438,10 @@ def visibility_threshold(kind: str, n: int, profile=None,
     fixed; the profile must violate the bound at s = 1, otherwise there is
     no crossing in [0, 1] and NoCrossingError is raised.
 
-    No scenario is built: evaluator.standard_werner_IJ widens the cached
-    factors of a standard chain's three distinct parties (left end, one
-    intermediate, right end; built and validated once per kind and process)
-    to length n, so the set-up does not grow with n.  The search walks one
-    line, alphas(s) = base + s*step, through that closure's line form: the
+    The search reads werner_IJ on the standard scenario, whose parties,
+    checked once per process, build their factors once per process too, so
+    the set-up checks no operator or state.  It walks one line,
+    alphas(s) = base + s*step, through that function's line form: the
     line's ends are validated once, the parties past the last moving source
     are contracted once into a right environment, and a bisection step
     builds each distinct moving factor once (one with a profile, where only
@@ -465,7 +463,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
         base = [0.0 if p == 0 else a for p, a in enumerate(profile)]
         step = [a if p == 0 else 0.0 for p, a in enumerate(profile)]
 
-    IJ_at = standard_werner_IJ(kind, n).line(base, step)
+    IJ_at = werner_IJ(standard_scenario(n, kind)).line(base, step)
     lo, hi = 0.0, 1.0
     value_hi = _bound_at(IJ_at, hi, bound)
     if value_hi <= 1.0:

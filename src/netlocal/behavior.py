@@ -209,10 +209,12 @@ def ij_factors(kind: str, n: int):
     and likewise for J.  The end parties average their two inputs for I and
     alternate them for J; an intermediate party reads input 0 for I and
     input 1 for J (p22), or bit 0 for I and bit 1 for J of its string (p14).
-    This is the one statement of that rule: compute_IJ reads table rows
+    A party's factors depend on its role alone (left end, intermediate,
+    right end), so ij_factors(kind, 2) lists one party of each role, in that
+    order.  This is the one statement of that rule: compute_IJ reads table rows
     with these factors, chain_IJ_of contracts them along a chain of party
     tensors for hvmodels.model_IJ, evaluator.chain_IJ and werner_IJ stack
-    their party_factors with the norm functional's, and
+    each party's with the norm functional's, and
     hvmodels.strategy_IJ takes the outer product of their party_factors.
     The returned arrays are shared; do not modify them.
     """

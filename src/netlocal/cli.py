@@ -43,9 +43,9 @@ from .behavior import (
     write_json_cells,
 )
 from .errors import LP_FILE_BYTE_GUARD, OUTPUT_CELL_GUARD, NetlocalError, check_size
-from .evaluator import standard_behavior
+from .evaluator import evaluate_chain
 from .hvmodels import model_IJ, model_to_json, tightness_model
-from .network import KIND_P14, KIND_P22
+from .network import KIND_P14, KIND_P22, standard_scenario
 
 CLI_SCHEMA_VERSION = 1
 
@@ -111,7 +111,7 @@ def cmd_simulate(args) -> dict:
     if args.format == "csv" and args.out is None:
         args.parser.error("--format csv requires --out (stdout stays JSON)")
     check_size(table_cells(args.n), OUTPUT_CELL_GUARD, f"simulate --n {args.n}: table cells")
-    b = standard_behavior(args.kind, args.n, alphas)
+    b = evaluate_chain(standard_scenario(args.n, args.kind, alphas))
     report = correlator_report(b)
     if args.out is not None:
         if args.format == "csv":
@@ -176,7 +176,7 @@ def cmd_lp(args) -> dict:
         elif args.source == "chain-pr":
             b = chain_pr_behavior(args.kind, args.n)
         else:
-            b = standard_behavior(args.kind, args.n)
+            b = evaluate_chain(standard_scenario(args.n, args.kind))
     res = lp_local_membership(b, tol=args.tol)
     doc = _payload("lp", {
         "n": b.n, "kind": b.kind, "source": args.source,
@@ -216,12 +216,8 @@ def _figure4_csv(report: dict, fh) -> None:
 
 def cmd_figure4(args):
     report = figure4_report(args.kind, args.n, args.grid_step)
-    if args.format == "csv":
-        if args.out is None:
-            _figure4_csv(report, sys.stdout)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _figure4_csv(report, fh)
+    if args.format == "csv" and args.out is None:
+        _figure4_csv(report, sys.stdout)
         return None
     doc = _payload("figure4", {
         "n": args.n, "kind": args.kind, "grid_step": args.grid_step,
@@ -230,8 +226,11 @@ def cmd_figure4(args):
     doc["result"] = report
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            if args.format == "csv":
+                _figure4_csv(report, fh)
+            else:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
     return doc
 
 

@@ -5,20 +5,12 @@ global 2^(2n)-dimensional state and is kept as a small-n oracle.  The
 production route writes the scenario as one transfer tensor per party and
 hands it to the chain kernel in behavior: evaluate_chain builds the table,
 linear in n, and chain_IJ contracts I and J alone in O(n), with no table.
-werner_IJ serves searches over Werner visibilities: it builds the factors
-of the singlet and white-noise chains once, and each profile then costs n
-axpys and one contraction.  A standard chain has only three distinct
-parties (left end, intermediate, right end), whose element arrays, with the
-singlet and white-noise states, are validated once per kind and process
-(_standard_settings) and widened to any n, so two functions build no
-scenario: standard_behavior gives evaluate_chain's table bit for bit, and
-standard_werner_IJ gives werner_IJ's function from factors cached per kind.
-Both IJ functions have a line form, IJ.line(base, step), for a search along
-alphas(s) = base + s*step: the line's ends are validated once, the parties
-past the last moving source are contracted once into a right environment,
-and a point then builds each distinct moving factor once and sweeps only
-the moving prefix, so a point on a line that moves source 1 alone costs
-one factor and one small contraction at any n.
+werner_IJ serves searches over Werner visibilities: each distinct party
+builds its factors on the singlet and on white noise once and keeps them,
+so a standard chain's are built once per process, and each profile then
+costs n axpys and one contraction.  Its line form, IJ.line(base, step),
+walks one line of visibilities at a cost that does not grow with the
+parties that stay fixed (see _affine_IJ).
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -32,16 +24,14 @@ the discrepancy stays visible.  See the README section on conventions.
 from __future__ import annotations
 
 import math
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .behavior import (NORM_ATOL, Behavior, _outcome_digits, alphabets, chain_contract,
-                       chain_table, check_table_size, ij_factors, party_factors)
-from .errors import (CHAIN_LENGTH_GUARD, NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError,
-                     check_size)
-from .network import (ID4, KIND_P14, KIND_P22, NetworkScenario, SourceState, check_chain,
-                      check_visibilities, singlet, standard_scenario, werner)
+                       chain_table, check_table_size, ij_factors)
+from .errors import NAIVE_DIM_GUARD, KindError, RangeError, ScenarioError, check_size
+from .network import KIND_P14, KIND_P22, NetworkScenario, _werner_states, check_visibilities
 
 _REAL_EPS = 1e-14
 
@@ -61,7 +51,7 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
     n = scenario.n
     check_size(4 ** n, NAIVE_DIM_GUARD,
                f"global dimension of a naive evaluation of {n} sources (use evaluate_chain)")
-    rest = reduce(np.kron, [s.rho for s in scenario.sources])
+    rest = reduce(np.kron, scenario.rhos())
     for elems in scenario.elements:
         d = elems.shape[-1]
         rest = rest.reshape(rest.shape[:-2] + (d, rest.shape[-1] // d, d, -1))
@@ -72,22 +62,31 @@ def evaluate_naive(scenario: NetworkScenario) -> Behavior:
     return Behavior(scenario.kind, n, probs.reshape(math.prod(ins), math.prod(outs)))
 
 
+def _roles(n: int) -> list[int]:
+    """Each party's role in a chain of n sources: 0 left end, 1 intermediate,
+    2 right end."""
+    return [0] + [1] * (n - 1) + [2]
+
+
+def _party_tensor(elems, rho, role: int) -> np.ndarray:
+    """A party tensor T[x, bonds..., a] from the party's POVM element array
+    E[x, a] and the 4x4 density operator of the source on its right (none
+    for the right end).  A bond is the 2x2 operator left on the right qubit
+    of the latest source, flattened row-major."""
+    nx, na = elems.shape[:2]
+    if role == 2:
+        return np.einsum("xaij->xjia", elems).reshape(nx, 4, na)
+    rho4 = rho.reshape(2, 2, 2, 2)
+    if role == 0:
+        return np.einsum("xaqc,ctqs->xtsa", elems, rho4).reshape(nx, 4, na)
+    e = elems.reshape(nx, na, 2, 2, 2, 2)
+    return np.einsum("xawrcb,btrs->xcwtsa", e, rho4).reshape(nx, 4, 4, na)
+
+
 def _party_tensors(elems, rhos) -> list[np.ndarray]:
-    """A chain of party tensors T[x, bonds..., a] from the n + 1 parties'
-    POVM element arrays E[x, a] and the n sources' 4x4 density operators.
-    A bond is the 2x2 operator left on the right qubit of the latest
-    source, flattened row-major."""
-    n = len(rhos)
-    rho4 = [r.reshape(2, 2, 2, 2) for r in rhos]
-    nx, na = elems[0].shape[:2]
-    parties = [np.einsum("xaqc,ctqs->xtsa", elems[0], rho4[0]).reshape(nx, 4, na)]
-    for p in range(1, n):
-        nx, na = elems[p].shape[:2]
-        e = elems[p].reshape(nx, na, 2, 2, 2, 2)
-        parties.append(np.einsum("xawrcb,btrs->xcwtsa", e, rho4[p]).reshape(nx, 4, 4, na))
-    nx, na = elems[n].shape[:2]
-    parties.append(np.einsum("xaij->xjia", elems[n]).reshape(nx, 4, na))
-    return parties
+    """_party_tensor of each party of a chain, in party order."""
+    return [_party_tensor(e, rho, role)
+            for e, rho, role in zip(elems, [*rhos, None], _roles(len(rhos)))]
 
 
 def _real_if_real(parties) -> list[np.ndarray]:
@@ -98,30 +97,23 @@ def _real_if_real(parties) -> list[np.ndarray]:
     return parties
 
 
-def _chain_behavior(kind: str, parties) -> Behavior:
-    """chain_table's Behavior, in real arithmetic when the tensors are real."""
-    table = chain_table(_real_if_real(parties))
-    if np.iscomplexobj(table):
-        table = np.ascontiguousarray(table.real)
-    return Behavior(kind, len(parties) - 1, table)
-
-
 def evaluate_chain(scenario: NetworkScenario) -> Behavior:
     """Transfer-operator Born rule, linear in n: behavior.chain_table over
-    the scenario's party tensors."""
-    return _chain_behavior(scenario.kind, _party_tensors(
-        scenario.elements, [s.rho for s in scenario.sources]))
+    the scenario's party tensors, with the table priced before any is built."""
+    check_table_size(scenario.n)
+    table = chain_table(_real_if_real(_party_tensors(scenario.elements, scenario.rhos())))
+    if np.iscomplexobj(table):
+        table = np.ascontiguousarray(table.real)
+    return Behavior(scenario.kind, scenario.n, table)
 
 
-def _functional_factors(kind: str, parties) -> list[np.ndarray]:
-    """Per-party factors of the norm, I and J functionals of a chain, each
-    party's three stacked on a leading axis for chain_contract.  The norm
-    functional reads input 0 and sums the outcomes: the product of the
-    source traces."""
-    (wI, sI), (wJ, sJ) = ij_factors(kind, len(parties) - 1)
-    norm = [t[0].sum(axis=-1) for t in parties]
-    return [np.stack(fs) for fs in zip(norm, party_factors(parties, wI, sI),
-                                       party_factors(parties, wJ, sJ))]
+def _functional_factor(kind: str, t, role: int) -> np.ndarray:
+    """One party tensor's norm, I and J factors in its role, stacked for
+    chain_contract.  The norm reads input 0 and sums the outcomes (the
+    product of the source traces); I and J weigh as ij_factors(kind, 2)'s
+    party of that role."""
+    return np.stack([t[0].sum(axis=-1)] + [np.einsum("x...a,x,a->...", t, w[role], s[role])
+                                           for w, s in ij_factors(kind, 2)])
 
 
 def _unit_norm_IJ(factors) -> tuple[float, float]:
@@ -134,24 +126,26 @@ def _unit_norm_IJ(factors) -> tuple[float, float]:
 
 
 def chain_IJ(scenario: NetworkScenario) -> tuple[float, float]:
-    """I and J of a scenario by the functional chain kernel, without the table.
-
-    The norm functional (input 0, outcomes summed) is the product of the
-    source traces; it must be 1 within NORM_ATOL, as a Behavior's row sums.
-    """
-    parties = _real_if_real(_party_tensors(scenario.elements,
-                                           [s.rho for s in scenario.sources]))
-    return _unit_norm_IJ(_functional_factors(scenario.kind, parties))
+    """I and J of a scenario by the functional chain kernel, without the
+    table, with _unit_norm_IJ's check of the product of the source traces."""
+    parties = _real_if_real(_party_tensors(scenario.elements, scenario.rhos()))
+    return _unit_norm_IJ([_functional_factor(scenario.kind, t, role)
+                          for t, role in zip(parties, _roles(scenario.n))])
 
 
-def _werner_factors(kind: str, elems):
-    """The factors werner_IJ interpolates for parties with POVM element
-    arrays elems: the norm, I and J factors on white noise (n + 1 parties),
-    and each sourced party's slope towards the singlet (n parties)."""
-    n = len(elems) - 1
-    noise, pure = (_functional_factors(kind, _real_if_real(_party_tensors(elems, [rho] * n)))
-                   for rho in _standard_settings(kind)[1])
-    return noise, [p - q for p, q in zip(pure[:n], noise[:n])]
+def _werner_party(party, kind: str, role: int):
+    """werner_IJ's factors for one party in its role: its norm, I and J
+    factor on white noise, and its slope towards the singlet, each in real
+    arithmetic when the party's tensor is real within _REAL_EPS.  Built
+    once per kind and role, and kept read-only on the party."""
+    key = ("werner", kind, role)
+    if key not in party.cache:
+        noise, pure = (_functional_factor(kind, *_real_if_real(
+            [_party_tensor(party.elements, rho, role)]), role) for rho in _werner_states())
+        party.cache[key] = noise, pure - noise
+        for f in party.cache[key]:
+            f.setflags(write=False)
+    return party.cache[key]
 
 
 def _werner_factor(noise, slope, alpha):
@@ -224,73 +218,17 @@ def werner_IJ(scenario: NetworkScenario):
     """I and J of the scenario's settings on Werner sources, as a function
     of the n visibilities; scenario.sources are not used.
 
-    werner(a) = a*singlet + (1 - a)*I/4, and each party factor is linear in
-    the source folded into that party, so every factor of the norm, I and J
-    functionals is affine in its party's visibility:
-    F(a) = F(noise) + a*(F(singlet) - F(noise)).  The two end states are
-    validated and both chains' factors built here, once; a call is n axpys
-    and one chain_contract, with chain_IJ's unit-norm check.  A visibility
-    outside [0, 1], or NaN, raises RangeError; one inside gives a convex
-    combination of the two validated states, so no call validates a source.
+    Each party factor is linear in the source folded into it, so on
+    werner(a) it is F(noise) + a*(F(singlet) - F(noise)), from two factors
+    kept on the party (_werner_party).  A call is n axpys and one
+    chain_contract, with chain_IJ's unit-norm check.  A visibility outside
+    [0, 1], or NaN, raises RangeError; one inside gives a convex combination
+    of network._werner_states(), so no call validates a source.
     """
-    return _affine_IJ(*_werner_factors(scenario.kind, scenario.elements))
-
-
-@cache
-def _standard_settings(kind: str):
-    """The one place where a kind's standard settings are validated, once
-    per kind and process: the POVM element arrays of the left end,
-    intermediate and right end parties, from the n = 2 standard scenario,
-    and the (white noise, singlet) states whose convex combinations are the
-    Werner sources, each checked as a SourceState.  Read-only arrays."""
-    states = [SourceState(rho).rho for rho in (ID4 / 4.0, singlet())]
-    for a in states:
-        a.setflags(write=False)
-    return standard_scenario(2, kind).elements, tuple(states)
-
-
-@cache
-def _standard_parties(kind: str):
-    """werner_IJ's factors for the three distinct parties of a standard
-    chain, ((left, middle, right) noise factors, (left, middle) slopes),
-    from _standard_settings(kind); the n = 2 chain's unit norms on white
-    noise and on the singlet are checked once.  The arrays are read-only."""
-    noise, slopes = _werner_factors(kind, _standard_settings(kind)[0])
-    IJ = _affine_IJ(noise, slopes)
-    for alphas in ([0.0, 0.0], [1.0, 1.0]):  # unit norm on white noise and on the singlet
-        IJ(alphas)
-    for f in noise + slopes:
-        f.setflags(write=False)
-    return tuple(noise), tuple(slopes)
-
-
-def standard_werner_IJ(kind: str, n: int):
-    """werner_IJ(standard_scenario(n, kind)) with no scenario built: every
-    intermediate party of a standard chain has the same settings, so its
-    factors are the cached middle party's, and the set-up does not grow
-    with n.  The factors, and so every value, are the same bit for bit.
-    Chains longer than CHAIN_LENGTH_GUARD are refused before the widened
-    lists, which grow with n, are built."""
-    check_chain(n, kind)
-    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
-    (left, mid, right), (s_left, s_mid) = _standard_parties(kind)
-    return _affine_IJ([left] + [mid] * (n - 1) + [right], [s_left] + [s_mid] * (n - 1))
-
-
-def standard_behavior(kind: str, n: int, alphas=None) -> Behavior:
-    """evaluate_chain(standard_scenario(n, kind, alphas)) bit for bit, with
-    no scenario built: the three element arrays of _standard_settings(kind)
-    widened to n, and werner(a) per source, which checks only its
-    visibility (one in [0, 1] gives a convex combination of the two
-    validated states).  Bad arguments raise standard_scenario's errors, and
-    too large a table chain_table's, before any tensor, or the default
-    profile (a list of n ones), is built."""
-    check_chain(n, kind)
-    profile = None if alphas is None else check_visibilities(n, alphas)
-    check_table_size(n)
-    rhos = [werner(a) for a in ([1.0] * n if profile is None else profile)]
-    left, mid, right = _standard_settings(kind)[0]
-    return _chain_behavior(kind, _party_tensors([left] + [mid] * (n - 1) + [right], rhos))
+    n = scenario.n
+    noise, slopes = zip(*(_werner_party(party, scenario.kind, role)
+                          for party, role in zip(scenario.parties, _roles(n))))
+    return _affine_IJ(list(noise), list(slopes[:n]))
 
 
 def closed_form_p14(n: int) -> Behavior:

@@ -15,16 +15,21 @@ Two measurement layouts are supported:
 
 alphabets states these layouts as each party's input and output counts.
 Outcome bit b corresponds to eigenvalue (-1)**b everywhere.
+
+A scenario holds each party's settings as a checked Party, shared by
+reference, and each source as a checked SourceState or a Werner visibility,
+so standard_scenario builds only references and floats at any n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import qlin
-from .errors import KindError, RangeError, ScenarioError
+from .errors import CHAIN_LENGTH_GUARD, KindError, RangeError, ScenarioError, check_size
 
 KIND_P22 = "p22"
 KIND_P14 = "p14"
@@ -73,7 +78,7 @@ def werner(alpha: float) -> np.ndarray:
     """Singlet mixed with white noise: alpha*singlet + (1-alpha)*I/4."""
     if not 0.0 <= alpha <= 1.0:
         raise RangeError(f"visibility must lie in [0, 1], got {alpha}")
-    return alpha * singlet() + (1.0 - alpha) * ID4 / 4.0
+    return alpha * _werner_states()[1] + (1.0 - alpha) * ID4 / 4.0
 
 
 def end_observable(x: int) -> np.ndarray:
@@ -124,35 +129,90 @@ class SourceState:
             raise ScenarioError("source state is not a density operator")
 
 
+@cache
+def _werner_states() -> tuple[np.ndarray, np.ndarray]:
+    """White noise and the singlet, checked once, read-only; werner(a) mixes them."""
+    states = tuple(SourceState(rho).rho for rho in (ID4 / 4.0, singlet()))
+    for rho in states:
+        rho.setflags(write=False)
+    return states
+
+
+class Party(tuple):
+    """One party's settings, checked: its operators, as a tuple, and
+    elements, their read-only POVM element array E[x, a].  A party with one
+    input has its projectors, in outcome order, as elements; any other has
+    one dichotomic observable B per input, with elements (I + (-1)**a B)/2.
+    A scenario holds a Party by reference and checks it no further, so a
+    party that many positions or scenarios share is checked once; cache
+    keeps what evaluators derive from its elements."""
+
+    def __new__(cls, ops, dim: int, num_in: int):
+        party = super().__new__(cls, ops)
+        projective = num_in == 1
+        name, square = (("projector", "idempotent") if projective
+                        else ("observable", "dichotomic (square != identity)"))
+        checked = []
+        for op in map(qlin.as_operator, party):
+            if op.shape != (dim, dim):
+                raise ScenarioError(f"{name} must be {dim}x{dim}, got {op.shape}")
+            if not qlin.is_hermitian(op, atol=1e-10):
+                raise ScenarioError(f"{name} is not Hermitian")
+            if not qlin.close_to(op @ op, op if projective else np.eye(dim), 1e-10, 1e-5):
+                raise ScenarioError(f"{name} is not {square}")
+            checked.append(op)
+        if projective and not qlin.close_to(sum(checked, np.zeros((dim, dim), complex)),
+                                            np.eye(dim), 1e-10, 1e-5):
+            raise ScenarioError("projectors do not sum to the identity")
+        rows = [checked] if projective else [[(np.eye(dim) + (-1) ** a * b) / 2.0
+                                              for a in (0, 1)] for b in checked]
+        party.elements = np.array(rows, dtype=complex)
+        party.elements.setflags(write=False)
+        party.cache = {}
+        return party
+
+    def __reduce__(self):  # copy and pickle check the operators again
+        return Party, (tuple(self), self.elements.shape[-1], self.elements.shape[0])
+
+
+def _checked(ops, dim: int, num_in: int, num_out: int) -> Party:
+    """ops as a Party of the given shape: one of that shape as it is, else checked."""
+    if isinstance(ops, Party) and ops.elements.shape == (num_in, num_out, dim, dim):
+        return ops
+    return Party(ops, dim, num_in)
+
+
 @dataclass(eq=False)
 class NetworkScenario:
     """A fully specified chain scenario.
 
+    Each source is a checked SourceState, or a visibility a in [0, 1] for
+    werner(a), whose matrix rhos() forms when an evaluator needs it.
     end_settings holds, for each end party (index 0 for party 1, index 1 for
     party n+1), its two dichotomic single-qubit observables.  For kind p22,
     intermediate_settings holds per intermediate party its two dichotomic
     two-qubit observables; for kind p14 it holds the four projectors of its
-    Bell-basis measurement, in outcome order: each intermediate's form is
-    read from alphabets.  The constructor checks the settings and converts
-    them once: elements holds each party's POVM element array E[x, a] (see
-    _party_elements), in party order, for the evaluators.
+    Bell-basis measurement, in outcome order (alphabets gives the forms).
+    The constructor stores each as a checked Party, taking one of the right
+    shape as it is.
     """
 
     n: int
     kind: str
-    sources: list[SourceState]
+    sources: list[SourceState | float]
     end_settings: list[list[np.ndarray]]
     intermediate_settings: list[list[np.ndarray]] = field(default_factory=list)
-    elements: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         check_chain(self.n, self.kind)
         if len(self.sources) != self.n:
             raise ScenarioError(f"expected {self.n} sources, got {len(self.sources)}")
+        self.sources = [s if isinstance(s, SourceState) else _visibility(s, source)
+                        for source, s in enumerate(self.sources, 1)]
         if len(self.end_settings) != 2 or any(len(obs) != 2 for obs in self.end_settings):
             raise ScenarioError("end_settings must hold two observables per end party")
         ins, outs = alphabets(self.kind, self.n)
-        left, right = (_party_elements(obs, 2, ins[0]) for obs in self.end_settings)
+        self.end_settings = [_checked(obs, 2, ins[0], outs[0]) for obs in self.end_settings]
         if len(self.intermediate_settings) != self.n - 1:
             raise ScenarioError(
                 f"expected {self.n - 1} intermediate settings, got {len(self.intermediate_settings)}"
@@ -162,39 +222,34 @@ class NetworkScenario:
             count, form = (num_out, "projectors") if num_in == 1 else (num_in, "observables")
             if len(ops) != count:
                 raise ScenarioError(f"{self.kind} intermediates need {_COUNT_WORDS[count]} {form}")
-            mids.append(_party_elements(ops, 4, num_in))
-        self.elements = (left, *mids, right)
+            mids.append(_checked(ops, 4, num_in, num_out))
+        self.intermediate_settings = mids
 
     @property
     def num_parties(self) -> int:
         return self.n + 1
 
+    @property
+    def parties(self) -> tuple[Party, ...]:
+        """The checked parties in party order."""
+        return (self.end_settings[0], *self.intermediate_settings, self.end_settings[1])
 
-def _party_elements(ops, dim: int, num_in: int) -> np.ndarray:
-    """One party's settings, checked, as a read-only POVM element array
-    E[x, a].  A party with one input has its projectors, in outcome order,
-    as elements; any other has one dichotomic observable B per input, with
-    elements (I + (-1)**a B)/2."""
-    projective = num_in == 1
-    name, square = (("projector", "idempotent") if projective
-                    else ("observable", "dichotomic (square != identity)"))
-    checked = []
-    for op in map(qlin.as_operator, ops):
-        if op.shape != (dim, dim):
-            raise ScenarioError(f"{name} must be {dim}x{dim}, got {op.shape}")
-        if not qlin.is_hermitian(op, atol=1e-10):
-            raise ScenarioError(f"{name} is not Hermitian")
-        if not qlin.close_to(op @ op, op if projective else np.eye(dim), 1e-10, 1e-5):
-            raise ScenarioError(f"{name} is not {square}")
-        checked.append(op)
-    if projective and not qlin.close_to(sum(checked, np.zeros((dim, dim), complex)), np.eye(dim),
-                                        1e-10, 1e-5):
-        raise ScenarioError("projectors do not sum to the identity")
-    rows = [checked] if projective else [[(np.eye(dim) + (-1) ** a * b) / 2.0 for a in (0, 1)]
-                                         for b in checked]
-    elems = np.array(rows, dtype=complex)
-    elems.setflags(write=False)
-    return elems
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """Each party's read-only POVM element array E[x, a], in party order."""
+        return tuple(p.elements for p in self.parties)
+
+    def rhos(self) -> list[np.ndarray]:
+        """Each source's density operator: its state's rho, or werner(a)."""
+        return [s.rho if isinstance(s, SourceState) else werner(s) for s in self.sources]
+
+
+def _visibility(a, source: int) -> float:
+    """a as a float in [0, 1]; RangeError naming its source otherwise, NaN included."""
+    a = float(a)
+    if not 0.0 <= a <= 1.0:
+        raise RangeError(f"visibility of source {source} must lie in [0, 1], got {a}")
+    return a
 
 
 def check_visibilities(n: int, alphas) -> list[float]:
@@ -204,10 +259,16 @@ def check_visibilities(n: int, alphas) -> list[float]:
     alphas = [float(a) for a in alphas]
     if len(alphas) != n:
         raise ScenarioError(f"expected {n} visibilities, got {len(alphas)}")
-    for source, a in enumerate(alphas, 1):
-        if not 0.0 <= a <= 1.0:
-            raise RangeError(f"visibility of source {source} must lie in [0, 1], got {a}")
-    return alphas
+    return [_visibility(a, source) for source, a in enumerate(alphas, 1)]
+
+
+@cache
+def _standard_chain_parties(kind: str) -> tuple[Party, Party]:
+    """A standard chain's end party and intermediate, checked once per kind."""
+    end = Party([end_observable(0), end_observable(1)], 2, 2)
+    if kind == KIND_P22:
+        return end, Party([partial_bsm_observable(0), partial_bsm_observable(1)], 4, 2)
+    return end, Party(bsm_projectors(), 4, 1)
 
 
 def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
@@ -218,18 +279,17 @@ def standard_scenario(n: int, kind: str, alphas=None) -> NetworkScenario:
         kind: "p22" or "p14".
         alphas: per-source visibilities; defaults to all ones (pure singlets).
 
-    Kind and n are checked by check_chain, and the profile by check_visibilities.
+    Kind and n are checked by check_chain, then n by CHAIN_LENGTH_GUARD
+    before anything that grows with n, and the profile by check_visibilities.
+    The scenario holds the visibilities and the kind's two parties, checked
+    once per process, so it checks no operator and no state.
     """
     check_chain(n, kind)
-    alphas = [1.0] * n if alphas is None else check_visibilities(n, alphas)
-    sources = [SourceState(werner(a), alpha=a) for a in alphas]
-    ends = [[end_observable(0), end_observable(1)] for _ in range(2)]
-    if kind == KIND_P22:
-        mids = [[partial_bsm_observable(0), partial_bsm_observable(1)] for _ in range(n - 1)]
-    else:
-        mids = [bsm_projectors() for _ in range(n - 1)]
-    return NetworkScenario(n=n, kind=kind, sources=sources,
-                           end_settings=ends, intermediate_settings=mids)
+    check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
+    sources = [1.0] * n if alphas is None else check_visibilities(n, alphas)
+    end, mid = _standard_chain_parties(kind)
+    return NetworkScenario(n=n, kind=kind, sources=sources, end_settings=[end, end],
+                           intermediate_settings=[mid] * (n - 1))
 
 
 def _matrix_to_json(m) -> list:
@@ -248,7 +308,8 @@ def scenario_to_json(scenario: NetworkScenario) -> dict:
         "n": scenario.n,
         "kind": scenario.kind,
         "sources": [
-            {"alpha": s.alpha, "rho": _matrix_to_json(s.rho)} for s in scenario.sources
+            {"alpha": s.alpha if isinstance(s, SourceState) else s, "rho": _matrix_to_json(rho)}
+            for s, rho in zip(scenario.sources, scenario.rhos())
         ],
         "end_settings": [[_matrix_to_json(o) for o in obs] for obs in scenario.end_settings],
         "intermediate_settings": [

@@ -36,7 +36,7 @@ from netlocal.errors import (
     ScenarioError,
     SizeGuardError,
 )
-from netlocal import errors, evaluator, hvmodels, qlin
+from netlocal import errors, evaluator, hvmodels, network, qlin
 from netlocal.evaluator import closed_form_p14, closed_form_p22_end_parity, evaluate_chain
 from netlocal.hvmodels import (behavior_of_model, decomposition_model, party_strategy_table,
                                sample_random_model, trial_rng)
@@ -98,7 +98,8 @@ def test_lp_matches_scipy_verdicts():
     rng = np.random.default_rng(22)
     for kind, n in [(KIND_P14, n) for n in (2, 3, 4, 5)] + [(KIND_P22, n) for n in (2, 3)]:
         pr, noise = chain_pr_behavior(kind, n), uniform_behavior(kind, n)
-        expected = [(evaluator.standard_behavior(kind, n, rng.uniform(0.5, 1.0, size=n)), True),
+        chain = evaluate_chain(standard_scenario(n, kind, rng.uniform(0.5, 1.0, size=n)))
+        expected = [(chain, True),
                     (pr, False),
                     (mix_behaviors([0.55, 0.45], [noise, pr]), True),
                     (mix_behaviors([0.45, 0.55], [noise, pr]), False)]
@@ -666,12 +667,14 @@ def test_threshold_beyond_any_table():
 
 
 def test_threshold_matches_table_route(monkeypatch):
-    """The search through standard_werner_IJ against the same search with
-    the table route injected at its seam, the line the search walks: one
-    full table per visibility profile."""
+    """The search through werner_IJ against the same search with the table
+    route injected at its seam, the line the search walks: one full table
+    per visibility profile."""
     calls = []
 
-    def table_route(kind, n):
+    def table_route(scenario):
+        n, kind = scenario.n, scenario.kind
+
         def line(base, step):
             def IJ_at(s):
                 alphas = [b + s * d for b, d in zip(base, step)]
@@ -685,7 +688,7 @@ def test_threshold_matches_table_route(monkeypatch):
                for profile in (None, [0.9] * (n - 1) + [0.8])]
     contracted = [visibility_threshold(kind, n, profile=profile)
                   for kind, n, profile in configs]
-    monkeypatch.setattr(analysis, "standard_werner_IJ", table_route)
+    monkeypatch.setattr(analysis, "werner_IJ", table_route)
     for (kind, n, profile), res in zip(configs, contracted):
         calls.clear()
         ref = visibility_threshold(kind, n, profile=profile)
@@ -714,14 +717,14 @@ def test_line_search_matches_the_full_contraction_per_step(monkeypatch):
                for profile in (None, _uneven_profile(rng, n), _uneven_profile(rng, n))]
     along_line = [visibility_threshold(kind, n, profile=profile)
                   for kind, n, profile in configs]
-    standard = evaluator.standard_werner_IJ
+    werner = evaluator.werner_IJ
 
-    def full_route(kind, n):
-        IJ = standard(kind, n)
+    def full_route(scenario):
+        IJ = werner(scenario)
         return SimpleNamespace(
             line=lambda base, step: lambda s: IJ([b + s * d for b, d in zip(base, step)]))
 
-    monkeypatch.setattr(analysis, "standard_werner_IJ", full_route)
+    monkeypatch.setattr(analysis, "werner_IJ", full_route)
     for (kind, n, profile), res in zip(configs, along_line):
         ref = visibility_threshold(kind, n, profile=profile)
         if profile is None:
@@ -772,10 +775,11 @@ def test_threshold_edge_profiles():
 
 
 def test_threshold_validates_no_source_per_step(monkeypatch):
-    """A kind's sources and settings are validated, and its transfer tensors
-    built, once per process; after that a search at any n and any bracket
-    width validates no source, builds no transfer tensor and no scenario."""
-    counts = {"density": 0, "transfer": 0, "scenario": 0}
+    """A kind's settings and the two Werner states are checked, and its
+    parties' transfer tensors built, once per process; after that a search
+    at any n and any bracket width checks no party, validates no source and
+    builds no transfer tensor."""
+    counts = {"density": 0, "transfer": 0, "party": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -785,26 +789,25 @@ def test_threshold_validates_no_source_per_step(monkeypatch):
 
     monkeypatch.setattr(qlin, "is_density_operator",
                         counted("density", qlin.is_density_operator))
-    monkeypatch.setattr(evaluator, "_party_tensors",
-                        counted("transfer", evaluator._party_tensors))
-    for module in (evaluator, analysis):
-        monkeypatch.setattr(module, "standard_scenario",
-                            counted("scenario", module.standard_scenario))
-    evaluator._standard_settings.cache_clear()
-    evaluator._standard_parties.cache_clear()
+    monkeypatch.setattr(evaluator, "_party_tensor", counted("transfer", evaluator._party_tensor))
+    monkeypatch.setattr(network.Party, "__new__", counted("party", network.Party.__new__))
+    network._standard_chain_parties.cache_clear()
+    network._werner_states.cache_clear()
     default = analysis.BISECTION_WIDTH
     for kind in (KIND_P22, KIND_P14):
-        counts.update(density=0, transfer=0, scenario=0)
+        counts.update(density=0, transfer=0, party=0)
         visibility_threshold(kind, 3)
-        # the n = 2 scenario's two singlets and the two end states, once
-        assert counts == {"density": 2 + 2, "transfer": 2, "scenario": 1}
+        # white noise and the singlet (for the first kind only), the end
+        # party and the intermediate, and on each Werner state the end's
+        # tensors as left and as right end and the intermediate's
+        assert counts == {"density": 2 if kind == KIND_P22 else 0, "transfer": 6, "party": 2}
         seen = set()
         for n in (2, 6, 40):
             for width in (1e-2, default):
                 monkeypatch.setattr(analysis, "BISECTION_WIDTH", width)
-                counts.update(density=0, transfer=0, scenario=0)
+                counts.update(density=0, transfer=0, party=0)
                 res = visibility_threshold(kind, n, profile=[0.99] * n)
-                assert counts == {"density": 0, "transfer": 0, "scenario": 0}
+                assert counts == {"density": 0, "transfer": 0, "party": 0}
                 seen.add(res.iterations)
         assert len(seen) == 2
 
@@ -819,7 +822,7 @@ def test_long_chains_are_refused_before_anything_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the chain-length guard must come first")
 
-    for name in ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
+    for name in ("werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
         monkeypatch.setattr(analysis, name, refuse)
     monkeypatch.setattr(hvmodels, "tightness_model", refuse)
     monkeypatch.setattr(hvmodels, "decomposition_model", refuse)

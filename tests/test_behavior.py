@@ -32,7 +32,7 @@ from netlocal.behavior import (
 )
 from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
 from netlocal.evaluator import (_party_tensors, _real_if_real, closed_form_p14,
-                                closed_form_p22_end_parity, evaluate_chain, standard_behavior)
+                                closed_form_p22_end_parity, evaluate_chain)
 from netlocal.hvmodels import (_model_parties, behavior_of_model, decomposition_model,
                                sample_random_model)
 from netlocal.network import KIND_P14, KIND_P22, NetworkScenario, standard_scenario
@@ -204,7 +204,7 @@ def test_compute_IJ_matches_the_row_by_row_loop():
              _deterministic(KIND_P22, 3, lambda x1, x2, x3, x4: (x1 & x3, x2, 0, x4 & x3))]
     for kind, ns in ((KIND_P22, range(2, 10)), (KIND_P14, range(2, 10))):
         for n in ns:
-            cases.append(standard_behavior(kind, n, rng.uniform(0.0, 1.0, size=n)))
+            cases.append(evaluate_chain(standard_scenario(n, kind, rng.uniform(0.0, 1.0, size=n))))
             cases.append(_random_rows(kind, min(n, 6), seed=n))
     cases.append(Behavior(KIND_P14, 4, np.asfortranarray(_random_rows(KIND_P14, 4).table)))
     for b in cases:
@@ -234,7 +234,7 @@ def test_compute_IJ_in_blocks_keeps_the_unblocked_bits():
     rng = np.random.default_rng(45)
     for kind in (KIND_P22, KIND_P14):
         for n in range(2, 10):
-            b = standard_behavior(kind, n, rng.uniform(0.0, 1.0, size=n))
+            b = evaluate_chain(standard_scenario(n, kind, rng.uniform(0.0, 1.0, size=n)))
             assert compute_IJ(b) == _unblocked_IJ(b), (kind, n)
     # p14 from n = 8 on has more than TABLE_BLOCK_CELLS cells in its rows;
     # every cell distinct, so that any change in a sum's order would show
@@ -245,7 +245,7 @@ def test_compute_IJ_in_blocks_keeps_the_unblocked_bits():
 
 
 def test_compute_IJ_peak_allocation_is_bounded_by_the_block():
-    b = standard_behavior(KIND_P14, 9)
+    b = evaluate_chain(standard_scenario(9, KIND_P14))
     compute_IJ(b)
     tracemalloc.start()
     try:
@@ -432,7 +432,11 @@ def test_csv_rejects_an_empty_file(tmp_path):
 def test_long_chain_tables_are_refused_without_printing_their_size():
     # 4**20001 cells has more digits than str() converts
     for kind in (KIND_P22, KIND_P14):
-        for build in (lambda: standard_behavior(kind, 20000),
+        sc = standard_scenario(2, kind)
+        long = NetworkScenario(n=20000, kind=kind, sources=[1.0] * 20000,
+                               end_settings=sc.end_settings,
+                               intermediate_settings=sc.intermediate_settings * 19999)
+        for build in (lambda: evaluate_chain(long),
                       lambda: behavior_of_model(decomposition_model(kind, 20000, 0))):
             with pytest.raises(SizeGuardError, match="20001-party chain, over"):
                 build()
@@ -584,7 +588,7 @@ def _chain_parties(kind, n, rotated=False):
                           for u, obs in zip(turn[:2], sc.end_settings)],
             intermediate_settings=[[u @ o @ u.conj().T for o in ops]
                                    for u, ops in zip(turn[2:], sc.intermediate_settings)])
-    parties = _real_if_real(_party_tensors(sc.elements, [s.rho for s in sc.sources]))
+    parties = _real_if_real(_party_tensors(sc.elements, sc.rhos()))
     assert np.iscomplexobj(parties[0]) == rotated
     return parties
 

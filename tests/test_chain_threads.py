@@ -14,7 +14,7 @@ from netlocal import behavior
 from netlocal.analysis import mc_nlocal_sweep
 from netlocal.behavior import Behavior, chain_table
 from netlocal.errors import RangeError
-from netlocal.evaluator import _party_tensors, _real_if_real, standard_behavior
+from netlocal.evaluator import _party_tensors, _real_if_real, evaluate_chain
 from netlocal.hvmodels import behavior_of_model, sample_random_model
 from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
@@ -40,15 +40,15 @@ def _spy_runs(monkeypatch):
 
 def _tables(kind, n):
     """chain_table on a scenario's real and complex party tensors,
-    standard_behavior and behavior_of_model, by label."""
+    evaluate_chain and behavior_of_model, by label."""
     rng = np.random.default_rng(100 * n + len(kind))
     scenario = standard_scenario(n, kind, list(rng.uniform(0.3, 1.0, size=n)))
-    parties = _party_tensors(scenario.elements, [s.rho for s in scenario.sources])
+    parties = _party_tensors(scenario.elements, scenario.rhos())
     model = sample_random_model(kind, n, 3, 7 * n)
     return {
         "chain_table": chain_table(_real_if_real(parties)),
         "chain_table complex": chain_table(parties),
-        "standard_behavior": standard_behavior(kind, n).table,
+        "evaluate_chain": evaluate_chain(standard_scenario(n, kind)).table,
         "behavior_of_model": behavior_of_model(model).table,
     }
 
@@ -78,7 +78,7 @@ def test_small_tables_stay_on_the_serial_loop(monkeypatch):
     _force_threads(monkeypatch, 4)
     for kind in KINDS:
         for n in (2, 4, 7):
-            standard_behavior(kind, n)
+            evaluate_chain(standard_scenario(n, kind))
     assert set(counts) == {1}
 
 
@@ -94,7 +94,7 @@ def _defects(table):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_defect_in_the_last_share_raises_the_serial_message(monkeypatch, kind):
-    table = standard_behavior(kind, 9).table
+    table = evaluate_chain(standard_scenario(9, kind)).table
     for label, bad in _defects(table):
         _force_threads(monkeypatch, 1)
         with pytest.raises(RangeError) as serial:
@@ -110,7 +110,7 @@ def test_no_thread_outlives_a_call(monkeypatch):
     _force_threads(monkeypatch, 4)
     before = threading.active_count()
     for kind in KINDS:
-        b = standard_behavior(kind, 10)
+        b = evaluate_chain(standard_scenario(10, kind))
         assert threading.active_count() == before
         bad = b.table.copy()
         bad[-1, -1] = np.nan
@@ -122,7 +122,7 @@ def test_no_thread_outlives_a_call(monkeypatch):
 def test_sweep_workers_fork_alike_after_a_threaded_table(monkeypatch):
     # mc_nlocal_sweep forks its workers; the table's threads are gone by then
     _force_threads(monkeypatch, 2)
-    standard_behavior(KIND_P22, 10)
+    evaluate_chain(standard_scenario(10, KIND_P22))
     two = mc_nlocal_sweep(KIND_P22, 3, 2, 300, seed=11, workers=2)
     assert two == mc_nlocal_sweep(KIND_P22, 3, 2, 300, seed=11, workers=1)
 
@@ -132,7 +132,7 @@ def test_more_threads_than_cores_under_fast_switching(monkeypatch):
     # the interpreter allows; the run is bounded in time, not in rounds
     cores = behavior._cores()
     _force_threads(monkeypatch, 1)
-    want = {kind: standard_behavior(kind, 10).table.tobytes() for kind in KINDS}
+    want = {kind: evaluate_chain(standard_scenario(10, kind)).table.tobytes() for kind in KINDS}
     _force_threads(monkeypatch, 2 * cores + 1)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -140,7 +140,7 @@ def test_more_threads_than_cores_under_fast_switching(monkeypatch):
         deadline, rounds = time.monotonic() + 2.0, 0
         while rounds < 2 or time.monotonic() < deadline:
             for kind in KINDS:
-                assert standard_behavior(kind, 10).table.tobytes() == want[kind], (kind, rounds)
+                assert evaluate_chain(standard_scenario(10, kind)).table.tobytes() == want[kind], (kind, rounds)
             rounds += 1
     finally:
         sys.setswitchinterval(old)

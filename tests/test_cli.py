@@ -1,6 +1,8 @@
 """CLI contract: exit codes, payload schema, file round trips, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import time
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from netlocal.behavior import (Behavior, behavior_to_json, compute_IJ, load_behavior_csv,
                                load_behavior_json, uniform_behavior)
@@ -103,7 +107,7 @@ def test_guard_errors_exit_3(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(netlocal.hvmodels, "party_strategy_table", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "_trial_words", _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "_trial_draws", _refuse)
-    monkeypatch.setattr(netlocal.cli, "standard_behavior", _refuse)
+    monkeypatch.setattr(netlocal.cli, "standard_scenario", _refuse)
     for argv in (
         ["decomposition", "--n", "12"],                     # three 4**13-cell tables
         ["decomposition", "--n", "12", "--kind", "p14"],
@@ -206,9 +210,9 @@ def test_size_flag_extremes_exit_3_with_a_short_message(capsys, monkeypatch, tmp
     big.write_bytes(b" " * (LP_FILE_BYTE_GUARD + 1))
     # every builder a command reaches after its size checks
     for module, names in (
-        (netlocal.cli, ("standard_behavior", "chain_pr_behavior", "load_behavior_json",
+        (netlocal.cli, ("standard_scenario", "chain_pr_behavior", "load_behavior_json",
                         "load_behavior_csv")),
-        (netlocal.analysis, ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ",
+        (netlocal.analysis, ("werner_IJ", "standard_scenario", "chain_IJ", "model_IJ",
                              "strategy_IJ", "random_model_blocks", "random_mixture_blocks")),
         (netlocal.hvmodels, ("NLocalModel", "_end_flip_response", "decomposition_model",
                              "_trial_words", "_trial_draws", "party_strategy_table")),
@@ -249,7 +253,7 @@ def test_threshold_and_figure4_refuse_long_chains(capsys, monkeypatch):
         doc = _run_json(capsys, ["threshold", "--n", "40", "--kind", kind])
         assert abs(doc["result"]["product"] - 0.5) < 1e-6
         assert _run_json(capsys, ["figure4", "--n", "40", "--kind", kind])["result"]["n"] == 40
-    for name in ("standard_werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
+    for name in ("werner_IJ", "standard_scenario", "chain_IJ", "model_IJ"):
         monkeypatch.setattr(netlocal.analysis, name, _refuse)
     monkeypatch.setattr(netlocal.hvmodels, "tightness_model", _refuse)
     too_long = str(netlocal.errors.CHAIN_LENGTH_GUARD + 1)
@@ -388,14 +392,14 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this route must not be taken")
 
 
-def test_simulate_builds_no_scenario_once_warm(capsys, monkeypatch, tmp_path):
-    # the per-kind settings are validated once; after that a request checks
-    # only its visibilities and builds no scenario and no source state
+def test_simulate_checks_no_party_once_warm(capsys, monkeypatch, tmp_path):
+    # the per-kind settings are checked once; after that a request checks
+    # only its visibilities, and checks no party and no source state
     import netlocal.network
     for kind in ("p22", "p14"):
         _run_json(capsys, ["simulate", "--n", "2", "--kind", kind])
-    for cls in (netlocal.network.NetworkScenario, netlocal.network.SourceState):
-        monkeypatch.setattr(cls, "__post_init__", _refuse)
+    monkeypatch.setattr(netlocal.network.Party, "__new__", _refuse)
+    monkeypatch.setattr(netlocal.network.SourceState, "__post_init__", _refuse)
     for kind in ("p22", "p14"):
         for argv in (["simulate", "--n", "5", "--kind", kind, "--alphas", "0.9,0.8,1,0,0.7"],
                      ["simulate", "--n", "4", "--kind", kind, "--out", str(tmp_path / "b.csv"),
@@ -450,10 +454,14 @@ def test_figure4_json_and_csv(capsys, tmp_path):
     assert lines[0] == "series,param,I,J"
     assert any(line.startswith("tightness,") for line in lines)
 
+    # with --out the CSV goes to the file, and stdout carries the payload,
+    # as every other --out
     path = tmp_path / "fig.csv"
-    code, _ = _run(capsys, ["figure4", "--format", "csv", "--out", str(path)])
-    assert code == 0
-    assert path.read_text().startswith("series,param,I,J")
+    doc_csv = _run_json(capsys, ["figure4", "--grid-step", "0.5", "--format", "csv",
+                                 "--out", str(path)])
+    assert path.read_text() == out
+    assert doc_csv["config"] == {**doc["config"], "format": "csv", "out": str(path)}
+    assert doc_csv["result"] == doc["result"]
 
 
 def test_figure4_builds_no_table(capsys, monkeypatch):
@@ -575,3 +583,92 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
         assert out.startswith("usage: netlocal") and shown in out
     # a call after help is unaffected
     assert _run_json(capsys, ["simulate", "--n", "2"])["config"]["alphas"] == [1.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# edge probe: seeded requests to every subcommand, each flag left out or
+# given an edge value.  Every accepted request is small, so each finishes
+# or is refused within a second
+
+_EDGE_NUMBERS = ["nan", "inf", "-inf", "1e308", "+3", "0x10", "", "-1", "0", "10**9",
+                 "1000000000"]
+_EDGE_LISTS = ["", ",", "nan,nan", "inf,0.9", "1e308,0.9", "+0.9,0.95", "0x10,0.9",
+               "0.9,0.95", "0.99,0.99,0.99", "0.9"]
+
+
+def _probe_flags(files):
+    """Each subcommand's flags and the values the probe draws for them;
+    "{...}" names a path from files."""
+    n = ["2", "+3", "1", "3"] + _EDGE_NUMBERS
+    kind = ["p22", "p14", "p13", ""]
+    out = ["{json}", "{csv}", "{dir}", "{missing_dir}"]
+    return {
+        "simulate": {"--n": n, "--kind": kind, "--alphas": _EDGE_LISTS, "--out": out,
+                     "--format": ["json", "csv", "xml"]},
+        "tightness": {"--n": n, "--kind": kind, "--model-out": out,
+                      "--r": ["0.5", "0", "1", "+0.25"] + _EDGE_NUMBERS},
+        "montecarlo": {"--n": n, "--kind": kind, "--mixture": None,
+                       "--trials": ["1", "3", "+3"] + _EDGE_NUMBERS,
+                       "--seed": ["0", "7", "+3"] + _EDGE_NUMBERS,
+                       "--cardinality": ["1", "2", "+3"] + _EDGE_NUMBERS,
+                       "--workers": ["1", "2", "+2", "0", "-1", "nan", "0x10", ""]},
+        "lp": {"--n": ["2", "+2", "1"] + _EDGE_NUMBERS, "--kind": kind,
+               "--source": ["quantum", "chain-pr", "pr"],
+               "--behavior": ["{lp_json}", "{lp_csv}", "{dir}", "{missing}"],
+               "--tol": ["1e-9", "1"] + _EDGE_NUMBERS},
+        "threshold": {"--n": n, "--kind": kind, "--alphas": _EDGE_LISTS,
+                      "--bound": ["nlocal", "local", "both"]},
+        "figure4": {"--n": n, "--kind": kind, "--out": out, "--format": ["json", "csv", "xml"],
+                    "--grid-step": ["0.05", "0.5", "0.25", "1e-300", "5e-324"] + _EDGE_NUMBERS},
+        "decomposition": {"--n": n, "--kind": kind},
+    }
+
+
+@st.composite
+def _probe_argv(draw, flags):
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, values in flags[command].items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    if command == "montecarlo" and "--trials" not in argv:
+        argv += ["--trials", "3"]  # the default, 10^4 trials, is not an edge
+    return argv
+
+
+@pytest.fixture(scope="module")
+def probe_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("probe")
+    lp_json, lp_csv = root / "b2.json", root / "b2.csv"
+    assert _probe(["simulate", "--n", "2", "--out", str(lp_json)])[0] == 0
+    assert _probe(["simulate", "--n", "2", "--out", str(lp_csv), "--format", "csv"])[0] == 0
+    (root / "dir").mkdir()
+    return {"json": root / "out.json", "csv": root / "out.csv", "dir": root / "dir",
+            "missing_dir": root / "missing" / "out.json", "missing": root / "missing.json",
+            "lp_json": lp_json, "lp_csv": lp_csv}
+
+
+def _probe(argv):
+    """(exit code, stdout, stderr, seconds) of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_edge_probe(probe_files, data):
+    argv = data.draw(_probe_argv(_probe_flags(probe_files)))
+    argv = [a.format(**probe_files) for a in argv]
+    code, out, err, seconds = _probe(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert seconds < 1.0, (argv, seconds)
+    if code == 0 and not (argv[0] == "figure4" and "csv" in argv and "--out" not in argv):
+        json.loads(out)  # one JSON document

@@ -1,7 +1,7 @@
 """Born-rule evaluation: naive vs chain contraction, closed forms, relabeling."""
 
-import copy
 import gc
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -21,19 +21,40 @@ from netlocal.evaluator import (
     reduce_p14_to_p22,
     reference_relabeling,
     relabel_outputs,
-    standard_werner_IJ,
     to_reference_convention,
     werner_IJ,
 )
-from netlocal import behavior, evaluator
+from netlocal import behavior, evaluator, network
 from netlocal.network import (
+    ID4,
     KIND_P14,
     KIND_P22,
     NetworkScenario,
     SourceState,
+    bsm_projectors,
+    end_observable,
+    partial_bsm_observable,
+    scenario_to_json,
+    singlet,
     standard_scenario,
     werner,
 )
+
+
+def reference_scenario(n, kind, alphas=None):
+    """The standard chain built the long way, as standard_scenario once
+    built it: explicit settings lists for every party, one checked
+    SourceState(werner(a)) per source, and every check of the constructor."""
+    network.check_chain(n, kind)
+    alphas = [1.0] * n if alphas is None else network.check_visibilities(n, alphas)
+    sources = [SourceState(werner(a), alpha=a) for a in alphas]
+    ends = [[end_observable(0), end_observable(1)] for _ in range(2)]
+    if kind == KIND_P22:
+        mids = [[partial_bsm_observable(0), partial_bsm_observable(1)] for _ in range(n - 1)]
+    else:
+        mids = [bsm_projectors() for _ in range(n - 1)]
+    return NetworkScenario(n=n, kind=kind, sources=sources,
+                           end_settings=ends, intermediate_settings=mids)
 
 
 def test_frozen_born_entries_p14():
@@ -168,28 +189,31 @@ class _UnsizedN(int):
 
 
 def test_standard_routes_price_n_before_any_list(monkeypatch):
+    # standard_scenario prices n by CHAIN_LENGTH_GUARD before the default
+    # profile, the profile check, the parties or the scenario
     def refuse(*args, **kwargs):
         raise AssertionError("n must be priced before anything is built")
 
-    for name in ("werner", "_party_tensors", "_standard_parties", "_affine_IJ"):
-        monkeypatch.setattr(evaluator, name, refuse)
+    for name in ("check_visibilities", "_standard_chain_parties", "NetworkScenario"):
+        monkeypatch.setattr(network, name, refuse)
     huge = _UnsizedN(10 ** 9)
     for kind in (KIND_P22, KIND_P14):
-        with pytest.raises(SizeGuardError, match="1000000001-party chain, over"):
-            evaluator.standard_behavior(kind, huge)
-        with pytest.raises(SizeGuardError,
-                           match=f"chain of 1000000000 sources, over {CHAIN_LENGTH_GUARD}"):
-            standard_werner_IJ(kind, huge)
+        took = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            with pytest.raises(SizeGuardError,
+                               match=f"chain of 1000000000 sources, over {CHAIN_LENGTH_GUARD}"):
+                standard_scenario(huge, kind)
+            took.append(time.perf_counter() - t0)
+        assert min(took) < 1e-3, took
+        with pytest.raises(SizeGuardError):
+            standard_scenario(huge, kind, [0.9] * 3)
         # a bad kind, and too short a chain, keep their own errors
         for n in (1, -3):
             with pytest.raises(ScenarioError):
-                evaluator.standard_behavior(kind, n)
-            with pytest.raises(ScenarioError):
-                standard_werner_IJ(kind, n)
+                standard_scenario(n, kind)
     with pytest.raises(KindError):
-        evaluator.standard_behavior("p13", huge)
-    with pytest.raises(KindError):
-        standard_werner_IJ("p13", huge)
+        standard_scenario(huge, "p13")
 
 
 def test_frozen_closed_form_entry():
@@ -298,10 +322,13 @@ def test_scenario_elements_and_every_route_reads_them():
                 want = np.asarray(want, dtype=complex)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert not got.flags.writeable
-            # swapping the left end's outcomes flips the sign of I and J on
-            # every route, so each one reads the stored arrays
-            flipped = copy.copy(sc)
-            flipped.elements = (sc.elements[0][:, ::-1], *sc.elements[1:])
+            # negating the left end's observables swaps its outcomes and flips
+            # the sign of I and J on every route, so each one reads the
+            # scenario's own parties
+            flipped = replace(sc, end_settings=[[-o for o in sc.end_settings[0]],
+                                                sc.end_settings[1]])
+            assert flipped.elements[0].tobytes() == sc.elements[0][:, ::-1].tobytes()
+            assert all(a is b for a, b in zip(flipped.parties[1:], sc.parties[1:]))
             routes = (lambda s: compute_IJ(evaluate_naive(s)),
                       lambda s: compute_IJ(evaluate_chain(s)),
                       chain_IJ,
@@ -356,11 +383,17 @@ def test_werner_IJ_on_complex_settings():
         sources = [SourceState(werner(a), alpha=a) for a in alphas]
         assert np.abs(np.subtract(werner_IJ(rotated)(alphas),
                                   chain_IJ(replace(rotated, sources=sources)))).max() < 1e-13
+        # a chain of real and complex parties: werner_IJ takes each party in
+        # real arithmetic when its own tensor is real, chain_IJ the whole
+        # chain only when every tensor is, so the two may differ in the last bits
+        plain = standard_scenario(3, kind)
+        mixed = replace(plain, sources=sources,
+                        end_settings=[rotated.end_settings[0], plain.end_settings[1]])
+        assert np.abs(np.subtract(werner_IJ(mixed)(alphas), chain_IJ(mixed))).max() < 1e-13
 
 
 def _affine_arguments(monkeypatch, make):
-    """The (noise, slopes) factor lists that make() hands to the closure last
-    (a cache fill checks its own factors through the closure first)."""
+    """The (noise, slopes) factor lists that make() hands to the closure."""
     seen = []
 
     def recording(noise, slopes):
@@ -375,72 +408,97 @@ def _affine_arguments(monkeypatch, make):
 
 
 def test_standard_factors_equal_the_scenario_route(monkeypatch):
-    # the cached parties, widened to n, against the factors werner_IJ builds
-    # from the whole scenario, party by party and bit for bit
+    # the factors kept on the standard chain's two parties, checked once per
+    # process, against those werner_IJ builds from the reference scenario's
+    # n + 1 parties, each checked on its own, party by party and bit for bit
     for kind in (KIND_P22, KIND_P14):
         for n in range(2, 13):
-            widened = _affine_arguments(monkeypatch, lambda: standard_werner_IJ(kind, n))
+            kept = _affine_arguments(monkeypatch, lambda: werner_IJ(standard_scenario(n, kind)))
             built = _affine_arguments(
-                monkeypatch, lambda: werner_IJ(standard_scenario(n, kind)))
-            for got, want in zip(widened, built):
+                monkeypatch, lambda: werner_IJ(reference_scenario(n, kind)))
+            for got, want in zip(kept, built):
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (kind, n)
+            # the middle parties share one factor
+            assert all(f is kept[0][1] for f in kept[0][1:n])
             alphas = np.linspace(0.5, 1.0, n)
-            assert standard_werner_IJ(kind, n)(alphas) == werner_IJ(
-                standard_scenario(n, kind))(alphas)
+            assert werner_IJ(standard_scenario(n, kind))(alphas) == werner_IJ(
+                reference_scenario(n, kind))(alphas)
 
 
 def test_standard_factors_are_read_only(monkeypatch):
     for kind in (KIND_P22, KIND_P14):
-        noise, slopes = _affine_arguments(monkeypatch, lambda: standard_werner_IJ(kind, 5))
-        elems, states = evaluator._standard_settings(kind)
-        assert len(elems) == 3 and len(states) == 2
-        for f in noise + slopes + list(elems + states):
+        sc = standard_scenario(5, kind)
+        noise, slopes = _affine_arguments(monkeypatch, lambda: werner_IJ(sc))
+        assert len({id(p) for p in sc.parties}) == 2 and len(sc.parties) == 6
+        states = list(network._werner_states())
+        for f in noise + slopes + list(sc.elements) + states:
             with pytest.raises(ValueError):
                 f[...] = 0.0
-        # a search or a table after the attempts still reads the cached values
+        # a search or a table after the attempts still reads the kept values
+        assert [rho.tobytes() for rho in states] == [(ID4 / 4.0).tobytes(), singlet().tobytes()]
         alphas = [1.0, 0.9, 0.8, 0.9, 1.0]
-        assert standard_werner_IJ(kind, 5)(alphas) == werner_IJ(standard_scenario(5, kind))(alphas)
-        assert np.array_equal(evaluator.standard_behavior(kind, 5, alphas).table,
-                              evaluate_chain(standard_scenario(5, kind, alphas)).table)
+        assert werner_IJ(sc)(alphas) == werner_IJ(reference_scenario(5, kind))(alphas)
+        assert np.array_equal(evaluate_chain(standard_scenario(5, kind, alphas)).table,
+                              evaluate_chain(reference_scenario(5, kind, alphas)).table)
 
 
 def test_standard_werner_IJ_validation():
     for kind in (KIND_P22, KIND_P14):
         for n in (1, 0, -3):
             with pytest.raises(ScenarioError):
-                standard_werner_IJ(kind, n)
-        IJ = standard_werner_IJ(kind, 3)
+                werner_IJ(standard_scenario(n, kind))
+        IJ = werner_IJ(standard_scenario(3, kind))
         for bad in (1.1, -0.1, float("nan")):
             with pytest.raises(RangeError):
                 IJ([0.9, bad, 0.9])
         with pytest.raises(ScenarioError):
             IJ([0.9, 0.9])
     with pytest.raises(KindError):
-        standard_werner_IJ("p13", 3)
+        werner_IJ(standard_scenario(3, "p13"))
 
 
 def _profiles(rng, n):
-    """Visibility profiles for standard_behavior: the default, seeded uneven
-    ones, and ones holding exact 0.0 and 1.0 entries."""
+    """Visibility profiles for the standard chain: the default, seeded
+    uneven ones, and ones holding exact 0.0 and 1.0 entries."""
     edges = rng.uniform(0.3, 1.0, size=n)
     edges[0], edges[-1] = 0.0, 1.0
     return [None, list(rng.uniform(0.0, 1.0, size=n)), [0.0] * n, [1.0] * n, list(edges)]
 
 
 def test_standard_behavior_equals_the_scenario_route():
+    """standard_scenario, which checks no operator and no state, against the
+    reference scenario, which checks every party and source: the same table,
+    I and J on every route, and the same scenario document, bit for bit."""
     rng = np.random.default_rng(18)
     for kind in (KIND_P22, KIND_P14):
-        for n in range(2, 10):
-            for alphas in _profiles(rng, n):
-                got = evaluator.standard_behavior(kind, n, alphas)
-                want = evaluate_chain(standard_scenario(n, kind, alphas))
-                assert (got.kind, got.n) == (kind, n)
-                assert got.table.dtype == want.table.dtype and got.table.flags.c_contiguous
-                assert np.array_equal(got.table, want.table), (kind, n, alphas)
+        for n in range(2, 11):
+            for alphas in _profiles(rng, n) if n < 10 else [None]:
+                got, want = standard_scenario(n, kind, alphas), reference_scenario(n, kind, alphas)
+                assert [e.tobytes() for e in got.elements] == [e.tobytes() for e in want.elements]
+                table, ref = evaluate_chain(got).table, evaluate_chain(want).table
+                assert table.dtype == ref.dtype and table.flags.c_contiguous
                 # the same bits, -0.0 included
-                assert got.table.tobytes() == want.table.tobytes(), (kind, n, alphas)
+                assert table.tobytes() == ref.tobytes(), (kind, n, alphas)
+                assert chain_IJ(got) == chain_IJ(want), (kind, n, alphas)
+                assert repr(scenario_to_json(got)) == repr(scenario_to_json(want))
+                profile = [1.0] * n if alphas is None else alphas
+                IJ, ref_IJ = werner_IJ(got), werner_IJ(want)
+                assert IJ(profile) == ref_IJ(profile)
+                lines = [([0.0] * n, [1.0] * n), ([0.0] + profile[1:], profile[:1] + [0.0] * (n - 1))]
+                for line in lines:
+                    assert [IJ.line(*line)(s) for s in (0.0, 0.3, 1.0)] == [
+                        ref_IJ.line(*line)(s) for s in (0.0, 0.3, 1.0)], (kind, n, alphas)
+
+
+def test_werner_states_are_white_noise_and_the_singlet():
+    # werner(a) and werner_IJ read the two states checked once, bit for bit
+    # the singlet() and ID4 / 4 that werner(a) mixes
+    for a in (0.0, 0.3, 0.7071067811865476, 1.0):
+        assert werner(a).tobytes() == (a * singlet() + (1.0 - a) * ID4 / 4.0).tobytes()
+    assert [rho.tobytes() for rho in network._werner_states()] == [
+        (ID4 / 4.0).tobytes(), singlet().tobytes()]
 
 
 def test_standard_behavior_refuses_before_building_tensors(monkeypatch):
@@ -448,26 +506,29 @@ def test_standard_behavior_refuses_before_building_tensors(monkeypatch):
         raise AssertionError("arguments must be checked before any party tensor is built")
 
     for kind in (KIND_P22, KIND_P14):
-        evaluator.standard_behavior(kind, 3)  # a warm cache: only the request is checked
-    monkeypatch.setattr(evaluator, "_party_tensors", refuse)
+        evaluate_chain(standard_scenario(3, kind))  # warm: only the request is checked
+    monkeypatch.setattr(evaluator, "_party_tensor", refuse)
+    monkeypatch.setattr(network.Party, "__new__", refuse)
+    monkeypatch.setattr(SourceState, "__post_init__", refuse)
     for kind in (KIND_P22, KIND_P14):
         for alphas in ([0.9, 0.9], [0.9] * 4, []):
             with pytest.raises(ScenarioError):
-                evaluator.standard_behavior(kind, 3, alphas)
+                evaluate_chain(standard_scenario(3, kind, alphas))
         for bad in (float("nan"), -0.1, 1.1):
             with pytest.raises(RangeError):
-                evaluator.standard_behavior(kind, 3, [0.9, bad, 0.9])
+                evaluate_chain(standard_scenario(3, kind, [0.9, bad, 0.9]))
         for n in (1, 0, -3):
             with pytest.raises(ScenarioError):
-                evaluator.standard_behavior(kind, n)
+                evaluate_chain(standard_scenario(n, kind))
     with pytest.raises(KindError):
-        evaluator.standard_behavior("p13", 3)
-    # a table over the budget is priced before any source is built,
-    # with chain_table's message
-    monkeypatch.setattr(evaluator, "werner", refuse)
+        evaluate_chain(standard_scenario(3, "p13"))
+    # a table over the budget is priced before any source is formed, with
+    # chain_table's message
+    monkeypatch.setattr(network, "werner", refuse)
     for kind in (KIND_P22, KIND_P14):
-        with pytest.raises(SizeGuardError, match="20001-party chain, over"):
-            evaluator.standard_behavior(kind, 20000)
+        for n in (14, 20, CHAIN_LENGTH_GUARD):
+            with pytest.raises(SizeGuardError, match=f"{n + 1}-party chain, over"):
+                evaluate_chain(standard_scenario(n, kind))
 
 
 def test_werner_IJ_refuses_visibilities_outside_the_unit_interval():
@@ -485,7 +546,7 @@ def test_line_matches_the_closure_on_its_points():
     rng = np.random.default_rng(21)
     for kind in (KIND_P22, KIND_P14):
         for n in (2, 3, 7):
-            IJ = standard_werner_IJ(kind, n)
+            IJ = werner_IJ(standard_scenario(n, kind))
             equal = IJ.line([0.0] * n, [1.0] * n)
             profile = rng.uniform(0.6, 1.0, size=n)
             uneven = IJ.line([0.0] + list(profile[1:]), [profile[0]] + [0.0] * (n - 1))
@@ -502,7 +563,7 @@ def test_line_matches_the_closure_on_its_points():
             want = IJ([profile[0] * s] + list(profile[1:]))
             assert np.abs(np.subtract(uneven(s), want)).max() < 1e-14
         # a line that moves a middle source only, and one that moves nothing
-        IJ = standard_werner_IJ(kind, 5)
+        IJ = werner_IJ(standard_scenario(5, kind))
         base, step = [0.9, 0.8, 0.1, 0.95, 0.9], [0.0, 0.0, 0.85, 0.0, 0.0]
         for s in (0.0, 0.5, 1.0):
             want = IJ([b + s * d for b, d in zip(base, step)])
@@ -511,7 +572,7 @@ def test_line_matches_the_closure_on_its_points():
 
 
 def test_line_checks_its_ends_and_its_parameter():
-    IJ = standard_werner_IJ(KIND_P22, 3)
+    IJ = werner_IJ(standard_scenario(3, KIND_P22))
     for base, step in (([0.0, 0.9, 1.1], [1.0, 0.0, 0.0]),   # an end above 1
                        ([0.5, 0.9, 0.9], [0.6, 0.0, 0.0]),   # the far end above 1
                        ([0.5, 0.9, 0.9], [-0.6, 0.0, 0.0]),  # the far end below 0
@@ -547,7 +608,7 @@ def test_line_step_builds_each_distinct_moving_factor_once(monkeypatch):
 
     for kind in (KIND_P22, KIND_P14):
         for n in (3, 40, 1000):
-            IJ = standard_werner_IJ(kind, n)
+            IJ = werner_IJ(standard_scenario(n, kind))
             uneven = IJ.line([0.0] + [0.99] * (n - 1), [0.95] + [0.0] * (n - 1))
             equal = IJ.line([0.0] * n, [1.0] * n)
             monkeypatch.setattr(evaluator, "_werner_factor", counted_factor)

@@ -1,15 +1,19 @@
 """Scenario construction: states, settings, validation, JSON round trips."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from netlocal.analysis import visibility_threshold
 from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError
-from netlocal.evaluator import standard_behavior, standard_werner_IJ
+from netlocal.evaluator import werner_IJ
 from netlocal.network import (
     KIND_P14,
     KIND_P22,
     NetworkScenario,
+    Party,
     SourceState,
     bsm_projectors,
     check_kind,
@@ -180,15 +184,68 @@ def test_scenario_json_round_trip():
     assert doc["schema_version"] == 1
     back = scenario_from_json(doc)
     assert back.n == sc.n and back.kind == sc.kind
-    for s1, s2 in zip(sc.sources, back.sources):
-        assert np.array_equal(s1.rho, s2.rho)
-        assert s1.alpha == s2.alpha
+    assert sc.sources == [0.9, 0.8, 0.7]
+    assert [s.alpha for s in back.sources] == sc.sources
+    for rho1, rho2 in zip(sc.rhos(), back.rhos()):
+        assert np.array_equal(rho1, rho2)
     for o1, o2 in zip(sc.end_settings, back.end_settings):
         for a, b in zip(o1, o2):
             assert np.array_equal(a, b)
     for m1, m2 in zip(sc.intermediate_settings, back.intermediate_settings):
         for a, b in zip(m1, m2):
             assert np.array_equal(a, b)
+
+
+def test_scenario_takes_a_checked_party_as_it_is(monkeypatch):
+    sc = standard_scenario(3, KIND_P22)
+    left, mid, right = sc.parties[0], sc.parties[1], sc.parties[-1]
+    assert left is right and all(p is mid for p in sc.parties[1:-1])
+    assert isinstance(mid, Party) and list(mid) == list(sc.intermediate_settings[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Party of the right shape is not checked again")
+
+    monkeypatch.setattr(Party, "__new__", refuse)
+    again = NetworkScenario(n=3, kind=KIND_P22, sources=[SourceState(werner(0.5)), 0.5, 1],
+                            end_settings=[left, right], intermediate_settings=[mid, mid])
+    assert all(a is b for a, b in zip(again.parties, sc.parties))
+    assert again.sources[1:] == [0.5, 1.0]
+    monkeypatch.undo()
+    # one of the wrong shape is checked as settings of its slot
+    p14_mid = standard_scenario(2, KIND_P14).parties[1]
+    for ends, mids, message in (([left, right], [left, mid], "observable must be 4x4, got (2, 2)"),
+                                ([left, mid], [mid, mid], "observable must be 2x2, got (4, 4)"),
+                                ([left, right], [p14_mid, mid],
+                                 "p22 intermediates need two observables")):
+        with pytest.raises(ScenarioError) as info:
+            NetworkScenario(n=3, kind=KIND_P22, sources=sc.sources, end_settings=ends,
+                            intermediate_settings=mids)
+        assert str(info.value) == message
+
+
+def test_scenarios_copy_and_pickle():
+    # a copied or unpickled party is checked again, read-only, with its own cache
+    sc = standard_scenario(3, KIND_P14, [0.9, 0.8, 0.7])
+    for again in (copy.deepcopy(sc), pickle.loads(pickle.dumps(sc))):
+        assert [e.tobytes() for e in again.elements] == [e.tobytes() for e in sc.elements]
+        assert not any(e.flags.writeable for e in again.elements)
+        assert again.parties[0] is again.parties[-1] is not sc.parties[0]
+        assert again.sources == sc.sources and again.parties[1].cache == {}
+
+
+def test_scenario_sources_are_states_or_visibilities():
+    sc = standard_scenario(2, KIND_P14)
+    for sources, exc in (([0.9, 1.2], RangeError), ([float("nan"), 0.9], RangeError),
+                         ([0.9], ScenarioError), ([0.9, np.eye(4) / 4], TypeError)):
+        with pytest.raises(exc):
+            NetworkScenario(n=2, kind=KIND_P14, sources=sources, end_settings=sc.end_settings,
+                            intermediate_settings=sc.intermediate_settings)
+    state = SourceState(werner(0.25), alpha=0.25)
+    mixed = NetworkScenario(n=2, kind=KIND_P14, sources=[state, 0.25],
+                            end_settings=sc.end_settings,
+                            intermediate_settings=sc.intermediate_settings)
+    assert mixed.sources[0] is state
+    assert [r.tobytes() for r in mixed.rhos()] == [werner(0.25).tobytes()] * 2
 
 
 def test_scenario_json_rejects_unknown_schema():
@@ -301,10 +358,11 @@ def _profile_refusals():
 
 _PROFILE_ENTRY_POINTS = {
     "standard_scenario": lambda kind, n, alphas: standard_scenario(n, kind, alphas),
-    "standard_behavior": lambda kind, n, alphas: standard_behavior(kind, n, alphas),
-    "standard_werner_IJ": lambda kind, n, alphas: standard_werner_IJ(kind, n)(alphas),
-    "line base": lambda kind, n, alphas: standard_werner_IJ(kind, n).line(alphas, [0.0] * n),
-    "line end": lambda kind, n, alphas: standard_werner_IJ(kind, n).line([0.0] * n, alphas),
+    "werner_IJ": lambda kind, n, alphas: werner_IJ(standard_scenario(n, kind))(alphas),
+    "line base": lambda kind, n, alphas: werner_IJ(standard_scenario(n, kind)).line(
+        alphas, [0.0] * n),
+    "line end": lambda kind, n, alphas: werner_IJ(standard_scenario(n, kind)).line(
+        [0.0] * n, alphas),
     "visibility_threshold": lambda kind, n, alphas: visibility_threshold(kind, n, alphas),
 }
 
