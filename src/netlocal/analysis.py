@@ -424,9 +424,46 @@ class ThresholdResult:
         }
 
 
-def _bound_at(IJ_at, s, bound):
+# a search's evaluations of its line: the bracket end, each step, the reported value
+_SEARCH_EVALUATIONS = min(BISECTION_MAX_ITER, math.ceil(-math.log2(BISECTION_WIDTH))) + 2
+_INTERPOLANT_BAND = 1e-9  # a step interpolated this close to 1 reads the exact line
+
+
+def _bound_at(IJ_at, s, bound, interpolant=None):
+    """The bound value at s: the interpolant's, in plain floats, unless
+    there is none or it lies within _INTERPOLANT_BAND of 1; then the exact
+    line's, with bound_values' checks."""
+    if interpolant is not None:
+        I, J = interpolant(s)
+        value = math.sqrt(abs(I)) + math.sqrt(abs(J)) if bound == "nlocal" else abs(I) + abs(J)
+        if abs(value - 1.0) > _INTERPOLANT_BAND:
+            return value
     report = bound_values(*IJ_at(s))
     return report.nlocal_value if bound == "nlocal" else report.local_value
+
+
+def _line_interpolant(IJ_at, m: int):
+    """s -> (I, J) on a line where both are polynomials of degree m, from
+    their exact values at the m + 1 Chebyshev points of [0, 1] (one call of
+    IJ_at), by the barycentric formula (Higham, IMA J. Numer. Anal. 24, 547
+    (2004)) in plain floats; at a node, its exact values."""
+    nodes = [(1.0 - math.cos(math.pi * k / m)) / 2.0 for k in range(m + 1)]
+    I, J = IJ_at(np.array(nodes))
+    # the weights of these nodes: (-1)^k, halved at the two ends
+    terms = [(x, (-1.0) ** k * (0.5 if k in (0, m) else 1.0), i, j)
+             for k, (x, i, j) in enumerate(zip(nodes, I, J))]
+    at_node = dict(zip(nodes, zip(I, J)))
+
+    def interpolant(s):
+        if s in at_node:
+            return at_node[s]
+        d = i = j = 0.0
+        for x, w, node_i, node_j in terms:
+            c = w / (s - x)
+            d, i, j = d + c, i + c * node_i, j + c * node_j
+        return i / d, j / d
+
+    return interpolant
 
 
 def visibility_threshold(kind: str, n: int, profile=None,
@@ -443,13 +480,18 @@ def visibility_threshold(kind: str, n: int, profile=None,
     the set-up checks no operator or state.  It walks one line,
     alphas(s) = base + s*step, through that function's line form: the
     line's ends are validated once, the parties past the last moving source
-    are contracted once into a right environment, and a bisection step
-    builds each distinct moving factor once (one with a profile, where only
-    source 1 moves; two, the left end and the middle, with none) and sweeps
-    the moving prefix into that environment.  With a profile a step so
-    costs the same at any n.  No step builds or validates a source, and no
-    table is made.  Chains longer than CHAIN_LENGTH_GUARD are refused
-    before anything is built.
+    are contracted once into a right environment, and an evaluation sweeps
+    the moving prefix into it.  Each party factor is affine in its
+    visibility, so I and J are polynomials in s of degree m, the number of
+    moving sources (1 with a profile, n without).  When m + 1 is below
+    _SEARCH_EVALUATIONS, the line is evaluated once at the m + 1 Chebyshev
+    points of [0, 1] and each bisection step is decided on the interpolant
+    (_line_interpolant); a step whose value there lies within
+    _INTERPOLANT_BAND of 1, the bracket end and the reported value read the
+    exact line, so every result is the one of a search on the exact line.
+    Otherwise (no profile, n >= 25) each step reads the exact line.  No
+    evaluation builds or validates a source, and no table is made.  Chains
+    longer than CHAIN_LENGTH_GUARD are refused before anything is built.
     """
     check_kind(kind)
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
@@ -470,10 +512,12 @@ def visibility_threshold(kind: str, n: int, profile=None,
         raise NoCrossingError(
             f"configuration does not violate at full visibility (value {value_hi:.6f})"
         )
+    m = sum(d != 0.0 for d in step)  # the degree of I and J along the line
+    interpolant = _line_interpolant(IJ_at, m) if 0 < m < _SEARCH_EVALUATIONS - 1 else None
     iterations = 0
     while iterations < BISECTION_MAX_ITER and hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2.0
-        if _bound_at(IJ_at, mid, bound) > 1.0:
+        if _bound_at(IJ_at, mid, bound, interpolant) > 1.0:
             hi = mid
         else:
             lo = mid

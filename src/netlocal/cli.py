@@ -244,22 +244,31 @@ def cmd_decomposition(args) -> dict:
 # ---------------------------------------------------------------------------
 # output
 
-_TABLE_MARK = "table cells go here"
+_LIST_MARK = "list items go here"
+_ITEM_SEP = ",\n      "  # a list two objects deep: its items are indented by six spaces
 
 
 def _print_payload(payload: dict, fh) -> None:
-    """print(json.dumps(payload, indent=2), file=fh), except that a Behavior
-    under "behavior" is written as its behavior_to_json document with the
-    table streamed run by run, never built as a list of floats."""
-    b = payload.get("behavior")
-    if not isinstance(b, Behavior):
+    """print(json.dumps(payload, indent=2), file=fh), with its one long list
+    spliced into the text: a Behavior under "behavior" is written as its
+    behavior_to_json document with the table streamed run by run, never
+    built as a list of floats, and the lp weights as one run of float texts
+    from the C encoder, not item by item by the pure-Python indent one."""
+    b, result = payload.get("behavior"), payload.get("result")
+    if isinstance(b, Behavior):
+        doc = {**payload, "behavior": {**behavior_header(b), "table": _LIST_MARK}}
+    elif payload["command"] == "lp" and result["weights"]:
+        doc = {**payload, "result": {**result, "weights": _LIST_MARK}}
+    else:
         print(json.dumps(payload, indent=2), file=fh)
         return
-    doc = {**payload, "behavior": {**behavior_header(b), "table": _TABLE_MARK}}
-    head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_TABLE_MARK))
-    # the table is two objects deep: its items are indented by six spaces
+    head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_LIST_MARK))
     fh.write(head + "[\n      ")
-    write_json_cells(b, fh, ",\n      ")
+    if isinstance(b, Behavior):
+        write_json_cells(b, fh, _ITEM_SEP)
+    else:
+        # the C encoder's item texts are the indent encoder's; no float holds ", "
+        fh.write(json.dumps(result["weights"])[1:-1].replace(", ", _ITEM_SEP))
     fh.write("\n    ]" + tail + "\n")
 
 

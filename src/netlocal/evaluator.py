@@ -10,7 +10,8 @@ builds its factors on the singlet and on white noise once and keeps them,
 so a standard chain's are built once per process, and each profile then
 costs n axpys and one contraction.  Its line form, IJ.line(base, step),
 walks one line of visibilities at a cost that does not grow with the
-parties that stay fixed (see _affine_IJ).
+parties that stay fixed, and gives the values at an array of points from
+one contraction (see _affine_IJ).
 
 The closed_form_* functions return the analytic singlet-chain tables in a
 fixed reference convention that differs from the simulator's eigenvalue
@@ -116,11 +117,12 @@ def _functional_factor(kind: str, t, role: int) -> np.ndarray:
                                            for w, s in ij_factors(kind, 2)])
 
 
-def _unit_norm_IJ(factors) -> tuple[float, float]:
-    """I and J from stacked functional factors; the norm must be 1 within
+def _unit_norm_IJ(factors) -> tuple:
+    """I and J from stacked functional factors, or a list of each when the
+    factors carry a leading axis of points; every norm must be 1 within
     NORM_ATOL, as a Behavior's row sums."""
-    norm, I, J = chain_contract(factors).real.tolist()
-    if not abs(norm - 1.0) <= NORM_ATOL:
+    norm, I, J = chain_contract(factors).real.T.tolist()
+    if not all(abs(v - 1.0) <= NORM_ATOL for v in (norm if isinstance(norm, list) else [norm])):
         raise RangeError(f"sources must have unit trace, product of traces {norm}")
     return I, J
 
@@ -149,8 +151,9 @@ def _werner_party(party, kind: str, role: int):
 
 
 def _werner_factor(noise, slope, alpha):
-    """A party's factor on a Werner source of visibility alpha."""
-    return noise + alpha * slope
+    """A party's factor on a Werner source of visibility alpha, or one per
+    entry of an array of visibilities, on a leading axis."""
+    return noise + (np.multiply.outer(alpha, slope) if isinstance(alpha, np.ndarray) else alpha * slope)
 
 
 def _fold_right(factors) -> np.ndarray:
@@ -169,6 +172,8 @@ def _affine_IJ(noise, slopes):
 
     IJ.line(base, step) is the same function along one line of visibility
     space, s -> IJ(base + s*step) for s in [0, 1], as a search walks it.
+    At a 1-D array of s it gives a list of I and one of J, one value per
+    point, from one contraction over a leading axis of points.
     The line's two ends are checked once: any s in [0, 1] gives a convex
     combination of them.  The parties past the last one that moves
     (step != 0) are contracted once into a right environment.  A call
@@ -200,9 +205,10 @@ def _affine_IJ(noise, slopes):
         slot = [first.setdefault((id(noise[p]), id(slopes[p]), base[p], step[p]), p)
                 for p in range(k)]
 
-        def IJ_at(s) -> tuple[float, float]:
-            s = float(s)
-            if not 0.0 <= s <= 1.0:
+        def IJ_at(s) -> tuple:
+            many = isinstance(s, np.ndarray)
+            s = s.astype(float) if many else float(s)
+            if not (0.0 <= s.min() and s.max() <= 1.0 if many else 0.0 <= s <= 1.0):
                 raise RangeError(f"line parameter must lie in [0, 1], got {s}")
             built = {p: _werner_factor(noise[p], slopes[p], base[p] + s * step[p])
                      for p in first.values()}

@@ -666,10 +666,29 @@ def test_threshold_beyond_any_table():
     assert time.perf_counter() - t0 < 2.0
 
 
+def _pointwise(IJ_at):
+    """IJ_at that also takes a 1-D array of points, as a search asks for its
+    interpolation nodes, and evaluates each point on its own."""
+    def at(s):
+        if isinstance(s, np.ndarray):
+            I, J = zip(*(IJ_at(x) for x in s.tolist()))
+            return list(I), list(J)
+        return IJ_at(s)
+    return at
+
+
+def _exact_evaluations(monkeypatch):
+    """A list that gathers each (I, J) the search reads on its exact line."""
+    exact = []
+    bound_values = analysis.bound_values
+    monkeypatch.setattr(analysis, "bound_values", lambda *IJ: exact.append(IJ) or bound_values(*IJ))
+    return exact
+
+
 def test_threshold_matches_table_route(monkeypatch):
     """The search through werner_IJ against the same search with the table
     route injected at its seam, the line the search walks: one full table
-    per visibility profile."""
+    per visibility profile, the interpolation nodes included."""
     calls = []
 
     def table_route(scenario):
@@ -680,7 +699,7 @@ def test_threshold_matches_table_route(monkeypatch):
                 alphas = [b + s * d for b, d in zip(base, step)]
                 calls.append(alphas)
                 return compute_IJ(evaluate_chain(standard_scenario(n, kind, alphas)))
-            return IJ_at
+            return _pointwise(IJ_at)
         return SimpleNamespace(line=line)
 
     configs = [(kind, n, profile)
@@ -688,12 +707,15 @@ def test_threshold_matches_table_route(monkeypatch):
                for profile in (None, [0.9] * (n - 1) + [0.8])]
     contracted = [visibility_threshold(kind, n, profile=profile)
                   for kind, n, profile in configs]
+    exact = _exact_evaluations(monkeypatch)
     monkeypatch.setattr(analysis, "werner_IJ", table_route)
     for (kind, n, profile), res in zip(configs, contracted):
-        calls.clear()
+        calls.clear(), exact.clear()
         ref = visibility_threshold(kind, n, profile=profile)
-        # the bracket ends, every step and the reported value
-        assert len(calls) == ref.iterations + 2
+        # the m + 1 nodes of the m moving sources, then each exact value:
+        # the bracket end, any step in the band and the reported value
+        m = n if profile is None else 1
+        assert len(calls) == m + 1 + len(exact) and len(exact) >= 2
         assert res.iterations == ref.iterations
         assert abs(res.scale - ref.scale) < 1e-9
         assert abs(res.value_at_threshold - ref.value_at_threshold) < 1e-12
@@ -721,8 +743,8 @@ def test_line_search_matches_the_full_contraction_per_step(monkeypatch):
 
     def full_route(scenario):
         IJ = werner(scenario)
-        return SimpleNamespace(
-            line=lambda base, step: lambda s: IJ([b + s * d for b, d in zip(base, step)]))
+        return SimpleNamespace(line=lambda base, step: _pointwise(
+            lambda s: IJ([b + s * d for b, d in zip(base, step)])))
 
     monkeypatch.setattr(analysis, "werner_IJ", full_route)
     for (kind, n, profile), res in zip(configs, along_line):
@@ -739,7 +761,11 @@ def test_line_search_matches_the_full_contraction_per_step(monkeypatch):
 def test_threshold_search_builds_fixed_factors_once(monkeypatch):
     """With a profile the n - 1 fixed sources' factors are built once per
     search and every evaluation after that builds one factor: the bracket
-    end, each step and the reported value."""
+    end, the two interpolation nodes in one call, and the reported value.
+    With none, each evaluation builds two, the left end and the middle: the
+    same three below the cutoff, and the bracket end, each step and the
+    reported value from n + 1 = _SEARCH_EVALUATIONS on.  No step of these
+    searches lies in the band, where a step is decided on the exact line."""
     built = []
     factor = evaluator._werner_factor
 
@@ -749,13 +775,32 @@ def test_threshold_search_builds_fixed_factors_once(monkeypatch):
 
     monkeypatch.setattr(evaluator, "_werner_factor", counted)
     for kind in (KIND_P22, KIND_P14):
-        for n in (2, 3, 40, 1000):
+        for n in (2, 3, 24, 25, 40, 1000):
             built.clear()
             res = visibility_threshold(kind, n, profile=[0.5 ** (0.5 / n)] * n)
-            assert len(built) == (n - 1) + res.iterations + 2
+            assert len(built) == (n - 1) + 3
+            assert np.shape(built[n]) == (2,)
             built.clear()
             res = visibility_threshold(kind, n)
-            assert len(built) == 2 * (res.iterations + 2)
+            interpolated = n + 1 < analysis._SEARCH_EVALUATIONS
+            assert len(built) == 2 * (3 if interpolated else res.iterations + 2)
+            assert np.shape(built[2]) == ((n + 1,) if interpolated else ())
+
+
+def test_threshold_steps_on_the_exact_line_keep_every_result(monkeypatch):
+    """With the band around 1 widened to 1.0, every interpolated step falls
+    back to the exact line: the searches are the same, field for field."""
+    rng = np.random.default_rng(27)
+    configs = [(kind, n, profile)
+               for kind in (KIND_P22, KIND_P14) for n in (2, 3, 5, 9, 24)
+               for profile in (None, _uneven_profile(rng, n))]
+    interpolated = [visibility_threshold(kind, n, profile=profile) for kind, n, profile in configs]
+    exact = _exact_evaluations(monkeypatch)
+    monkeypatch.setattr(analysis, "_INTERPOLANT_BAND", 1.0)
+    for (kind, n, profile), res in zip(configs, interpolated):
+        exact.clear()
+        assert visibility_threshold(kind, n, profile=profile) == res, (kind, n)
+        assert len(exact) == res.iterations + 2
 
 
 def test_threshold_edge_profiles():

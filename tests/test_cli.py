@@ -13,12 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netlocal.analysis import chain_pr_behavior
 from netlocal.behavior import (Behavior, behavior_to_json, compute_IJ, load_behavior_csv,
-                               load_behavior_json, uniform_behavior)
+                               load_behavior_json, mix_behaviors, save_behavior_csv,
+                               save_behavior_json, uniform_behavior)
 from netlocal.cli import _print_payload, build_parser, main
 from netlocal.errors import LP_FILE_BYTE_GUARD, SizeGuardError
 from netlocal.evaluator import evaluate_chain
-from netlocal.network import KIND_P22, standard_scenario
+from netlocal.network import KIND_P14, KIND_P22, standard_scenario
 
 
 def _run(capsys, argv):
@@ -545,6 +547,25 @@ def test_simulate_stdout_is_pinned(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+# SHA-256 of what `threshold` prints, recorded from the search that decided
+# every bisection step on the exact line: p22 n = 2..9 and p14 n = 2..8,
+# with all sources equal and with one seeded uneven profile.  `--bound local`
+# is never crossed on a standard chain: each of those runs is pinned as its
+# exit code and message, with nothing on stdout.
+PINNED_THRESHOLD = json.loads((Path(__file__).parent / "data" / "threshold_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_THRESHOLD, ids=lambda case: case["name"])
+def test_threshold_stdout_is_pinned(capsys, case):
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    if "exit" in case:
+        assert (code, out, err) == (case["exit"], "", case["stderr"])
+        return
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
 def test_streamed_payload_matches_json_dumps(tmp_path):
     # -0.0 beside 0.0 and a subnormal, and rows of all-distinct values
     edges = uniform_behavior(KIND_P22, 3).table.copy()
@@ -557,6 +578,41 @@ def test_streamed_payload_matches_json_dumps(tmp_path):
             _print_payload(payload, fh)
         expected = json.dumps({**payload, "behavior": behavior_to_json(b)}, indent=2) + "\n"
         assert (tmp_path / "out").read_text() == expected
+
+
+def _lp_request_argvs(workdir):
+    """The shapes of the benchmark's lp requests, p22 and p14, n = 2 and 3:
+    quantum tables read from JSON and CSV, chain-PR, and PR-box mixtures
+    with white noise on both sides of 1/2, from both formats."""
+    argvs = []
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3):
+            lp = ["lp", "--n", str(n), "--kind", kind]
+            argvs.append(lp + ["--source", "chain-pr"])
+            pr, noise = chain_pr_behavior(kind, n), uniform_behavior(kind, n)
+            for fmt, save in (("json", save_behavior_json), ("csv", save_behavior_csv)):
+                path = str(workdir / f"quantum-{kind}-{n}.{fmt}")
+                save(evaluate_chain(standard_scenario(n, kind, [0.9] * n)), path)
+                argvs.append(lp + ["--behavior", path])
+                for w in (0.3, 0.7):
+                    path = str(workdir / f"mixture-{kind}-{n}-{w}.{fmt}")
+                    save(mix_behaviors([w, 1.0 - w], [pr, noise]), path)
+                    argvs.append(lp + ["--behavior", path])
+    return argvs
+
+
+def test_printed_payloads_match_json_dumps(monkeypatch, tmp_path):
+    # every pinned payload and every benchmark lp request shape: the spliced
+    # lists (a table, the lp weights) leave the bytes of json.dumps
+    monkeypatch.chdir(tmp_path)
+    argvs = [case["argv"] for case in PINNED_PAYLOADS if "exit" not in case]
+    argvs += [["simulate", "--n", "3"]] + _lp_request_argvs(tmp_path)
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        payload = args.func(args)
+        out = io.StringIO()
+        _print_payload(payload, out)
+        assert out.getvalue() == json.dumps(payload, indent=2, default=behavior_to_json) + "\n", argv
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):

@@ -25,6 +25,7 @@ from netlocal.evaluator import (
     werner_IJ,
 )
 from netlocal import behavior, evaluator, network
+from netlocal.analysis import _line_interpolant
 from netlocal.network import (
     ID4,
     KIND_P14,
@@ -569,6 +570,51 @@ def test_line_matches_the_closure_on_its_points():
             want = IJ([b + s * d for b, d in zip(base, step)])
             assert np.abs(np.subtract(IJ.line(base, step)(s), want)).max() < 1e-15
             assert IJ.line(base, [0.0] * 5)(s) == IJ.line(base, [0.0] * 5)(0.0)
+
+
+def test_line_takes_an_array_of_points(monkeypatch):
+    # one contraction over a leading axis of points: the values of the
+    # points one by one, checked as they are
+    rng = np.random.default_rng(22)
+    points = np.array([0.0, 0.125, 0.3, 0.8125, 1.0])
+    for kind in (KIND_P22, KIND_P14):
+        for n in (2, 3, 7):
+            IJ = werner_IJ(standard_scenario(n, kind))
+            profile = rng.uniform(0.6, 1.0, size=n)
+            for line in (IJ.line([0.0] * n, [1.0] * n),
+                         IJ.line([0.0] + list(profile[1:]), [profile[0]] + [0.0] * (n - 1))):
+                I, J = line(points)
+                assert np.abs(np.subtract([I, J], np.transpose([line(s) for s in points]))).max() < 1e-15
+            for bad in ([0.5, 1.0 + 1e-12], [-0.1, 0.5], [0.5, float("nan")]):
+                with pytest.raises(RangeError):
+                    line(np.array(bad))
+    # the norm is checked at every point, not only at the first one
+    noise, slopes = _affine_arguments(monkeypatch, lambda: werner_IJ(standard_scenario(2, KIND_P22)))
+    # the norm now grows along the line, from 1 at s = 0
+    at = evaluator._affine_IJ(noise, [slopes[0] + [[0.1], [0.0], [0.0]], slopes[1]]).line(
+        [0.0, 1.0], [1.0, 0.0])
+    at(0.0)
+    with pytest.raises(RangeError, match="product of traces"):
+        at(np.array([0.0, 0.5]))
+
+
+def test_line_interpolant_matches_the_exact_line():
+    # I and J of a line that moves m sources are polynomials of degree m,
+    # known from the m + 1 Chebyshev nodes; complex settings too
+    rng = np.random.default_rng(24)
+    n = 24
+    for kind in (KIND_P22, KIND_P14):
+        for scenario in (standard_scenario(n, kind), _rotated(standard_scenario(n, kind), rng)):
+            IJ = werner_IJ(scenario)
+            for m in range(1, n + 1):
+                start, end = rng.uniform(0.9, 1.0, size=(2, n))
+                moving = rng.permutation(n)[:m]
+                step = np.zeros(n)
+                step[moving] = end[moving] - start[moving]
+                at = IJ.line(list(start), list(step))
+                interpolant = _line_interpolant(at, m)
+                for s in rng.uniform(0.0, 1.0, size=50).tolist():
+                    assert np.abs(np.subtract(interpolant(s), at(s))).max() < 1e-13, (kind, m)
 
 
 def test_line_checks_its_ends_and_its_parameter():
