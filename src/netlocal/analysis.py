@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hvmodels
+from . import behavior, hvmodels
 from .behavior import Behavior, alphabets, bound_values, table_cells
 from .errors import (CHAIN_LENGTH_GUARD, GRID_POINT_GUARD, LP_CELL_GUARD, OUTPUT_CELL_GUARD,
                      SWEEP_CELL_GUARD, SWEEP_PARTY_CELLS, SWEEP_TRIAL_CELLS, NoCrossingError,
@@ -424,8 +423,6 @@ class ThresholdResult:
         }
 
 
-# a search's evaluations of its line: the bracket end, each step, the reported value
-_SEARCH_EVALUATIONS = min(BISECTION_MAX_ITER, math.ceil(-math.log2(BISECTION_WIDTH))) + 2
 _INTERPOLANT_BAND = 1e-9  # a step interpolated this close to 1 reads the exact line
 
 
@@ -483,15 +480,14 @@ def visibility_threshold(kind: str, n: int, profile=None,
     are contracted once into a right environment, and an evaluation sweeps
     the moving prefix into it.  Each party factor is affine in its
     visibility, so I and J are polynomials in s of degree m, the number of
-    moving sources (1 with a profile, n without).  When m + 1 is below
-    _SEARCH_EVALUATIONS, the line is evaluated once at the m + 1 Chebyshev
-    points of [0, 1] and each bisection step is decided on the interpolant
-    (_line_interpolant); a step whose value there lies within
-    _INTERPOLANT_BAND of 1, the bracket end and the reported value read the
-    exact line, so every result is the one of a search on the exact line.
-    Otherwise (no profile, n >= 25) each step reads the exact line.  No
-    evaluation builds or validates a source, and no table is made.  Chains
-    longer than CHAIN_LENGTH_GUARD are refused before anything is built.
+    moving sources (1 with a profile, n without).  The line is evaluated
+    once at the m + 1 Chebyshev points of [0, 1] and each bisection step is
+    decided on the interpolant (_line_interpolant); a step whose value there
+    lies within _INTERPOLANT_BAND of 1, the bracket end and the reported
+    value read the exact line, so every result is the one of a search on the
+    exact line.  No evaluation builds or validates a source, and no table is
+    made.  Chains longer than CHAIN_LENGTH_GUARD are refused before anything
+    is built.
     """
     check_kind(kind)
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
@@ -512,8 +508,8 @@ def visibility_threshold(kind: str, n: int, profile=None,
         raise NoCrossingError(
             f"configuration does not violate at full visibility (value {value_hi:.6f})"
         )
-    m = sum(d != 0.0 for d in step)  # the degree of I and J along the line
-    interpolant = _line_interpolant(IJ_at, m) if 0 < m < _SEARCH_EVALUATIONS - 1 else None
+    # m, the degree of I and J along the line, is at least 1 here: m = 0 gives I = J = 0
+    interpolant = _line_interpolant(IJ_at, sum(d != 0.0 for d in step))
     iterations = 0
     while iterations < BISECTION_MAX_ITER and hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2.0
@@ -622,7 +618,7 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
 
     Trial t uses the PRNG derived from (seed, t), so the result does not
     depend on how trials are split across workers.  The trials are split
-    into `workers` jobs, run by at most one process per job and per CPU.
+    into `workers` jobs, run by at most one process per job and per core.
     A sweep is priced as its drawn cells plus SWEEP_TRIAL_CELLS per trial
     and SWEEP_PARTY_CELLS per party and block of trials; one over
     SWEEP_CELL_GUARD is refused before anything is drawn or any worker
@@ -642,7 +638,7 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         jobs = [(kind, n, cardinality, seed, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        processes = min(len(jobs), os.cpu_count() or 1)
+        processes = min(len(jobs), behavior._cores())
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_nlocal_block, jobs))
         # ties resolve to the earliest trial, matching the single-worker walk

@@ -43,8 +43,8 @@ TABLE_BLOCK_CELLS = 2 ** 16
 
 
 def _cores() -> int:
-    """The cores this process may run on, the most threads that chain_table
-    and Behavior validation sweep a table with; tests patch it."""
+    """The cores this process may run on, the most threads of chain_table and
+    Behavior validation and processes of a Monte Carlo pool; tests patch it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask outside Linux

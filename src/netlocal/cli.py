@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cardinality", type=_positive_int, default=2,
                    help="hidden-variable values per source")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process count (at most one per job and per CPU)")
+                   help="process count (at most one per job and per core)")
     p.add_argument("--mixture", action="store_true",
                    help="sweep random local mixtures against |I|+|J| instead")
     p.set_defaults(func=cmd_montecarlo)

@@ -75,9 +75,10 @@ SWEEP_TRIAL_CELLS = 32
 # 40-55 us, about as long as this many drawn cells.  It dominates long chains
 # with small K (n = 1000, K = 1: 5004 cells, three trials a block)
 SWEEP_PARTY_CELLS = 256
-# threshold, figure4, tightness and montecarlo cost is linear in n: at
-# n = 1000, 0.05-0.07 s for an equal-profile threshold search, 0.04 s for a
-# tightness model and its I and J, and 1.4-1.6 s for figure4 at its default grid
+# figure4, tightness and montecarlo cost is linear in n, an equal-profile threshold
+# search quadratic (n + 1 interpolation nodes, each a sweep of the chain): at n = 1000,
+# 0.15-0.28 s for that search, 0.04 s for a tightness model and its I and J, and
+# 1.4-1.6 s for figure4 at its default grid
 CHAIN_LENGTH_GUARD = 1000
 # figure4's n x grid points: the default grid's 21 points at the longest chain
 GRID_POINT_GUARD = 21 * CHAIN_LENGTH_GUARD

@@ -115,6 +115,7 @@ class NLocalModel:
             raise ScenarioError(f"expected {self.n + 1} response tables")
         self.source_dists = [_check_dist(v, f"source {i}") for i, v in enumerate(self.source_dists)]
         shapes = _response_shapes(self.kind, self.n, self.cardinalities)
+        self.responses = list(self.responses)  # the model's own list, not the caller's
         for p, (r, want) in enumerate(zip(self.responses, shapes)):
             r = np.asarray(r, dtype=float)
             if r.shape != want:

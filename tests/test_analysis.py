@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -762,9 +761,8 @@ def test_threshold_search_builds_fixed_factors_once(monkeypatch):
     """With a profile the n - 1 fixed sources' factors are built once per
     search and every evaluation after that builds one factor: the bracket
     end, the two interpolation nodes in one call, and the reported value.
-    With none, each evaluation builds two, the left end and the middle: the
-    same three below the cutoff, and the bracket end, each step and the
-    reported value from n + 1 = _SEARCH_EVALUATIONS on.  No step of these
+    With none, each of the same three evaluations builds two, the left end
+    and the middle, the n + 1 nodes again in one call.  No step of these
     searches lies in the band, where a step is decided on the exact line."""
     built = []
     factor = evaluator._werner_factor
@@ -777,14 +775,13 @@ def test_threshold_search_builds_fixed_factors_once(monkeypatch):
     for kind in (KIND_P22, KIND_P14):
         for n in (2, 3, 24, 25, 40, 1000):
             built.clear()
-            res = visibility_threshold(kind, n, profile=[0.5 ** (0.5 / n)] * n)
+            visibility_threshold(kind, n, profile=[0.5 ** (0.5 / n)] * n)
             assert len(built) == (n - 1) + 3
             assert np.shape(built[n]) == (2,)
             built.clear()
-            res = visibility_threshold(kind, n)
-            interpolated = n + 1 < analysis._SEARCH_EVALUATIONS
-            assert len(built) == 2 * (3 if interpolated else res.iterations + 2)
-            assert np.shape(built[2]) == ((n + 1,) if interpolated else ())
+            visibility_threshold(kind, n)
+            assert len(built) == 2 * 3
+            assert np.shape(built[2]) == (n + 1,)
 
 
 def test_threshold_steps_on_the_exact_line_keep_every_result(monkeypatch):
@@ -792,7 +789,7 @@ def test_threshold_steps_on_the_exact_line_keep_every_result(monkeypatch):
     back to the exact line: the searches are the same, field for field."""
     rng = np.random.default_rng(27)
     configs = [(kind, n, profile)
-               for kind in (KIND_P22, KIND_P14) for n in (2, 3, 5, 9, 24)
+               for kind in (KIND_P22, KIND_P14) for n in (2, 3, 5, 9, 24, 25, 40)
                for profile in (None, _uneven_profile(rng, n))]
     interpolated = [visibility_threshold(kind, n, profile=profile) for kind, n, profile in configs]
     exact = _exact_evaluations(monkeypatch)
@@ -1051,11 +1048,14 @@ def test_mc_nlocal_pool_is_no_larger_than_jobs_or_cpus(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    for trials, workers in ((2, 4), (3, 10_000)):
-        res = mc_nlocal_sweep(KIND_P22, 2, 2, trials, seed=3, workers=workers)
-        assert res == mc_nlocal_sweep(KIND_P22, 2, 2, trials, seed=3, workers=1)
-    assert job_counts == [2, 3]
-    assert sizes == [min(2, os.cpu_count() or 1), min(3, os.cpu_count() or 1)]
+    # the pool counts the cores this process may run on, not the machine's
+    for cores in (1, 3):
+        monkeypatch.setattr("netlocal.behavior._cores", lambda: cores)
+        for trials, workers in ((2, 4), (3, 10_000)):
+            res = mc_nlocal_sweep(KIND_P22, 2, 2, trials, seed=3, workers=workers)
+            assert res == mc_nlocal_sweep(KIND_P22, 2, 2, trials, seed=3, workers=1)
+    assert job_counts == [2, 3, 2, 3]
+    assert sizes == [1, 1, 2, 3]
 
 
 def test_mc_local_mixture_sweep_respects_bound():

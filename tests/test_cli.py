@@ -549,8 +549,9 @@ def test_simulate_stdout_is_pinned(capsys, case):
 
 # SHA-256 of what `threshold` prints, recorded from the search that decided
 # every bisection step on the exact line: p22 n = 2..9 and p14 n = 2..8,
-# with all sources equal and with one seeded uneven profile.  `--bound local`
-# is never crossed on a standard chain: each of those runs is pinned as its
+# with all sources equal and with one seeded uneven profile, and both kinds
+# with all sources equal at n = 25, 40, 200 and 1000.  `--bound local` is
+# never crossed on a standard chain: each of those runs is pinned as its
 # exit code and message, with nothing on stdout.
 PINNED_THRESHOLD = json.loads((Path(__file__).parent / "data" / "threshold_stdout.json").read_text())
 

@@ -615,6 +615,35 @@ def test_line_interpolant_matches_the_exact_line():
                 interpolant = _line_interpolant(at, m)
                 for s in rng.uniform(0.0, 1.0, size=50).tolist():
                     assert np.abs(np.subtract(interpolant(s), at(s))).max() < 1e-13, (kind, m)
+    # the default profile's line, every source moving from 0 to 1
+    for kind in (KIND_P22, KIND_P14):
+        for m in (40, 200, 1000):
+            at = werner_IJ(standard_scenario(m, kind)).line([0.0] * m, [1.0] * m)
+            interpolant = _line_interpolant(at, m)
+            for s in rng.uniform(0.0, 1.0, size=50).tolist():
+                assert np.abs(np.subtract(interpolant(s), at(s))).max() < 1e-13, (kind, m)
+
+
+def test_line_interpolant_returns_each_nodes_own_values():
+    # at a node the interpolant gives back the values evaluated there, not
+    # the barycentric formula, whose weight 1/(s - x) is infinite there
+    calls = []
+
+    def recorded(s):
+        calls.append((s.tolist(), *at(s)))
+        return calls[-1][1:]
+
+    n = 40
+    for kind in (KIND_P22, KIND_P14):
+        IJ = werner_IJ(standard_scenario(n, kind))
+        for m in (1, 2, 9, n):
+            at = IJ.line([0.0] * m + [0.9] * (n - m), [1.0] * m + [0.0] * (n - m))
+            calls.clear()
+            interpolant = _line_interpolant(recorded, m)
+            (nodes, I, J), = calls
+            assert len(nodes) == m + 1
+            for x, i, j in zip(nodes, I, J):
+                assert interpolant(x) == (i, j), (kind, m, x)
 
 
 def test_line_checks_its_ends_and_its_parameter():

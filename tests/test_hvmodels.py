@@ -63,6 +63,19 @@ def test_model_validation():
                     responses=[m.responses[0], nan_row, m.responses[2]])
 
 
+def test_model_keeps_its_own_response_list():
+    # the caller's list and the nested lists in it stay as given, and a later
+    # edit of that list does not reach the validated model
+    m = tightness_model(KIND_P22, 2, 0.5)
+    resp = [r.tolist() for r in m.responses]
+    given = [r.tolist() for r in m.responses]
+    model = NLocalModel(n=2, kind=KIND_P22, source_dists=m.source_dists, responses=resp)
+    assert model.responses is not resp
+    assert all(type(r) is list for r in resp) and resp == given
+    resp[0] = None
+    assert all(np.array_equal(r, g) for r, g in zip(model.responses, m.responses))
+
+
 def test_strategy_weights_validation():
     from netlocal.hvmodels import StrategyWeights, strategy_counts
     counts = strategy_counts(KIND_P22, 2)
