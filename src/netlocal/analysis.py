@@ -23,7 +23,7 @@ import concurrent.futures
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import product
 from typing import NamedTuple
 
@@ -605,11 +605,18 @@ def _check_sweep(trials: int, seed: int, cost: int, what: str) -> None:
     check_size(cost, SWEEP_CELL_GUARD, f"drawn cells of {trials} trials of {what}")
 
 
+def _nlocal_values(kind: str, n: int, block) -> tuple[int, np.ndarray]:
+    """(first_trial, sqrt|I| + sqrt|J| of each trial) of a random_model_blocks block."""
+    first, sources, responses = block
+    I, J = models_IJ(kind, n, sources, responses)
+    return first, np.sqrt(np.abs(I)) + np.sqrt(np.abs(J))
+
+
 def _nlocal_block(args):
     kind, n, cardinality, seed, start, stop = args
+    # map keeps no block while the next one is drawn: one block is alive at a time
     blocks = random_model_blocks(kind, n, cardinality, seed, start, stop)
-    ijs = ((first, models_IJ(kind, n, dists, responses)) for first, dists, responses in blocks)
-    return _best_trial((first, np.sqrt(np.abs(I)) + np.sqrt(np.abs(J))) for first, (I, J) in ijs)
+    return _best_trial(map(partial(_nlocal_values, kind, n), blocks))
 
 
 def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
@@ -624,8 +631,7 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     SWEEP_CELL_GUARD is refused before anything is drawn or any worker
     starts.
     """
-    shapes = hvmodels._random_model_shapes(kind, n, cardinality)
-    cells = sum(map(math.prod, shapes))
+    cells = hvmodels._run_cells(hvmodels._random_model_runs(kind, n, cardinality))
     blocks = -(-trials // max(1, hvmodels.MC_BLOCK_CELLS // cells))
     _check_sweep(trials, seed, trials * (cells + SWEEP_TRIAL_CELLS)
                  + blocks * (n + 1) * SWEEP_PARTY_CELLS,

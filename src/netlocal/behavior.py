@@ -212,10 +212,11 @@ def ij_factors(kind: str, n: int):
     A party's factors depend on its role alone (left end, intermediate,
     right end), so ij_factors(kind, 2) lists one party of each role, in that
     order.  This is the one statement of that rule: compute_IJ reads table rows
-    with these factors, chain_IJ_of contracts them along a chain of party
-    tensors for hvmodels.model_IJ, evaluator.chain_IJ and werner_IJ stack
-    each party's with the norm functional's, and
-    hvmodels.strategy_IJ takes the outer product of their party_factors.
+    with these factors, hvmodels.models_IJ reduces a block of models' response
+    tables with them (party_factors) and contracts them along the chain,
+    evaluator.chain_IJ and werner_IJ stack each party's with the norm
+    functional's, and hvmodels.strategy_IJ takes the outer product of their
+    party_factors.
     The returned arrays are shared; do not modify them.
     """
     ins, _ = alphabets(kind, n)
@@ -236,9 +237,10 @@ def ij_factors(kind: str, n: int):
 # the chain kernel: a chain is a list of party tensors T[x, bonds..., a], input
 # axis first and outcome axis last, with one bond axis at an end and (left,
 # right) in between; each source is folded into the party on its left.  The
-# functional kernel also takes a block of chains at once: tensors
-# T[x, trials..., bonds..., a] with the same trial axes right after the input
-# axis give factors, and values, with those trial axes leading.
+# functional kernel reduces each party to a factor over its bonds on its own
+# (party_factors, which takes tensors T[trials..., bonds..., x, a] with any
+# trial axes leading) and contracts the factors along the chain
+# (chain_contract); factors with the same trial axes give one value per trial.
 
 def _fold(arr: np.ndarray, mids) -> np.ndarray:
     """A running array (packed inputs, packed outcomes, bond) contracted with
@@ -320,11 +322,47 @@ def chain_table(parties) -> np.ndarray:
     return table.reshape(X * Xs * xi * xe, -1)
 
 
-def party_factors(parties, weights, signs) -> list[np.ndarray]:
-    """Each party tensor contracted with its input weights and outcome signs:
-    a vector over the bond at the ends, a (left, right) matrix in between,
-    behind any trial axes the tensors carry."""
-    return [np.einsum("x...a,x,a->...", t, w, s) for t, w, s in zip(parties, weights, signs)]
+def _combine(views, coeffs) -> np.ndarray:
+    """sum_i coeffs[i] * views[i] over the nonzero coefficients, added left
+    to right into a new array; a coefficient of 1 or -1 adds or subtracts
+    its view without a multiplication."""
+    total = None
+    for v, c in zip(views, coeffs.tolist()):
+        if c == 0:
+            continue
+        if total is None:
+            total = v.copy() if c == 1 else v * c
+        elif c == 1:
+            total += v
+        elif c == -1:
+            total -= v
+        else:
+            total += v * c
+    return np.zeros_like(views[0]) if total is None else total
+
+
+def party_factors(parties, functionals) -> list[list[np.ndarray]]:
+    """Per-party factors of chain functionals, one list per functional.
+
+    Each party tensor T[..., x, a] ends in its input and outcome axes; the
+    axes before them (trials, then bonds) are kept.  For each (weights,
+    signs) of functionals, as ij_factors lists them, the outcome axis is
+    summed with the party's signs, then the input axis with its weights,
+    slice by slice: a vector over the bond at the ends and a (left, right)
+    matrix in between, behind any trial axes.  A party's signed sums are
+    computed once per distinct sign vector, so functionals that sign its
+    outcomes alike share them.
+    """
+    out = [[] for _ in functionals]
+    for p, t in enumerate(parties):
+        signed = {}
+        for factors, (weights, signs) in zip(out, functionals):
+            key = signs[p].tobytes()
+            if key not in signed:
+                signed[key] = _combine([t[..., i] for i in range(t.shape[-1])], signs[p])
+            r = signed[key]
+            factors.append(_combine([r[..., j] for j in range(r.shape[-1])], weights[p]))
+    return out
 
 
 def chain_contract(factors):
@@ -336,11 +374,6 @@ def chain_contract(factors):
     for m in mids:
         v = v @ m
     return (v @ last[..., None])[..., 0, 0]
-
-
-def chain_IJ_of(kind: str, n: int, parties) -> tuple:
-    """I and J of a chain of party tensors, without its table."""
-    return tuple(chain_contract(party_factors(parties, w, s)) for w, s in ij_factors(kind, n))
 
 
 def _signed_sums(v: np.ndarray, signs) -> np.ndarray:

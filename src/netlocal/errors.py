@@ -64,21 +64,28 @@ HIDDEN_PRODUCT_GUARD = 10 ** 7
 STRATEGY_SPACE_GUARD = 10 ** 6
 # a Monte-Carlo sweep's trials x drawn cells per trial, plus, in n-local
 # sweeps, SWEEP_TRIAL_CELLS per trial and SWEEP_PARTY_CELLS per party and
-# block of trials.  The largest sweep admitted takes 9-21 s at n = 2, 40, 200
-# and 1000 (K = 1 to 4), and 1.3-6.5 s in mixture sweeps
+# block of trials.  The largest sweep admitted takes 1.3-6.5 s at n = 2, 40,
+# 200 and 1000 (K = 1 to 4; n = 2 the longest), and 1.4-5.0 s in mixture
+# sweeps (whole process)
 SWEEP_CELL_GUARD = 10 ** 8
 # each trial's fixed work in an n-local sweep, its PCG64 generator and its one
-# draw call: 4.4-5.4 us, as long as this many drawn cells (0.15-0.2 us each
-# at n = 40).  It dominates the smallest models (n = 2, K = 1: 14 cells)
+# in-place draw: 1.8-2.2 us, 2.7 us a trial in all at n = 2, K = 1 (14
+# cells).  A drawn cell costs about 26 ns (a least-squares fit of sweep times
+# over n = 2..1000, K = 1..4), so the fixed work is as long as 70-85 cells;
+# 32 dates from 4.4-5.4 us against 0.15-0.2 us a cell and is kept, so the
+# guard refuses the same sweeps as before.  The smallest models therefore
+# run longest at the budget (n = 2, K = 1: 14 cells)
 SWEEP_TRIAL_CELLS = 32
 # each party's fixed work in an n-local sweep, paid once per block of trials:
-# 40-55 us, about as long as this many drawn cells.  It dominates long chains
-# with small K (n = 1000, K = 1: 5004 cells, three trials a block)
+# about 2.1 us by the same fit, as long as about 80 drawn cells.  256 dates
+# from 40-55 us, before each response table was reduced ahead of its source,
+# and is kept likewise, so long chains with small K are priced above their cost
+# (n = 1000, K = 1: 5004 cells, three trials a block, 1.3 s at the budget)
 SWEEP_PARTY_CELLS = 256
 # figure4, tightness and montecarlo cost is linear in n, an equal-profile threshold
 # search quadratic (n + 1 interpolation nodes, each a sweep of the chain): at n = 1000,
 # 0.15-0.28 s for that search, 0.04 s for a tightness model and its I and J, and
-# 1.4-1.6 s for figure4 at its default grid
+# 0.45-0.58 s for figure4 at its default grid (in-process)
 CHAIN_LENGTH_GUARD = 1000
 # figure4's n x grid points: the default grid's 21 points at the longest chain
 GRID_POINT_GUARD = 21 * CHAIN_LENGTH_GUARD

@@ -6,15 +6,19 @@ to (x_i, lambda_{i-1}, lambda_i) and party n+1 to (x_last, lambda_n).
 Responses may be stochastic; local randomness is part of the response table.
 With each source distribution folded into the response of the party on its
 left, a model is a chain for the kernel in behavior: behavior_of_model takes
-its table from chain_table and model_IJ its I and J from chain_IJ_of.
+its table from chain_table.  model_IJ needs only the parties' factors: it
+reduces each response table with party_factors first and multiplies each
+source distribution into the much smaller factor of its party.
 
 Random models for Monte-Carlo sweeps are drawn a block of trials at a time:
-random_model_blocks gives each trial t one flat exponential draw from the
-stream of trial_rng(seed, t), splits and normalises the block's draws into
-arrays with a leading trial axis, validates them as NLocalModel does, and
-models_IJ contracts the whole block at once.  A block holds at most
-MC_BLOCK_CELLS drawn cells.  Row t of a block holds exactly the arrays of
-sample_random_model(kind, n, K, trial_rng(seed, t)); random_mixture_blocks
+random_model_blocks gives each trial t one flat standard exponential draw,
+made in place in its row of the block from the stream of trial_rng(seed, t),
+splits and normalises the block's draws by runs of arrays of equal shape
+(the n sources are one view, the n - 1 intermediates' responses another),
+each with a leading trial axis, validates them as NLocalModel does, and
+models_IJ reduces and contracts the whole block at once.  A block holds at
+most MC_BLOCK_CELLS drawn cells.  Row t of a block holds exactly the arrays
+of sample_random_model(kind, n, K, trial_rng(seed, t)); random_mixture_blocks
 draws strategy-tuple weights the same way.  trial_rng stays the reference
 definition of a trial's stream; the blocks reach the same PCG64 states
 without a SeedSequence per trial, by a vectorised copy of numpy's
@@ -36,12 +40,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, groupby, product
 
 import numpy as np
 
-from .behavior import (Behavior, alphabets, chain_IJ_of, chain_table, check_table_size, ij_factors,
-                       party_factors)
+from .behavior import (Behavior, alphabets, chain_contract, chain_table, check_table_size,
+                       ij_factors, party_factors)
 from .errors import (CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD, STRATEGY_SPACE_GUARD,
                      DimensionError, RangeError, ScenarioError, check_size)
 from .network import KIND_P22, check_kind
@@ -49,7 +53,9 @@ from .network import KIND_P22, check_kind
 MODEL_SCHEMA_VERSION = 1
 PRNG_ALGORITHM = "numpy-pcg64"
 # drawn cells per block of Monte-Carlo trials: 128 KiB of float64.  A sweep
-# holds about three blocks' worth at once; larger blocks are no faster
+# holds one block at a time; with its seed words and numpy's iteration
+# buffers, it allocates at most about 3.5 blocks' worth.  Larger blocks are
+# no faster
 MC_BLOCK_CELLS = 2 ** 14
 
 _DIST_ATOL = 1e-10
@@ -68,15 +74,32 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_rows(a, what):
-    """Every entry nonnegative and every slice over the last axis summing
-    to 1; any leading axes are checked at once."""
+def _row_problem(a) -> str | None:
+    """What keeps a from having every entry nonnegative and every slice over
+    its last axis summing to 1, or None; any leading axes are checked at
+    once."""
     # written so that NaN fails: every comparison with NaN is False
     if not a.min() >= -1e-12:
-        raise RangeError(f"{what} has negative entries")
+        return "has negative entries"
     worst = np.abs(_sum_last(a) - 1.0).max()
     if not worst <= _DIST_ATOL:
-        raise RangeError(f"{what} rows must sum to 1, worst deviation {worst}")
+        return f"rows must sum to 1, worst deviation {worst}"
+    return None
+
+
+def _check_rows(a, what):
+    problem = _row_problem(a)
+    if problem is not None:
+        raise RangeError(f"{what} {problem}")
+
+
+def _check_run(run, names):
+    """_check_rows of each array of a run, run[:, i] named names[i], at once.
+    A run that fails is checked again array by array, so that the error
+    names the first array that fails, with that array's message."""
+    if _row_problem(run) is not None:
+        for i, what in enumerate(names):
+            _check_rows(run[:, i], what)
 
 
 def _check_dist(v, what):
@@ -138,13 +161,8 @@ def _response_shapes(kind: str, n: int, ks) -> list[tuple[int, ...]]:
 
 def _model_parties(source_dists, responses) -> list[np.ndarray]:
     """A model as a chain of party tensors: each source distribution folded
-    into the right bond axis of the party on its left.  The arrays may all
-    carry the same leading trial axes; the tensors then keep them."""
-    folded = []
-    for r, d in zip(responses, source_dists):
-        lead = d.shape[:-1]
-        folded.append(r * d.reshape(lead + (1,) * (r.ndim - len(lead) - 2) + (-1, 1)))
-    return folded + [responses[-1]]
+    into the right bond axis of the party on its left."""
+    return [r * d[:, None] for r, d in zip(responses, source_dists)] + [responses[-1]]
 
 
 def behavior_of_model(model: NLocalModel) -> Behavior:
@@ -156,21 +174,39 @@ def behavior_of_model(model: NLocalModel) -> Behavior:
     return Behavior(model.kind, model.n, chain_table(parties))
 
 
-def models_IJ(kind: str, n: int, source_dists, responses) -> tuple[np.ndarray, np.ndarray]:
-    """Signed (I, J) of a block of models by the functional chain kernel.
+def models_IJ(kind: str, n: int, sources, responses) -> tuple[np.ndarray, np.ndarray]:
+    """Signed (I, J) of a block of models by the functional chain kernel;
+    one I and one J per trial.
 
-    source_dists and responses hold a model's arrays with a leading trial
-    axis, as random_model_blocks yields them; one I and one J per trial.
+    The arrays come in runs, as random_model_blocks yields them: a run is
+    an array (trials, m, *shape) of m consecutive parties' arrays of one
+    shape.  responses[j] is a run of response tables and sources[j] the run
+    of the sources folded into those parties; the last response run, the
+    right end, has no sources.  Each response run is reduced at once by
+    party_factors, for I and J together, its input axis moved beside its
+    outcome axis (a view); each source distribution then multiplies the
+    right bond of its party's factor, and chain_contract folds the factors
+    along the chain.
     """
-    parties = [np.moveaxis(t, 0, 1) for t in _model_parties(source_dists, responses)]
-    return chain_IJ_of(kind, n, parties)
+    firsts = list(accumulate((r.shape[1] for r in responses[:-1]), initial=0))
+    functionals = [([w[p] for p in firsts], [s[p] for p in firsts]) for w, s in ij_factors(kind, n)]
+    values = []
+    for runs in party_factors([np.moveaxis(r, 2, -2) for r in responses], functionals):
+        for f, d in zip(runs, sources):
+            f *= d.reshape(d.shape[:2] + (1,) * (f.ndim - 3) + d.shape[2:])
+        values.append(chain_contract([f for run in runs for f in run.swapaxes(0, 1)]))
+    return values[0], values[1]
 
 
 def model_IJ(model: NLocalModel) -> tuple[float, float]:
-    """Signed (I, J) of the model, models_IJ of a block of one; equal to
+    """Signed (I, J) of the model, models_IJ of a block of one with its
+    parties cut into runs of equal response shape; equal to
     compute_IJ(behavior_of_model(model)) up to float roundoff."""
-    I, J = models_IJ(model.kind, model.n, [d[None] for d in model.source_dists],
-                     [r[None] for r in model.responses])
+    cuts = list(accumulate((len(list(g)) for _, g in groupby(model.responses[:-1], key=np.shape)),
+                           initial=0))
+    sources = [np.stack(model.source_dists[a:b])[None] for a, b in zip(cuts, cuts[1:])]
+    responses = [np.stack(model.responses[a:b])[None] for a, b in zip(cuts, cuts[1:])]
+    I, J = models_IJ(model.kind, model.n, sources, responses + [model.responses[-1][None, None]])
     return float(I[0]), float(J[0])
 
 
@@ -362,35 +398,44 @@ def _seed_words_type() -> type:
 
 
 def _trial_draws(words: np.ndarray, cells: int) -> np.ndarray:
-    """(len(words), cells) exponential draws; row i is the one flat draw of
-    the PCG64 stream seeded from words[i], so rows of _trial_words(seed, ...)
-    give the draws of trial_rng(seed, t)."""
+    """(len(words), cells) standard exponential draws; row i is the one flat
+    draw of the PCG64 stream seeded from words[i], made in place, so rows of
+    _trial_words(seed, ...) give the draws of trial_rng(seed, t)."""
     SeedWords = _seed_words_type()
     draws = np.empty((len(words), cells))
-    for row, w in enumerate(words):
-        draws[row] = np.random.Generator(np.random.PCG64(SeedWords(w))).exponential(size=cells)
+    for row, w in zip(draws, words):
+        np.random.Generator(np.random.PCG64(SeedWords(w))).standard_exponential(out=row)
     return draws
 
 
-def _simplex_split(draws: np.ndarray, shapes) -> list[np.ndarray]:
-    """Cut the last axis of draws into consecutive arrays of the given
-    shapes, each normalised in place over its own last axis: uniform points
-    of the probability simplex.  Leading axes are kept."""
+def _run_cells(runs) -> int:
+    """Drawn cells of runs of (count, shape)."""
+    return sum(m * math.prod(shape) for m, shape in runs)
+
+
+def _simplex_split(draws: np.ndarray, runs) -> list[np.ndarray]:
+    """Cut the last axis of draws into consecutive runs of arrays: run
+    (m, shape) becomes one view of shape lead + (m,) + shape, where lead is
+    draws' leading shape, normalised in place over its last axis (uniform
+    points of the probability simplex).  Each slice is summed on its own,
+    as when each array is cut and normalised alone, so the bits do not
+    depend on the runs."""
     lead = draws.shape[:-1]
     arrays = []
     start = 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        e = draws[..., start:stop].reshape(lead + shape)
+    for m, shape in runs:
+        stop = start + m * math.prod(shape)
+        e = draws[..., start:stop].reshape(lead + (m,) + shape)
         e /= _sum_last(e)[..., None]
         arrays.append(e)
         start = stop
     return arrays
 
 
-def _random_model_shapes(kind: str, n: int, cardinality: int) -> list[tuple[int, ...]]:
-    """Shapes of a random model's arrays in draw order: the n source
-    distributions, then the n + 1 response tables.  Chains longer than
+def _random_model_runs(kind: str, n: int, cardinality: int) -> list[tuple[int, tuple[int, ...]]]:
+    """A random model's arrays in draw order, as (count, shape) runs of equal
+    shapes: the n source distributions, then the n + 1 response tables (the
+    left end, the n - 1 intermediates, the right end).  Chains longer than
     CHAIN_LENGTH_GUARD, and response tables of more than
     HIDDEN_PRODUCT_GUARD cells in all, are refused."""
     check_kind(kind)
@@ -400,23 +445,26 @@ def _random_model_shapes(kind: str, n: int, cardinality: int) -> list[tuple[int,
         raise RangeError(f"cardinality must be positive, got {cardinality}")
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     k = int(cardinality)
-    responses = _response_shapes(kind, n, (k,) * n)
-    cells = sum(math.prod(shape) for shape in responses)
-    check_size(cells, HIDDEN_PRODUCT_GUARD, f"response table cells at n = {n}, K = {k}")
-    return [(k,)] * n + responses
+    first, mid, last = _response_shapes(kind, 2, (k, k))  # one party of each role
+    runs = [(1, first), (n - 1, mid), (1, last)]
+    check_size(_run_cells(runs), HIDDEN_PRODUCT_GUARD, f"response table cells at n = {n}, K = {k}")
+    return [(n, (k,))] + runs
 
 
 def sample_random_model(kind: str, n: int, cardinality: int, rng) -> NLocalModel:
     """Random n-local model: simplex-uniform sources, random responses.
 
-    rng may be an integer seed or a numpy Generator; one flat exponential
-    draw fills every array.  Response tables of more than
-    HIDDEN_PRODUCT_GUARD cells in all are refused before any draw.
+    rng may be an integer seed or a numpy Generator; one flat standard
+    exponential draw fills every array, as one row of a block of
+    random_model_blocks.  Response tables of more than HIDDEN_PRODUCT_GUARD
+    cells in all are refused before any draw.
     """
-    shapes = _random_model_shapes(kind, n, cardinality)
+    runs = _random_model_runs(kind, n, cardinality)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int(rng))
-    arrays = _simplex_split(rng.exponential(size=sum(map(math.prod, shapes))), shapes)
+    draws = np.empty((1, _run_cells(runs)))
+    rng.standard_exponential(out=draws[0])
+    arrays = [a for run in _simplex_split(draws, runs) for a in run[0]]
     return NLocalModel(n=n, kind=kind, source_dists=arrays[:n], responses=arrays[n:],
                        note=f"random K={int(cardinality)}")
 
@@ -439,19 +487,30 @@ def _draw_blocks(seed: int, start: int, stop: int, cells: int):
 def random_model_blocks(kind: str, n: int, cardinality: int, seed: int, start: int, stop: int):
     """Random models of trials start..stop-1, a block at a time.
 
-    Yields (first_trial, source_dists, responses) with a leading trial axis
-    on every array; row t - first_trial holds exactly the arrays of
-    sample_random_model(kind, n, cardinality, trial_rng(seed, t)), checked
-    as NLocalModel checks them.  Oversized models are refused before any
-    draw, as by sample_random_model.
+    Returns an iterator of (first_trial, sources, responses) in models_IJ's
+    runs: responses holds the left end's table, the intermediates' and the
+    right end's, and sources the left end's source and the intermediates',
+    each run an array (trials, parties, *shape).  Row t - first_trial holds
+    exactly the arrays of sample_random_model(kind, n, cardinality,
+    trial_rng(seed, t)), checked as NLocalModel checks them; a failed check
+    names the array, as NLocalModel does.  Oversized models are refused
+    before any draw, as by sample_random_model.  The iterator keeps no
+    block while it draws the next.
     """
-    shapes = _random_model_shapes(kind, n, cardinality)
-    cells = sum(map(math.prod, shapes))
-    for a, draws in _draw_blocks(seed, start, stop, cells):
-        arrays = _simplex_split(draws, shapes)
-        for i, arr in enumerate(arrays):
-            _check_rows(arr, f"source {i}" if i < n else f"response {i - n}")
-        yield a, arrays[:n], arrays[n:]
+    runs = _random_model_runs(kind, n, cardinality)
+    names = [f"source {i}" for i in range(n)] + [f"response {p}" for p in range(n + 1)]
+    cuts = list(accumulate((m for m, _ in runs), initial=0))
+    run_names = [names[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def split(block):
+        first, draws = block
+        arrays = _simplex_split(draws, runs)
+        for run, what in zip(arrays, run_names):
+            _check_run(run, what)
+        sources, *responses = arrays
+        return first, [sources[:, :1], sources[:, 1:]], responses
+
+    return map(split, _draw_blocks(seed, start, stop, _run_cells(runs)))
 
 
 def random_mixture_blocks(size: int, seed: int, start: int, stop: int):
@@ -459,8 +518,8 @@ def random_mixture_blocks(size: int, seed: int, start: int, stop: int):
     start..stop-1, a block at a time: yields (first_trial, q) with one row
     of q per trial, from one flat draw of trial_rng(seed, t) each."""
     for a, draws in _draw_blocks(seed, start, stop, size):
-        (q,) = _simplex_split(draws, [(size,)])
-        yield a, q
+        (q,) = _simplex_split(draws, [(1, (size,))])
+        yield a, q[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +679,9 @@ def strategy_IJ(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     check_size(math.prod(strategy_counts(kind, n)), STRATEGY_SPACE_GUARD,
                f"strategy tuples at n = {n}")
-    tables = [np.moveaxis(party_strategy_table(kind, n, p), 1, 0) for p in range(n + 1)]
+    tables = [party_strategy_table(kind, n, p) for p in range(n + 1)]
     out = []
-    for weights, signs in ij_factors(kind, n):
-        factors = party_factors(tables, weights, signs)
+    for factors in party_factors(tables, ij_factors(kind, n)):
         v = factors[0]
         for f in factors[1:]:
             v = np.multiply.outer(v, f)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from netlocal import hvmodels
-from netlocal.behavior import alphabets, compute_IJ
+from netlocal.behavior import alphabets, compute_IJ, ij_factors
 from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError, SizeGuardError
 from netlocal.hvmodels import (
     NLocalModel,
@@ -139,6 +139,13 @@ def test_model_IJ_matches_behavior_path():
             fast = model_IJ(model)
             slow = compute_IJ(behavior_of_model(model))
             assert np.allclose(fast, slow, atol=1e-12)
+    # uneven cardinalities cut a model into runs of one, two and three parties
+    rng = np.random.default_rng(7)
+    for kind, ks in itertools.product((KIND_P22, KIND_P14),
+                                      [(2, 3), (2, 2, 3), (3, 1, 1, 1), (2, 2, 2, 1, 1)]):
+        model = _uneven_model(kind, len(ks), ks, rng)
+        assert np.allclose(model_IJ(model), compute_IJ(behavior_of_model(model)),
+                           rtol=0, atol=1e-12), (kind, ks)
 
 
 def test_behavior_of_model_needs_no_hidden_product():
@@ -148,10 +155,12 @@ def test_behavior_of_model_needs_no_hidden_product():
 
 
 def _block_rows(blocks):
-    """(trial, source_dists, responses) of every trial in random_model_blocks."""
-    for first, dists, responses in blocks:
-        for i in range(len(dists[0])):
-            yield first + i, [d[i] for d in dists], [r[i] for r in responses]
+    """(trial, source_dists, responses) of every trial in random_model_blocks,
+    each run of arrays unstacked into its parties' arrays."""
+    for first, sources, responses in blocks:
+        for i in range(len(sources[0])):
+            yield (first + i, [d for run in sources for d in run[i]],
+                   [r for run in responses for r in run[i]])
 
 
 @pytest.mark.parametrize("budget", [hvmodels.MC_BLOCK_CELLS, 1])
@@ -183,15 +192,61 @@ def test_model_blocks_are_validated(monkeypatch):
         list(random_model_blocks(KIND_P22, 2, 2, 0, 0, 4))
 
 
+def test_model_blocks_name_the_array_that_fails(monkeypatch):
+    # a NaN in any array of a run fails the run's check, which then names
+    # the array, as NLocalModel names it
+    real = hvmodels._trial_draws
+    for kind, n in ((KIND_P22, 3), (KIND_P14, 4)):
+        shapes = [(2,)] * n + hvmodels._response_shapes(kind, n, (2,) * n)
+        names = [f"source {i}" for i in range(n)] + [f"response {p}" for p in range(n + 1)]
+        offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes[:-1]])
+        for offset, name in zip(offsets.tolist(), names):
+            def poisoned(*args, offset=offset):
+                draws = real(*args)
+                draws[1, offset] = np.nan
+                return draws
+
+            monkeypatch.setattr(hvmodels, "_trial_draws", poisoned)
+            with pytest.raises(RangeError, match=f"^{name} has negative entries$"):
+                list(random_model_blocks(kind, n, 2, 0, 0, 4))
+
+
 def test_models_IJ_matches_table_route_per_trial():
-    for kind, n, k in itertools.product((KIND_P22, KIND_P14), (2, 3, 4), (1, 2, 3)):
-        for first, dists, responses in random_model_blocks(kind, n, k, 4, 0, 6):
-            I, J = models_IJ(kind, n, dists, responses)
-            for i in range(len(I)):
-                model = NLocalModel(n=n, kind=kind, source_dists=[d[i] for d in dists],
-                                    responses=[r[i] for r in responses])
+    for kind, n, k in itertools.product((KIND_P22, KIND_P14), (2, 3, 4, 5), (1, 2, 3, 4)):
+        for first, sources, responses in random_model_blocks(kind, n, k, 4, 0, 6):
+            I, J = models_IJ(kind, n, sources, responses)
+            for i, (trial, dists, resps) in enumerate(_block_rows([(first, sources, responses)])):
+                model = NLocalModel(n=n, kind=kind, source_dists=dists, responses=resps)
                 slow = compute_IJ(behavior_of_model(model))
-                assert np.allclose((I[i], J[i]), slow, atol=1e-12), (kind, n, k, first + i)
+                assert np.allclose((I[i], J[i]), slow, atol=1e-12), (kind, n, k, trial)
+
+
+def _einsum_IJ(model):
+    """I and J of a model with each source folded into its party's table and
+    each table contracted with its weights and signs by einsum, then the
+    factors multiplied along the chain in a Python loop."""
+    parties = hvmodels._model_parties(model.source_dists, model.responses)
+    values = []
+    for weights, signs in ij_factors(model.kind, model.n):
+        factors = [np.einsum("x...a,x,a->...", t, w, s) for t, w, s in zip(parties, weights, signs)]
+        v = factors[0]
+        for f in factors[1:]:
+            v = v @ f
+        values.append(float(v))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("kind", [KIND_P22, KIND_P14])
+def test_models_IJ_matches_per_model_loop_on_long_chains(kind):
+    for n, k in itertools.product((40, 200), (1, 2, 3)):
+        for first, sources, responses in random_model_blocks(kind, n, k, 8, 0, 3):
+            I, J = models_IJ(kind, n, sources, responses)
+            for i, (trial, dists, resps) in enumerate(_block_rows([(first, sources, responses)])):
+                model = NLocalModel(n=n, kind=kind, source_dists=dists, responses=resps)
+                case = (kind, n, k, trial)
+                single = model_IJ(model)
+                assert np.allclose((I[i], J[i]), single, rtol=0, atol=1e-13), case
+                assert np.allclose(single, _einsum_IJ(model), rtol=0, atol=1e-13), case
 
 
 def test_mixture_blocks_draw_one_row_per_trial(monkeypatch):
@@ -220,20 +275,23 @@ def test_trial_words_equal_numpy_seed_sequence(seed):
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_block_rows_are_the_trial_rng_draws(monkeypatch, seed):
-    cells = 11
-    want = {t: trial_rng(seed, t).exponential(size=cells)
-            for start, stop in PINNED_RANGES for t in range(start, stop)}
+    # 240 cells: p22 n = 4, K = 4; 1024: the p22 and p14 n = 4 mixtures;
+    # 5004: p22 n = 1000, K = 1.  The blocks draw standard exponentials in
+    # place, the reference draws exponential(size=...): the same bits
+    sizes = (1, 11, 240, 1024, 5004)
+    want = {(cells, t): trial_rng(seed, t).exponential(size=cells)
+            for cells in sizes for start, stop in PINNED_RANGES for t in range(start, stop)}
     # the blocks reach each stream without trial_rng
     monkeypatch.setattr(hvmodels, "trial_rng", None)
-    for start, stop in PINNED_RANGES:
+    for cells, (start, stop) in itertools.product(sizes, PINNED_RANGES):
         draws = hvmodels._trial_draws(hvmodels._trial_words(seed, start, stop), cells)
         for row, t in enumerate(range(start, stop)):
-            assert np.array_equal(draws[row], want[t]), (seed, t)
+            assert np.array_equal(draws[row], want[cells, t]), (seed, cells, t)
         rows = [(first + i, q[i]) for first, q in random_mixture_blocks(cells, seed, start, stop)
                 for i in range(len(q))]
         assert [t for t, _ in rows] == list(range(start, stop))
         for t, q in rows:
-            assert np.array_equal(q, want[t] / want[t].sum()), (seed, t)
+            assert np.array_equal(q, want[cells, t] / want[cells, t].sum()), (seed, cells, t)
 
 
 def test_trial_words_refuse_a_negative_seed():
