@@ -657,6 +657,12 @@ def mc_nlocal_sweep(kind: str, n: int, cardinality: int, trials: int,
     }
 
 
+def _mixture_values(vij: np.ndarray, block) -> tuple[int, np.ndarray]:
+    """(first_trial, |I| + |J| of each trial) of a random_mixture_blocks block."""
+    first, q = block
+    return first, np.abs(q @ vij).sum(axis=1)
+
+
 def mc_local_mixture_sweep(kind: str, n: int, trials: int, seed: int) -> dict:
     """Sample mixtures of deterministic strategy tuples; track max |I|+|J|.
 
@@ -669,8 +675,9 @@ def mc_local_mixture_sweep(kind: str, n: int, trials: int, seed: int) -> dict:
     _check_sweep(trials, seed, trials * math.prod(strategy_counts(kind, n)),
                  f"{kind} mixtures at n = {n}")
     vij = np.stack(strategy_IJ(kind, n), axis=1)
-    worst, worst_trial = _best_trial((first, np.abs(q @ vij).sum(axis=1))
-                                     for first, q in random_mixture_blocks(len(vij), seed, 0, trials))
+    # map keeps no block while the next one is drawn: one block is alive at a time
+    blocks = random_mixture_blocks(len(vij), seed, 0, trials)
+    worst, worst_trial = _best_trial(map(partial(_mixture_values, vij), blocks))
     return {
         "kind": kind, "n": n, "trials": trials, "seed": seed,
         "prng": hvmodels.PRNG_ALGORITHM,

@@ -514,42 +514,42 @@ def behavior_from_json(doc: dict) -> Behavior:
     return Behavior(kind, n, table.reshape(math.prod(ins), math.prod(outs)))
 
 
-# cells the file writers format at a time, so no temporary grows with a row
+# cells the file writers format at a time, so no temporary grows with the table
 _RUN_CELLS = 4096
 
 
-def _runs(b: Behavior):
-    """(lead, tail, rows): the table as rows over the last outcome parties that
-    fit in _RUN_CELLS, and the alphabets of the digits fixed and varying along a row."""
-    ins, outs = alphabets(b.kind, b.n)
-    k = next(k for k in range(len(outs) + 1) if math.prod(outs[k:]) <= _RUN_CELLS)
-    return ins + outs[:k], outs[k:], b.table.reshape(-1, math.prod(outs[k:]))
+def _cell_runs(table: np.ndarray):
+    """The cells of a 2-D table in row-major order, as C-contiguous runs of
+    _RUN_CELLS cells (the whole table, if smaller).  Both kinds' row lengths
+    are powers of two, so a run is whole rows or a part of one row; each run
+    is copied on its own where the table is not C-ordered."""
+    rows, cols = table.shape
+    step, width = max(1, _RUN_CELLS // cols), min(_RUN_CELLS, cols)
+    for r in range(0, rows, step):
+        for c in range(0, cols, width):
+            yield np.ascontiguousarray(table[r:r + step, c:c + width]).reshape(-1)
 
 
-def _row_texts(rows: np.ndarray):
-    """The repr of each cell of a float table, one row at a time.  Each distinct
-    value is formatted once, keyed by its bits so that -0.0 and 0.0 stay apart,
-    unless their texts would outweigh the table: then each cell is formatted."""
-    table = np.ascontiguousarray(rows)
-    bits = table.view(np.int64)
+def _cell_texts(run: np.ndarray) -> list[str]:
+    """The repr of each cell of a run.  Each distinct value is formatted once,
+    keyed by its bits so that -0.0 and 0.0 stay apart, unless the run holds
+    more than one distinct value per 8 cells: then each cell is formatted."""
+    bits = run.view(np.int64)
     # sorted, not np.unique: its hash table (numpy >= 2.3) is 10-50x slower here
-    keys = np.sort(bits, axis=None)
+    keys = np.sort(bits)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     if 8 * keys.size > bits.size:
-        yield from (map(repr, row.tolist()) for row in table)
-        return
-    texts = [repr(v) for v in keys.view(np.float64).tolist()]
-    for row in bits:
-        yield map(texts.__getitem__, np.searchsorted(keys, row).tolist())
+        return list(map(repr, run.tolist()))
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts.take(np.searchsorted(keys, bits)).tolist()
 
 
 def write_json_cells(b: Behavior, fh, sep: str) -> None:
     """The cells of b's table in row order as json writes the items of a list
-    of floats, joined by sep, one write per run of up to _RUN_CELLS cells of
-    the flat table (JSON items, unlike CSV lines, carry no row digits)."""
-    cells = b.table.reshape(-1)
-    for i, texts in enumerate(_row_texts(cells.reshape(-1, min(cells.size, _RUN_CELLS)))):
-        fh.write((sep if i else "") + sep.join(texts))
+    of floats, joined by sep, one write per run of _RUN_CELLS cells of the
+    flat table (JSON items, unlike CSV lines, carry no row digits)."""
+    for i, run in enumerate(_cell_runs(b.table)):
+        fh.write((sep if i else "") + sep.join(_cell_texts(run)))
 
 
 def save_behavior_json(b: Behavior, path) -> None:
@@ -572,17 +572,39 @@ def load_behavior_json(path) -> Behavior:
         raise DimensionError(f"{path}: {exc}") from None
 
 
+def _digit_texts(radices) -> list[str]:
+    """The text "d1,d2,...," of each digit tuple over radices, in row-major
+    order, built a digit at a time by prefixing."""
+    texts = [""]
+    for r in radices:
+        digits = [f"{d}," for d in range(r)]
+        texts = [t + d for t in texts for d in digits]
+    return texts
+
+
 def save_behavior_csv(b: Behavior, path) -> None:
-    """One row per (input tuple, outcome tuple): x1..xN, a1..aN, p."""
+    """One row per (input tuple, outcome tuple): x1..xN, a1..aN, p.
+
+    A block is the lines over the last outcome digits that fit in
+    _RUN_CELLS; its lines share their leading digits.  Blocks and runs are
+    powers of two, so each run of cells holds whole blocks, and is written
+    as one join of [leading digits, trailing digits, value, line end] per
+    line."""
     parties = range(1, b.n + 2)
     header = [*(f"x{i}" for i in parties), *(f"a{i}" for i in parties), "p"]
-    lead, tail, rows = _runs(b)
-    tails = ["".join(f"{d}," for d in digits) for digits in product(*map(range, tail))]
+    ins, outs = alphabets(b.kind, b.n)
+    k = next(k for k in range(len(outs) + 1) if math.prod(outs[k:]) <= _RUN_CELLS)
+    leads, tails = np.array(_digit_texts(ins + outs[:k]), dtype=object), _digit_texts(outs[k:])
+    cells = min(_RUN_CELLS, b.table.size)
+    blocks = cells // len(tails)
+    parts = ["", "", "", "\r\n"] * cells
+    parts[1::4] = tails * blocks
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for digits, texts in zip(product(*map(range, lead)), _row_texts(rows)):
-            head = "".join(f"{d}," for d in digits)
-            fh.write("".join([head + t + text + "\r\n" for t, text in zip(tails, texts)]))
+        for i, run in enumerate(_cell_runs(b.table)):
+            parts[0::4] = leads[i * blocks:(i + 1) * blocks].repeat(len(tails)).tolist()
+            parts[2::4] = _cell_texts(run)
+            fh.write("".join(parts))
 
 
 def _csv_digits(path, line: int, row, radices) -> list[int]:

@@ -515,11 +515,15 @@ def random_model_blocks(kind: str, n: int, cardinality: int, seed: int, start: i
 
 def random_mixture_blocks(size: int, seed: int, start: int, stop: int):
     """Uniform random weights over `size` strategy tuples for trials
-    start..stop-1, a block at a time: yields (first_trial, q) with one row
-    of q per trial, from one flat draw of trial_rng(seed, t) each."""
-    for a, draws in _draw_blocks(seed, start, stop, size):
+    start..stop-1, a block at a time: an iterator of (first_trial, q), one row
+    of q per trial, from one flat draw of trial_rng(seed, t) each.  The
+    iterator keeps no block while it draws the next."""
+    def weights(block):
+        first, draws = block
         (q,) = _simplex_split(draws, [(1, (size,))])
-        yield a, q[:, 0]
+        return first, q[:, 0]
+
+    return map(weights, _draw_blocks(seed, start, stop, size))
 
 
 # ---------------------------------------------------------------------------
