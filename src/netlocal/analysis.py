@@ -38,7 +38,7 @@ from .evaluator import chain_IJ, closed_form_p14, closed_form_p22_end_parity, we
 from .hvmodels import (check_factorization, correlated_sources_example, model_IJ, models_IJ,
                        party_strategy_table, random_mixture_blocks, random_model_blocks,
                        strategy_counts, strategy_IJ)
-from .network import KIND_P14, KIND_P22, check_kind, standard_scenario
+from .network import KIND_P14, KIND_P22, check_chain, standard_scenario
 
 LP_DEFAULT_TOL = 1e-8
 BISECTION_MAX_ITER = 60
@@ -380,9 +380,7 @@ def decomposition_check(kind: str, n: int) -> DecompositionReport:
     dyadic, so float64 holds the identity exactly and array_equal checks it
     with no tolerance; the extremal (I, J) from model_IJ are exact Fractions.
     """
-    check_kind(kind)
-    if n < 2:
-        raise RangeError(f"chain needs n >= 2, got {n}")
+    check_chain(n, kind)
     check_size(table_cells(n), OUTPUT_CELL_GUARD, f"table cells of a decomposition at n = {n}")
     closed_form = closed_form_p22_end_parity if kind == KIND_P22 else closed_form_p14
     pi, pj = (hvmodels.decomposition_model(kind, n, which) for which in (0, 1))
@@ -489,7 +487,7 @@ def visibility_threshold(kind: str, n: int, profile=None,
     made.  Chains longer than CHAIN_LENGTH_GUARD are refused before anything
     is built.
     """
-    check_kind(kind)
+    check_chain(n, kind)
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     if bound not in ("nlocal", "local"):
         raise RangeError(f"bound must be 'nlocal' or 'local', got {bound}")
@@ -544,7 +542,7 @@ def figure4_report(kind: str = KIND_P22, n: int = 2, grid_step: float = 0.05) ->
     CHAIN_LENGTH_GUARD are refused before anything is, and so is a grid whose
     cost, n x grid points, exceeds GRID_POINT_GUARD.
     """
-    check_kind(kind)
+    check_chain(n, kind)
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     if not 0.0 < grid_step <= 0.5:
         raise RangeError(f"grid step must lie in (0, 0.5], got {grid_step}")

@@ -115,7 +115,6 @@ class Behavior:
     table: np.ndarray
 
     def __post_init__(self):
-        check_kind(self.kind)
         ins, outs = alphabets(self.kind, self.n)
         shape = (int(np.prod(ins)), int(np.prod(outs)))
         self.table = np.asarray(self.table, dtype=float)

@@ -363,10 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
-    except NetlocalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (NetlocalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if payload is not None:

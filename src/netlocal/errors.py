@@ -41,7 +41,7 @@ class NoCrossingError(NetlocalError):
 # chain_table's cells; both kinds have 4**(n+1), and n = 13 is a 2 GiB table
 CHAIN_CELL_GUARD = 4 ** 14
 # decomposition holds three tables and simulate prints one as text: n <= 11
-# (at n = 11, decomposition takes 0.8-1.5 s and 0.41-0.47 GB, simulate 1.9 s and 320 MB)
+# (n = 11, peak RSS: decomposition 0.5-0.6 s p22, 0.7-0.8 s p14, 416 MB; simulate 0.7 s, 163 MB)
 OUTPUT_CELL_GUARD = 4 ** 12
 # evaluate_naive's global dimension 4**n: n <= 6
 NAIVE_DIM_GUARD = 4096

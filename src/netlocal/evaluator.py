@@ -266,20 +266,19 @@ def closed_form_p14(n: int) -> Behavior:
 
 
 def _p22_delta_rows(n: int, include_ends: bool) -> np.ndarray:
-    ins, outs = alphabets(KIND_P22, n)
+    """The p22 table, uniform but for the 8 rows whose intermediates all read 0 (d0) or 1 (d1)."""
+    _, outs = alphabets(KIND_P22, n)
     digits = _outcome_digits(KIND_P22, n)
     parity = reduce(np.bitwise_xor, digits[1:-1])
     if include_ends:
         parity = parity ^ digits[0] ^ digits[-1]
     sign = np.broadcast_to((-1.0) ** (parity + 1), outs).reshape(-1)
-    num_in = int(np.prod(ins))
-    rows = np.zeros((num_in, sign.size))
-    for xi in range(num_in):
-        xs = np.unravel_index(xi, ins)
-        d0 = all(x == 0 for x in xs[1:-1])
-        d1 = all(x == 1 for x in xs[1:-1])
-        signed = sign * (float(d0) + (-1.0) ** (xs[0] + xs[-1]) * float(d1)) / 2.0
-        rows[xi] = (1.0 + signed) / 2.0 ** (n + 1)
+    rows = np.full((sign.size, sign.size), 1.0 / 2.0 ** (n + 1))
+    ends = (-1.0) ** np.add.outer([0, 1], [0, 1])[..., None]  # (-1)**(x1+xlast)
+    # axes (x1, intermediates' inputs, xlast, outcomes): all read 0 at 0, all 1 at -1
+    for mid, d0, d1 in (0, 1.0, 0.0), (-1, 0.0, 1.0):
+        signed = sign * (d0 + ends * d1) / 2.0
+        rows.reshape(2, -1, 2, sign.size)[:, mid] = (1.0 + signed) / 2.0 ** (n + 1)
     return rows
 
 
@@ -344,25 +343,26 @@ def reduce_p14_to_p22(b: Behavior) -> Behavior:
     Under p22 input x, an intermediate party announces bit x of its two-bit
     string, so P22(a|x) sums the p14 table over strings whose selected bit
     matches.  This classical post-processing commutes with the correlators:
-    I and J are preserved.
+    I and J are preserved.  Each p14 row is read once; party by party, its
+    string's bit pair (b0, b1) becomes the pair (input, announced bit) in
+    place, each entry a sum of two strings, in one scratch row or, last, the
+    row's place in the p22 table.
     """
     if b.kind != KIND_P14:
         raise KindError(f"reduction needs a p14 behavior, got {b.kind}")
     n = b.n
-    ins22, outs22 = alphabets(KIND_P22, n)
-    _, outs14 = alphabets(KIND_P14, n)
-    # select[s] maps a string digit to its bit s: shape (4 strings, 2 bits)
-    select = [np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
-              np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])]
-    num_in = int(np.prod(ins22))
-    table = np.zeros((num_in, int(np.prod(outs22))))
-    for xi in range(num_in):
-        xs = np.unravel_index(xi, ins22)
-        row = b.table[b.input_index((xs[0],) + (0,) * (n - 1) + (xs[-1],))]
-        t = row.reshape(outs14)
+    table = np.empty((2 ** (n + 1),) * 2)
+    # axes x1, xlast, the intermediates' inputs, a1, their bits, alast
+    grid = np.moveaxis(table.reshape((2,) * (2 * n + 2)), n, 1)
+    # a row's axes in the p14 order: a1, each intermediate's input and bit, alast
+    order = [n - 1, *(i for p in range(1, n) for i in (p - 1, n - 1 + p)), 2 * n - 1]
+    scratch = np.empty((2,) * (2 * n))
+    for row, (x1, xlast) in zip(b.table, np.ndindex(2, 2)):
+        t = row.reshape(scratch.shape)
         for p in range(1, n):
-            t = np.tensordot(t, select[xs[p]], axes=([p], [0]))
-            # contracted axis lands at the back; rotate it home
-            t = np.moveaxis(t, -1, p)
-        table[xi] = t.reshape(-1)
+            dst = grid[x1, xlast].transpose(order) if (n - p) % 2 else scratch
+            s, d = (np.moveaxis(a, (2 * p - 1, 2 * p), (0, 1)) for a in (t, dst))
+            np.add(s[:, 0], s[:, 1], out=d[0])  # input 0 announces b0
+            np.add(s[0], s[1], out=d[1])  # input 1 announces b1
+            t = dst
     return Behavior(KIND_P22, n, table)

@@ -48,7 +48,7 @@ from .behavior import (Behavior, alphabets, chain_contract, chain_table, check_t
                        ij_factors, party_factors)
 from .errors import (CHAIN_LENGTH_GUARD, HIDDEN_PRODUCT_GUARD, STRATEGY_SPACE_GUARD,
                      DimensionError, RangeError, ScenarioError, check_size)
-from .network import KIND_P22, check_kind
+from .network import KIND_P22, check_chain, check_kind
 
 MODEL_SCHEMA_VERSION = 1
 PRNG_ALGORITHM = "numpy-pcg64"
@@ -129,9 +129,7 @@ class NLocalModel:
     note: str = ""
 
     def __post_init__(self):
-        check_kind(self.kind)
-        if self.n < 2:
-            raise ScenarioError(f"chain needs n >= 2, got {self.n}")
+        check_chain(self.n, self.kind)
         if len(self.source_dists) != self.n:
             raise ScenarioError(f"expected {self.n} source distributions")
         if len(self.responses) != self.n + 1:
@@ -232,7 +230,7 @@ def tightness_model(kind: str, n: int, r: float) -> NLocalModel:
     the choice is recorded in the p14 model note.  Chains longer than
     CHAIN_LENGTH_GUARD are refused before anything is built.
     """
-    check_kind(kind)
+    check_chain(n, kind)
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"r must lie in [0, 1], got {r}")
@@ -258,7 +256,7 @@ def decomposition_model(kind: str, n: int, which: int) -> NLocalModel:
     XOR of its hidden bits at input `which` (p22), or as bit `which` of its
     string 2*b0 + b1 (p14), with a fair local coin for the other one.
     """
-    check_kind(kind)
+    check_chain(n, kind)
     if which not in (0, 1):
         raise RangeError(f"which must be 0 (P_I) or 1 (P_J), got {which}")
     end = _end_flip_response(1.0 - which)
@@ -438,9 +436,7 @@ def _random_model_runs(kind: str, n: int, cardinality: int) -> list[tuple[int, t
     left end, the n - 1 intermediates, the right end).  Chains longer than
     CHAIN_LENGTH_GUARD, and response tables of more than
     HIDDEN_PRODUCT_GUARD cells in all, are refused."""
-    check_kind(kind)
-    if n < 2:
-        raise ScenarioError(f"chain needs n >= 2, got {n}")
+    check_chain(n, kind)
     if cardinality < 1:
         raise RangeError(f"cardinality must be positive, got {cardinality}")
     check_size(n, CHAIN_LENGTH_GUARD, f"chain of {n} sources")
@@ -556,7 +552,6 @@ class StrategyWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        check_kind(self.kind)
         want = strategy_counts(self.kind, self.n)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != want:

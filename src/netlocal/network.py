@@ -51,8 +51,8 @@ def check_kind(kind: str) -> str:
 
 def check_chain(n: int, kind: str) -> None:
     """Refuse an unknown kind (KindError), then a chain of fewer than two
-    sources (ScenarioError): the checks every scenario entry point makes
-    first, before anything that grows with n."""
+    sources (ScenarioError): the one statement of the chain rule, which every
+    entry point taking a kind and n applies first, before anything that grows with n."""
     check_kind(kind)
     if n < 2:
         raise ScenarioError(f"chain needs at least two sources, got n={n}")
@@ -60,9 +60,7 @@ def check_chain(n: int, kind: str) -> None:
 
 def alphabets(kind: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-party (input_sizes, output_sizes) for a chain with n sources."""
-    check_kind(kind)
-    if n < 2:
-        raise RangeError(f"chain needs at least two sources, got n={n}")
+    check_chain(n, kind)
     if kind == KIND_P22:
         return (2,) * (n + 1), (2,) * (n + 1)
     return (2,) + (1,) * (n - 1) + (2,), (2,) + (4,) * (n - 1) + (2,)

@@ -603,7 +603,7 @@ def test_decomposition_is_exact():
 
 
 def test_decomposition_guards():
-    with pytest.raises(RangeError):
+    with pytest.raises(ScenarioError):
         decomposition_check(KIND_P22, 1)
     for kind in (KIND_P22, KIND_P14):
         with pytest.raises(SizeGuardError):
@@ -912,7 +912,7 @@ def test_figure4_grid_cost_is_bounded_before_anything_is_built(monkeypatch):
         with pytest.raises(AssertionError, match="reached a builder"):
             figure4_report(KIND_P22, n, step)
     for n, step in ((guard, 0.0476), (guard // 2 + 13, 0.025), (2, 9e-5), (2, 1e-9),
-                    (1, 5e-324)):
+                    (2, 5e-324)):
         for kind in (KIND_P22, KIND_P14):
             with pytest.raises(SizeGuardError, match="grid points, over"):
                 figure4_report(kind, n, step)

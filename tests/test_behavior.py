@@ -30,7 +30,7 @@ from netlocal.behavior import (
     save_behavior_json,
     uniform_behavior,
 )
-from netlocal.errors import DimensionError, KindError, RangeError, SizeGuardError
+from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError, SizeGuardError
 from netlocal.evaluator import (_party_tensors, _real_if_real, closed_form_p14,
                                 closed_form_p22_end_parity, evaluate_chain)
 from netlocal.hvmodels import (_model_parties, behavior_of_model, decomposition_model,
@@ -41,7 +41,7 @@ from netlocal.network import KIND_P14, KIND_P22, NetworkScenario, standard_scena
 def test_alphabets():
     assert alphabets(KIND_P22, 3) == ((2, 2, 2, 2), (2, 2, 2, 2))
     assert alphabets(KIND_P14, 3) == ((2, 1, 1, 2), (2, 4, 4, 2))
-    with pytest.raises(RangeError):
+    with pytest.raises(ScenarioError):
         alphabets(KIND_P22, 1)
 
 

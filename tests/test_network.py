@@ -6,15 +6,21 @@ import pickle
 import numpy as np
 import pytest
 
-from netlocal.analysis import visibility_threshold
+from netlocal import analysis
+from netlocal.analysis import (chain_pr_behavior, check_lp_size, decomposition_check, figure4_report,
+                               mc_local_mixture_sweep, mc_nlocal_sweep, visibility_threshold)
+from netlocal.behavior import Behavior, uniform_behavior
 from netlocal.errors import DimensionError, KindError, RangeError, ScenarioError
-from netlocal.evaluator import werner_IJ
+from netlocal.evaluator import closed_form_p14, closed_form_p22, closed_form_p22_end_parity, werner_IJ
+from netlocal.hvmodels import (NLocalModel, decomposition_model, sample_random_model,
+                               strategy_counts, tightness_model)
 from netlocal.network import (
     KIND_P14,
     KIND_P22,
     NetworkScenario,
     Party,
     SourceState,
+    alphabets,
     bsm_projectors,
     check_kind,
     end_observable,
@@ -32,6 +38,66 @@ def test_check_kind():
     assert check_kind("p14") == KIND_P14
     with pytest.raises(KindError):
         check_kind("p13")
+
+
+# every entry point that takes a chain's kind and n, as (kind, n) -> call; the
+# closed forms take no kind
+_CHAIN_ENTRY_POINTS = {
+    "alphabets": alphabets,
+    "Behavior": lambda kind, n: Behavior(kind, n, np.ones((1, 1))),
+    "uniform_behavior": uniform_behavior,
+    "closed_form_p14": lambda kind, n: closed_form_p14(n),
+    "closed_form_p22": lambda kind, n: closed_form_p22(n),
+    "closed_form_p22_end_parity": lambda kind, n: closed_form_p22_end_parity(n),
+    "NetworkScenario": lambda kind, n: NetworkScenario(
+        n=n, kind=kind, sources=[], end_settings=[], intermediate_settings=[]),
+    "standard_scenario": lambda kind, n: standard_scenario(n, kind),
+    "NLocalModel": lambda kind, n: NLocalModel(n=n, kind=kind, source_dists=[], responses=[]),
+    "tightness_model": lambda kind, n: tightness_model(kind, n, 0.5),
+    "decomposition_model": lambda kind, n: decomposition_model(kind, n, 0),
+    "sample_random_model": lambda kind, n: sample_random_model(kind, n, 2, 0),
+    "strategy_counts": strategy_counts,
+    "mc_nlocal_sweep": lambda kind, n: mc_nlocal_sweep(kind, n, 2, 10, 0),
+    "mc_local_mixture_sweep": lambda kind, n: mc_local_mixture_sweep(kind, n, 10, 0),
+    "decomposition_check": decomposition_check,
+    "visibility_threshold": visibility_threshold,
+    "figure4_report": figure4_report,
+    "chain_pr_behavior": chain_pr_behavior,
+    "check_lp_size": check_lp_size,
+}
+# the entry points that build a model or a scenario after their own checks
+_BUILDERS = ("tightness_model", "decomposition_model", "visibility_threshold", "figure4_report")
+
+
+def _spy_on_builds(monkeypatch) -> list:
+    """Record every NLocalModel or NetworkScenario built, and every
+    standard_scenario call the analysis module makes."""
+    built = []
+    for cls in (NLocalModel, NetworkScenario):
+        def spy(self, post_init=cls.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    monkeypatch.setattr(analysis, "standard_scenario",
+                        lambda *args, **kwargs: built.append("standard_scenario"))
+    return built
+
+
+@pytest.mark.parametrize("entry", list(_CHAIN_ENTRY_POINTS))
+def test_chain_rule_refusals(entry, monkeypatch):
+    # network.check_chain states the rule once: an unknown kind first, then
+    # fewer than two sources, each with one class and, for n, one message
+    built = _spy_on_builds(monkeypatch)
+    call = _CHAIN_ENTRY_POINTS[entry]
+    for kind in (KIND_P22, KIND_P14):
+        with pytest.raises(ScenarioError) as info:
+            call(kind, 1)
+        assert str(info.value) == "chain needs at least two sources, got n=1"
+    if not entry.startswith("closed_form"):
+        with pytest.raises(KindError, match="unknown scenario kind 'p13'"):
+            call("p13", 3)
+    if entry in _BUILDERS:
+        assert built == [], built
 
 
 def test_singlet_entries():
